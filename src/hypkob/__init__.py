@@ -18,8 +18,7 @@ from .errors import (
     PointOutsideShellRegion, MapEscapedDomain,
 )
 from .domain import (
-    ScalarField, Domain, HeightProjection, ReachEstimate, estimate_reach,
-    reach_details, height, project_boundary, foot_on_shell,
+    ScalarField, Domain, HeightProjection, ReachEstimate, reach_details,
     principal_curvatures, ball_field, ellipsoid_field, superellipsoid_field,
     polynomial_field,
 )
@@ -29,19 +28,16 @@ from .structures import (
     check_strict_convexity, ContactData, contact_at, contact_batch,
 )
 from .boundary import (
-    BoundaryGraph, build_graph, d_H, boundary_geodesic, BoundaryMap,
-    LipschitzReport, lipschitz_estimate, lipschitz_details,
+    BoundaryGraph, BoundaryMap, LipschitzReport, lipschitz_details,
 )
 from .metrics import (
     MetricFamily, MetricFunctional, Polyline, PreparedPoints,
-    collar_profile_distance, g_value, d_value, vertical_path,
-    horizontal_path, composite_upper_path, geodesic, path_length,
-    estimate_C, lift_dipping_path, dilation,
+    collar_profile_distance, path_length, estimate_C, lift_dipping_path,
+    dilation,
 )
 from .kobayashi import (
-    TangentSplit, split_vector, split_batch, kobayashi_speed,
-    kobayashi_speed_batch, k_infinitesimal, kobayashi_length, k_length,
-    KobayashiMetric, k_distance, QIReport, quasi_isometry_fit, qi_check,
+    TangentSplit, split_vector, kobayashi_speed, kobayashi_speed_batch,
+    KobayashiMetric, QIReport, quasi_isometry_fit, qi_check,
 )
 from .gromov import (
     BoxSampler, BoundaryBiasedSampler, distance_matrix, HyperbolicityReport,

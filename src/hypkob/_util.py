@@ -1,48 +1,13 @@
-"""Small shared helpers: determinism, hashing, batching."""
+"""Small shared helpers: determinism and hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-THREADS_ENV = "HYPKOB_THREADS"
-
 _QUANTUM = 1e-12
-
-
-def thread_count() -> int:
-    """Batch width for parallel evaluation, from ``HYPKOB_THREADS``.
-
-    Defaults to 1 (fully sequential). Values are clamped to [1, 64]; garbage
-    is treated as 1 so a bad environment never changes results, only speed.
-    """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(64, n))
-
-
-def map_chunks(fn, n_items: int, n_chunks: int | None = None):
-    """Apply ``fn(lo, hi)`` over a partition of ``range(n_items)``.
-
-    Results are concatenated in index order regardless of how many worker
-    threads ran, so output is independent of the thread count.
-    """
-    width = thread_count() if n_chunks is None else n_chunks
-    width = max(1, min(width, n_items)) if n_items else 1
-    bounds = np.linspace(0, n_items, width + 1).astype(int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(jobs) <= 1:
-        return [fn(lo, hi) for lo, hi in jobs]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in jobs]
-        return [f.result() for f in futures]
 
 
 def pair_key(x: np.ndarray, y: np.ndarray) -> bytes:

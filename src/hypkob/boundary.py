@@ -6,8 +6,7 @@ charges the chord component transverse to the maximal complex tangent
 distribution an ``anisotropy`` multiplier before taking the norm, with
 the frame pinned at the node nearest the edge midpoint. At anisotropy 1
 the weights collapse to plain Euclidean chord lengths. Distances are
-Dijkstra shortest paths; rows are cached and a full table is
-materialized on demand for small graphs.
+Dijkstra shortest paths; rows are cached.
 
 Two evaluation modes coexist deliberately. Snapping to nodes gives an
 exact pseudometric on the node set (used for tables and long-range
@@ -39,10 +38,6 @@ __all__ = [
     "BoundaryGraph",
     "BoundaryMap",
     "LipschitzReport",
-    "build_graph",
-    "d_H",
-    "boundary_geodesic",
-    "lipschitz_estimate",
     "lipschitz_details",
 ]
 
@@ -59,7 +54,6 @@ class BoundaryGraph:
         self.params = dict(params)
         self.tree = cKDTree(self.nodes)
         self._rows: dict[int, np.ndarray] = {}
-        self._full: Optional[np.ndarray] = None
         self._frames = self._build_frames()
 
     # -- construction --------------------------------------------------------
@@ -140,7 +134,6 @@ class BoundaryGraph:
                 self.adjacency = A
                 self.params["k_neighbors"] = int(k)
                 self._rows.clear()
-                self._full = None
                 return
             k = min(2 * k, m - 1)
         raise GraphDisconnected(
@@ -224,26 +217,12 @@ class BoundaryGraph:
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         missing = [int(i) for i in np.unique(indices) if int(i) not in self._rows]
         if missing:
-            if self._full is not None:
-                for i in missing:
-                    self._rows[i] = self._full[i]
-            else:
-                rows = dijkstra(self.adjacency, directed=False, indices=missing)
-                for pos, i in enumerate(missing):
-                    self._rows[i] = rows[pos]
+            rows = dijkstra(self.adjacency, directed=False, indices=missing)
+            for pos, i in enumerate(missing):
+                self._rows[i] = rows[pos]
         return np.stack([self._rows[int(i)] for i in indices])
 
-    def all_pairs(self) -> np.ndarray:
-        """Full node-to-node distance table (cached)."""
-        if self._full is None:
-            self._full = dijkstra(self.adjacency, directed=False)
-            for i in range(self._full.shape[0]):
-                self._rows[i] = self._full[i]
-        return self._full
-
     def distance_nodes(self, i: int, j: int) -> float:
-        if self._full is not None:
-            return float(self._full[i, j])
         return float(self.rows_from([i])[0, j])
 
     def distance(self, p, q) -> float:
@@ -320,10 +299,6 @@ class BoundaryGraph:
             "min": float(w.min()),
             "n_edges": int(w.size // 2),
         }
-
-    def median_spacing(self) -> float:
-        d, _ = self.tree.query(self.nodes, k=2)
-        return float(np.median(d[:, 1]))
 
     # -- persistence ---------------------------------------------------------
 
@@ -424,31 +399,3 @@ def lipschitz_details(graph: BoundaryGraph, graph_target: BoundaryGraph,
     ratios = np.where(mask, Dimg / np.where(Dsrc > 0, Dsrc, np.inf), 0.0)
     return LipschitzReport(ratio=float(ratios.max()),
                            n_pairs=int(mask.sum()), floor=float(floor))
-
-
-def lipschitz_estimate(graph: BoundaryGraph, graph_target: BoundaryGraph,
-                       boundary_map: BoundaryMap, n_pairs: int = 4096,
-                       seed: int = 0) -> float:
-    """Empirical lower bound for the horizontal Lipschitz constant."""
-    return lipschitz_details(graph, graph_target, boundary_map,
-                             n_pairs=n_pairs, seed=seed).ratio
-
-
-def build_graph(domain: Domain, structure: StructureField, n_nodes: int = 600,
-                k_neighbors: int = 10, anisotropy: float = 8.0, seed: int = 0,
-                selection: str = "farthest") -> BoundaryGraph:
-    """Sampled boundary graph carrying the anisotropic chord metric."""
-    return BoundaryGraph.build(domain, structure, n_nodes=n_nodes,
-                               k_neighbors=k_neighbors, anisotropy=anisotropy,
-                               seed=seed, selection=selection)
-
-
-def d_H(graph: BoundaryGraph, p, q) -> float:
-    """Shortest-path distance between the snapped boundary points."""
-    return graph.distance(p, q)
-
-
-def boundary_geodesic(graph: BoundaryGraph, p, q) -> np.ndarray:
-    """Node polyline of a shortest path between the snapped points."""
-    nodes, _ = graph.geodesic(p, q)
-    return nodes

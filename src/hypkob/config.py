@@ -32,9 +32,6 @@ _GRAPH_DEFAULTS = {
 
 _TOLERANCE_DEFAULTS = {
     "newton_tol": 1e-10,
-    "path_rel_tol": 1e-6,
-    "quad_rel_tol": 1e-5,
-    "stabil_tol": 1e-3,
 }
 
 _SEED_DEFAULTS = {
@@ -102,6 +99,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"unknown graph parameters: {sorted(unknown)}")
     tolerances = dict(_TOLERANCE_DEFAULTS)
     tolerances.update(raw.get("tolerances", {}))
+    unknown = set(tolerances) - set(_TOLERANCE_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
     for key, val in tolerances.items():
         if not (isinstance(val, (int, float)) and val > 0):
             raise ConfigError(f"tolerance {key!r} must be positive")

@@ -36,11 +36,7 @@ __all__ = [
     "Domain",
     "HeightProjection",
     "ReachEstimate",
-    "estimate_reach",
     "reach_details",
-    "height",
-    "project_boundary",
-    "foot_on_shell",
     "principal_curvatures",
     "ball_field",
     "ellipsoid_field",
@@ -271,9 +267,6 @@ class Domain:
             raise DerivativeEvaluationFailed("hessian returned non-finite values")
         return h
 
-    def is_interior(self, x, tol: float = 0.0) -> np.ndarray:
-        return self.rho(x) < tol
-
     def outward_normal(self, p) -> np.ndarray:
         g = self.grad(p)
         nrm = np.linalg.norm(g, axis=-1, keepdims=True)
@@ -459,14 +452,6 @@ class HeightProjection:
         self.newton_tol = float(newton_tol)
         self.max_iter = int(max_iter)
 
-    @classmethod
-    def with_estimated_reach(cls, domain: Domain, n_samples: int = 256,
-                             safety: float = 0.5, ceiling: Optional[float] = None,
-                             seed: int = 0, **kw) -> "HeightProjection":
-        est = reach_details(domain, n_samples=n_samples, safety=safety,
-                            ceiling=ceiling, seed=seed)
-        return cls(domain, est.epsilon, **kw)
-
     # -- batched solver ------------------------------------------------------
 
     def _newton_polish(self, X: np.ndarray, P0: np.ndarray):
@@ -483,14 +468,7 @@ class HeightProjection:
         lam = np.sum((p - X) * g, axis=-1) / np.maximum(gn2, 1e-300)
         scale = 1.0 + np.linalg.norm(X, axis=-1)
         tol = self.newton_tol * scale
-
-        def residual(p_, lam_):
-            g_ = dom.grad(p_)
-            r1 = p_ - X - lam_[:, None] * g_
-            r2 = dom.rho(p_)
-            return g_, r1, r2, np.maximum(np.abs(r1).max(axis=-1), np.abs(r2))
-
-        g, r1, r2, rn = residual(p, lam)
+        g, r1, r2, rn = residual_at(dom, X, p, lam)
         ok = rn <= tol
         for _ in range(self.max_iter):
             act = ~ok
@@ -529,7 +507,7 @@ class HeightProjection:
                 t = np.where(rn_try >= best_rn, t * 0.5, t)
             p[act] = best_p
             lam[act] = best_lam
-            g, r1, r2, rn = residual(p, lam)
+            g, r1, r2, rn = residual_at(dom, X, p, lam)
             ok = rn <= tol
         return p, ok
 
@@ -652,13 +630,6 @@ class HeightProjection:
         n = self.domain.outward_normal(p)
         return p - t * n
 
-    def shell_points(self, boundary_pts: np.ndarray, t: float) -> np.ndarray:
-        """Push boundary points to depth ``t`` along their own normals."""
-        if t < 0 or t > self.epsilon:
-            raise OutsideShellRange(f"shell depth {t} outside [0, {self.epsilon}]")
-        n = self.domain.outward_normal(boundary_pts)
-        return boundary_pts - t * n
-
 
 def residual_at(dom: Domain, X, p_, lam_):
     g_ = dom.grad(p_)
@@ -717,25 +688,3 @@ def reach_details(domain: Domain, n_samples: int = 256, safety: float = 0.5,
         raise CurvatureEstimateFailed("collar width estimate came out non-positive")
     return ReachEstimate(reach=reach, epsilon=float(eps), kappa_max=kmax,
                          n_samples=int(n_samples))
-
-
-def estimate_reach(domain: Domain, n_samples: int = 256, safety: float = 0.5,
-                   ceiling: Optional[float] = None, seed: int = 0) -> float:
-    """Safe collar width for the domain, as a plain number."""
-    return reach_details(domain, n_samples=n_samples, safety=safety,
-                         ceiling=ceiling, seed=seed).epsilon
-
-
-def height(projection: HeightProjection, x) -> float:
-    """Square root of the distance from ``x`` to the boundary."""
-    return projection.height(x)
-
-
-def project_boundary(projection: HeightProjection, x) -> np.ndarray:
-    """A nearest boundary point of ``x``, deterministic under ties."""
-    return projection.project(x)
-
-
-def foot_on_shell(projection: HeightProjection, x, t: float) -> np.ndarray:
-    """The depth-``t`` point on the inward normal ray through the foot of x."""
-    return projection.foot_on_shell(x, t)

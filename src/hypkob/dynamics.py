@@ -187,17 +187,6 @@ def iterate(F: DomainMap, projection: HeightProjection, x0,
 # semicontraction audit
 # ---------------------------------------------------------------------------
 
-def _pair_sensitivity(family: MetricFamily, A, B, kind: str) -> np.ndarray:
-    """Derivative of the pair value in the boundary separation."""
-    w = family._w_snap(A, B)
-    if kind == "g":
-        hmax = np.maximum(A.height, B.height)
-        return 2.0 / (w + hmax)
-    hmax = np.maximum(A.heff, B.heff)
-    peak = np.clip(w, hmax, math.sqrt(family.eps))
-    return 2.0 / peak
-
-
 def check_semicontraction(F: DomainMap, functional: MetricFunctional,
                           n_pairs: int = 256, seed: int = 0) -> dict:
     """Compare pair distances across one application of the map.
@@ -223,12 +212,12 @@ def check_semicontraction(F: DomainMap, functional: MetricFunctional,
     except MapEscapedDomain as err:
         return {"pass": False, "escaped": True, "error": str(err),
                 "n_pairs": int(n_pairs)}
-    pairs_fn = fam.g_pairs if functional.kind == "g" else fam.d_pairs
-    before = pairs_fn(A, B)
-    after = pairs_fn(FA, FB)
+    before = functional.pairs(A, B)
+    after = functional.pairs(FA, FB)
     w_med = fam.graph.edge_weight_stats()["median"]
-    sens = (_pair_sensitivity(fam, A, B, functional.kind)
-            + _pair_sensitivity(fam, FA, FB, functional.kind))
+    kind = functional.kind
+    sens = (fam.slope(kind, fam.separations(A, B), A, B)
+            + fam.slope(kind, fam.separations(FA, FB), FA, FB))
     slack = 2.0 * w_med * sens + 1e-9
     defect = after - before
     ok = defect <= slack

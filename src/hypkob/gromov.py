@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NotStabilized, PrefixTooShort
 from .domain import Domain
-from .metrics import (
-    MetricFamily,
-    MetricFunctional,
-    Polyline,
-    collar_profile_distance,
-)
+from .metrics import MetricFamily, MetricFunctional, Polyline
 
 __all__ = [
     "HyperbolicityReport",
@@ -109,24 +104,8 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     fam = functional.family
     P = fam.prepare(pts)
     W = fam.graph.rows_from(P.node)[:, P.node]
-    if kind == "g":
-        hmax = np.maximum(P.height[:, None], P.height[None, :])
-        D = 2.0 * np.log((W + hmax)
-                         / np.sqrt(P.height[:, None] * P.height[None, :]))
-    else:
-        core = collar_profile_distance(W, P.heff[:, None], P.heff[None, :],
-                                       fam.eps)
-        D = P.extra[:, None] + P.extra[None, :] + core
-        both_deep = (P.extra[:, None] > 0) & (P.extra[None, :] > 0)
-        if np.any(both_deep):
-            feet_gap = np.linalg.norm(P.feet[:, None, :] - P.feet[None, :, :],
-                                      axis=-1)
-            scale = fam.graph.domain.diameter_estimate()
-            same_ray = both_deep & (feet_gap <= fam.foot_tol * scale)
-            if np.any(same_ray):
-                direct = np.linalg.norm(P.points[:, None, :]
-                                        - P.points[None, :, :], axis=-1)
-                D = np.where(same_ray, direct, D)
+    idx = np.arange(m)
+    D = fam.kernel(kind, W, P.take(idx[:, None]), P.take(idx[None, :]))
     np.fill_diagonal(D, 0.0)
     return np.maximum(D, D.T)
 
@@ -261,34 +240,6 @@ def normal_record(functional: MetricFunctional, p, omega,
                                omega=np.asarray(omega, dtype=float))
 
 
-def _dyadic_products(functional: MetricFunctional, a, b, omega,
-                     depth: int) -> np.ndarray:
-    fam = functional.family
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = fam.graph.domain.outward_normal(a)
-    nb = fam.graph.domain.outward_normal(b)
-    ks = np.arange(1, depth + 1)
-    ts = fam.eps * 0.5**ks
-    X = a[None, :] - ts[:, None] * na[None, :]
-    Y = b[None, :] - ts[:, None] * nb[None, :]
-    A = fam.prepare(X)
-    B = fam.prepare(Y)
-    O = fam.prepare(np.repeat(np.asarray(omega, dtype=float)[None, :],
-                              depth, axis=0))
-    if functional.kind == "g":
-        dxo = fam.g_pairs(A, O)
-        dyo = fam.g_pairs(B, O)
-        dxy = fam.g_pairs(A, B)
-    elif functional.kind == "d":
-        dxo = fam.d_pairs(A, O)
-        dyo = fam.d_pairs(B, O)
-        dxy = fam.d_pairs(A, B)
-    else:
-        raise ConfigError("boundary products need one of the collar metrics")
-    return 0.5 * (dxo + dyo - dxy)
-
-
 def boundary_product(functional: MetricFunctional, a, b, omega,
                      depth: int = 24, stabil_tol: float = 1e-3) -> float:
     """Product of two boundary points along normal representatives.
@@ -296,13 +247,22 @@ def boundary_product(functional: MetricFunctional, a, b, omega,
     Heights are dyadic; the value must be Cauchy within the tolerance
     over the last three levels, otherwise the trend is raised.
     """
+    if functional.kind not in ("g", "d"):
+        raise ConfigError("boundary products need one of the collar metrics")
     if depth < 4:
         raise ConfigError("boundary products need depth at least 4")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.linalg.norm(a - b) == 0.0:
         raise ConfigError("boundary products need two distinct points")
-    p = _dyadic_products(functional, a, b, omega, depth)
+    fam = functional.family
+    ts = fam.eps * 0.5**np.arange(1, depth + 1)
+    A = fam.prepare(a - ts[:, None] * fam.graph.domain.outward_normal(a))
+    B = fam.prepare(b - ts[:, None] * fam.graph.domain.outward_normal(b))
+    O = fam.prepare(np.repeat(np.asarray(omega, dtype=float)[None, :],
+                              depth, axis=0))
+    pairs = functional.pairs
+    p = 0.5 * (pairs(A, O) + pairs(B, O) - pairs(A, B))
     last = p[-3:]
     if np.max(last) - np.min(last) > stabil_tol:
         raise NotStabilized(

@@ -5,11 +5,11 @@ maximal complex tangent distribution at the nearest boundary point one
 inverse height, and the transverse component (the span of the normal and
 its rotation) one inverse height squared; past the collar roof both
 weights continue with inverse-depth decay so the norm stays continuous
-and the core carries a comparable fixed metric. Curve lengths integrate
-the norm by midpoint quadrature; distances come from the layered shell
-solver. A fit routine compares the resulting distance with the
-boundary-anchored log metric and reports the smallest
-multiplicative-additive sandwich.
+and the core carries a comparable fixed metric. Curve lengths are
+``metrics.path_length`` under the ``kobayashi_estimate`` functional;
+distances come from the layered shell solver. A fit routine compares
+the resulting distance with the boundary-anchored log metric and
+reports the smallest multiplicative-additive sandwich.
 """
 
 from __future__ import annotations
@@ -25,18 +25,13 @@ from .domain import HeightProjection
 from .structures import StructureField
 from .boundary import BoundaryGraph
 from .layered import LayeredSolver
-from .metrics import MetricFamily, Polyline
+from .metrics import MetricFamily
 
 __all__ = [
     "TangentSplit",
     "split_vector",
-    "split_batch",
-    "k_infinitesimal",
-    "k_length",
-    "k_distance",
     "kobayashi_speed",
     "kobayashi_speed_batch",
-    "kobayashi_length",
     "KobayashiMetric",
     "QIReport",
     "quasi_isometry_fit",
@@ -87,15 +82,6 @@ def _split_arrays(projection: HeightProjection, structure: StructureField,
     vh = 0.5 * (r + rr)
     vn = V - vh
     return vh, vn, depth, feet, n, u
-
-
-def split_batch(projection: HeightProjection, structure: StructureField,
-                X, V):
-    """Batched frame splitting; returns (horizontal, normal-plane, depth)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    vh, vn, depth, _, _, _ = _split_arrays(projection, structure, X, V)
-    return vh, vn, depth
 
 
 def _horizontal_basis(structure: StructureField, foot: np.ndarray,
@@ -183,46 +169,6 @@ def kobayashi_speed(projection: HeightProjection, structure: StructureField,
                                        v[None])[0])
 
 
-def k_infinitesimal(projection: HeightProjection, structure: StructureField,
-                    x, v) -> float:
-    """The anisotropic rate: horizontal over h, normal-plane over h squared."""
-    return kobayashi_speed(projection, structure, x, v)
-
-
-def kobayashi_length(projection: HeightProjection, structure: StructureField,
-                     polyline: Polyline, rel_tol: float = 1e-5,
-                     max_depth: int = 12) -> float:
-    """Midpoint quadrature of the norm along a polyline, dyadically refined."""
-    pts = polyline.points
-    if pts.shape[0] < 2:
-        return 0.0
-    prev = None
-    for depth in range(max_depth + 1):
-        per = 2**depth
-        frac = (np.arange(per) + 0.5) / per
-        a = pts[:-1]
-        step = (pts[1:] - a) / per
-        mids = (a[:, None, :] + frac[None, :, None]
-                * (pts[1:] - a)[:, None, :]).reshape(-1, pts.shape[1])
-        vecs = np.repeat(step, per, axis=0)
-        cur = float(kobayashi_speed_batch(projection, structure,
-                                          mids, vecs).sum())
-        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    from .errors import RefinementStalled
-    raise RefinementStalled(
-        f"norm quadrature did not settle at depth {max_depth}", (prev, cur))
-
-
-def k_length(projection: HeightProjection, structure: StructureField,
-             polyline: Polyline, rel_tol: float = 1e-5,
-             max_depth: int = 12) -> float:
-    """Integrated anisotropic rate along the polyline."""
-    return kobayashi_length(projection, structure, polyline,
-                            rel_tol=rel_tol, max_depth=max_depth)
-
-
 class KobayashiMetric:
     """Distances of the interior estimate via the layered shell solver."""
 
@@ -241,11 +187,6 @@ class KobayashiMetric:
 
     def distance_matrix(self, points) -> np.ndarray:
         return self.solver.distances(points)
-
-
-def k_distance(kmetric: KobayashiMetric, x, y) -> float:
-    """Shortest-path distance of the interior estimate."""
-    return kmetric.distance(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -43,18 +43,17 @@ __all__ = [
     "MetricFunctional",
     "path_length",
     "collar_profile_distance",
-    "g_value",
-    "d_value",
-    "vertical_path",
-    "horizontal_path",
-    "composite_upper_path",
-    "geodesic",
     "estimate_C",
     "lift_dipping_path",
     "dilation",
 ]
 
 FUNCTIONAL_KINDS = ("g", "d", "kobayashi_estimate", "euclidean", "external")
+
+
+def _peak(w, ha, hb, eps):
+    """Optimal profile height: ``w`` clipped into ``[max(ha, hb), sqrt(eps)]``."""
+    return np.clip(w, np.maximum(ha, hb), math.sqrt(eps))
 
 
 def collar_profile_distance(w, ha, hb, eps):
@@ -68,8 +67,7 @@ def collar_profile_distance(w, ha, hb, eps):
     w = np.asarray(w, dtype=float)
     ha = np.asarray(ha, dtype=float)
     hb = np.asarray(hb, dtype=float)
-    hmax = np.maximum(ha, hb)
-    peak = np.clip(w, hmax, math.sqrt(eps))
+    peak = _peak(w, ha, hb, eps)
     out = 2.0 * np.log(peak / np.sqrt(ha * hb))
     return out + np.where(w > 0, 2.0 * w / np.where(peak > 0, peak, 1.0), 0.0)
 
@@ -210,49 +208,74 @@ class MetricFamily:
         return PreparedPoints(pts, feet, depths.copy(), height, node_idx.copy(),
                               height.copy(), np.zeros_like(height))
 
-    # -- boundary separations ------------------------------------------------
+    # -- the two metrics ------------------------------------------------------
 
-    def _w_snap(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
-        rows = self.graph.rows_from(A.node)
-        return rows[np.arange(len(A)), B.node]
+    def _same_foot(self, fa, fb) -> np.ndarray:
+        """Whether feet coincide within tolerance, i.e. share one normal ray."""
+        scale = self.graph.domain.diameter_estimate()
+        return np.linalg.norm(fa - fb, axis=-1) <= self.foot_tol * scale
 
-    def _w_matrix(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
-        return self.graph.rows_from(A.node)[:, B.node]
+    def kernel(self, kind: str, W, A: PreparedPoints,
+               B: PreparedPoints) -> np.ndarray:
+        """Values of ``g`` or ``d`` from the boundary separations ``W``.
 
-    def _w_local(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
+        ``A`` and ``B`` broadcast against ``W``: aligned batches, or one
+        batch taken as a column and as a row for a pairwise table.
+        ``g`` is ``2 log((W + max(h_a, h_b)) / sqrt(h_a h_b))``. ``d`` is the
+        collar profile cost at the clipped heights plus the depth excess
+        of each endpoint, except that a deep pair on one ray takes the
+        straight segment. A point paired with itself, at separation zero,
+        gives zero in both.
+        """
+        if kind == "g":
+            hmax = np.maximum(A.height, B.height)
+            return 2.0 * np.log((W + hmax) / np.sqrt(A.height * B.height))
+        if kind != "d":
+            raise ConfigError(f"no closed-form kernel for kind {kind!r}")
+        core = collar_profile_distance(W, A.heff, B.heff, self.eps)
+        out = A.extra + B.extra + core
+        both_deep = (A.extra > 0) & (B.extra > 0)
+        if np.any(both_deep):
+            same_ray = both_deep & self._same_foot(A.feet, B.feet)
+            if np.any(same_ray):
+                direct = np.linalg.norm(A.points - B.points, axis=-1)
+                out = np.where(same_ray, direct, out)
+        return out
+
+    def slope(self, kind: str, W, A: PreparedPoints,
+              B: PreparedPoints) -> np.ndarray:
+        """Derivative of ``kernel(kind, W, A, B)`` in the separation ``W``.
+
+        For ``d`` this is the collar branch, whatever the depths.
+        """
+        if kind == "g":
+            return 2.0 / (W + np.maximum(A.height, B.height))
+        if kind != "d":
+            raise ConfigError(f"no closed-form kernel for kind {kind!r}")
+        return 2.0 / _peak(W, A.heff, B.heff, self.eps)
+
+    def separations(self, A: PreparedPoints, B: PreparedPoints,
+                    w_mode: str = "snap") -> np.ndarray:
+        """Boundary separations of aligned batches: snapped or local."""
+        if w_mode == "snap":
+            return self.graph.rows_from(A.node)[np.arange(len(A)), B.node]
         return self.graph.distance_local_batch(A.feet, B.feet)
 
-    # -- the two metrics, vectorized over aligned batches ---------------------
+    def _aligned(self, kind: str, A: PreparedPoints, B: PreparedPoints,
+                 w_mode: str) -> np.ndarray:
+        val = self.kernel(kind, self.separations(A, B, w_mode), A, B)
+        same = np.all(np.abs(A.points - B.points) < 1e-15, axis=-1)
+        return np.where(same, 0.0, val)
 
     def g_pairs(self, A: PreparedPoints, B: PreparedPoints,
                 w_mode: str = "snap") -> np.ndarray:
         """Boundary-anchored log distance for aligned point batches."""
-        w = self._w_snap(A, B) if w_mode == "snap" else self._w_local(A, B)
-        hmax = np.maximum(A.height, B.height)
-        same = np.all(np.abs(A.points - B.points) < 1e-15, axis=-1)
-        val = 2.0 * np.log((w + hmax) / np.sqrt(A.height * B.height))
-        return np.where(same, 0.0, val)
+        return self._aligned("g", A, B, w_mode)
 
     def d_pairs(self, A: PreparedPoints, B: PreparedPoints,
                 w_mode: str = "snap") -> np.ndarray:
-        """Collar geodesic distance for aligned point batches.
-
-        Deep points pay their depth excess to reach the collar shell along
-        their rays; a deep pair sharing one ray takes the straight segment.
-        """
-        w = self._w_snap(A, B) if w_mode == "snap" else self._w_local(A, B)
-        core = collar_profile_distance(w, A.heff, B.heff, self.eps)
-        out = A.extra + B.extra + core
-        both_deep = (A.extra > 0) & (B.extra > 0)
-        if np.any(both_deep):
-            feet_gap = np.linalg.norm(A.feet - B.feet, axis=-1)
-            scale = self.graph.domain.diameter_estimate()
-            same_ray = both_deep & (feet_gap <= self.foot_tol * scale)
-            if np.any(same_ray):
-                direct = np.linalg.norm(A.points - B.points, axis=-1)
-                out = np.where(same_ray, direct, out)
-        same = np.all(np.abs(A.points - B.points) < 1e-15, axis=-1)
-        return np.where(same, 0.0, out)
+        """Collar geodesic distance for aligned point batches."""
+        return self._aligned("d", A, B, w_mode)
 
     # -- scalar interface with caching ----------------------------------------
 
@@ -273,15 +296,6 @@ class MetricFamily:
     def d(self, x, y) -> float:
         return self._pair(x, y, "d")
 
-    def collar_distance(self, x, y) -> float:
-        """The closed collar form itself; endpoints must lie in the collar."""
-        A = self.prepare(np.asarray(x, dtype=float)[None])
-        B = self.prepare(np.asarray(y, dtype=float)[None])
-        if A.extra[0] > 0 or B.extra[0] > 0:
-            raise ConfigError("collar_distance needs both endpoints in the collar")
-        w = self._w_snap(A, B)
-        return float(collar_profile_distance(w, A.heff, B.heff, self.eps)[0])
-
     # -- structured paths ------------------------------------------------------
 
     def vertical_path(self, x, y) -> Polyline:
@@ -293,9 +307,8 @@ class MetricFamily:
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
-        scale = self.graph.domain.diameter_estimate()
-        gap = float(np.linalg.norm(A.feet[0] - B.feet[0]))
-        if gap > self.foot_tol * scale:
+        if not self._same_foot(A.feet[0], B.feet[0]):
+            gap = float(np.linalg.norm(A.feet[0] - B.feet[0]))
             raise ProjectionsDiffer(
                 f"feet differ by {gap:.3e}; not a single-ray pair")
         pl = Polyline(np.stack([A.points[0], B.points[0]]),
@@ -324,8 +337,7 @@ class MetricFamily:
                 f"heights {A.height[0]:.6g} and {B.height[0]:.6g} differ")
         if A.extra[0] > 0 or B.extra[0] > 0:
             raise ConfigError("horizontal paths are collar constructions")
-        scale = self.graph.domain.diameter_estimate()
-        if float(np.linalg.norm(A.feet[0] - B.feet[0])) <= self.foot_tol * scale:
+        if self._same_foot(A.feet[0], B.feet[0]):
             return Polyline(A.points[0][None])
         h = float(A.height[0])
         t = h * h
@@ -347,15 +359,12 @@ class MetricFamily:
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
         dval = float(self.d_pairs(A, B)[0])
-        scale = self.graph.domain.diameter_estimate()
-        same_ray = (float(np.linalg.norm(A.feet[0] - B.feet[0]))
-                    <= self.foot_tol * scale)
-        if same_ray and A.extra[0] > 0 and B.extra[0] > 0:
+        if (A.extra[0] > 0 and B.extra[0] > 0
+                and self._same_foot(A.feet[0], B.feet[0])):
             pl = Polyline(np.stack([A.points[0], B.points[0]]))
             return pl, dval
-        w = float(self._w_snap(A, B)[0])
-        hmax = float(np.maximum(A.heff[0], B.heff[0]))
-        peak = min(max(w, hmax), math.sqrt(self.eps))
+        w = float(self.separations(A, B)[0])
+        peak = float(_peak(w, A.heff[0], B.heff[0], self.eps))
         tpk = peak * peak
         dom = self.graph.domain
         pts = [A.points[0]]
@@ -393,36 +402,6 @@ class MetricFamily:
         pl, _ = self.composite_upper_path(x, y)
         return pl
 
-    # -- diagnostics -----------------------------------------------------------
-
-    def additive_gap(self, n_pairs: int = 4000, seed: int = 0) -> dict:
-        """Observed spread of ``d - g`` over seeded collar samples.
-
-        Points sit on node rays with depths biased toward the boundary.
-        The theoretical cap uses the largest node separation on the graph.
-        """
-        rng = np.random.default_rng(seed)
-        m = self.graph.nodes.shape[0]
-        idx = rng.integers(0, m, size=(n_pairs, 2))
-        u = rng.random((n_pairs, 2))
-        depths = self.eps * u**2
-        A = self.prepare_on_rays(idx[:, 0], depths[:, 0])
-        B = self.prepare_on_rays(idx[:, 1], depths[:, 1])
-        gv = self.g_pairs(A, B)
-        dv = self.d_pairs(A, B)
-        gap = dv - gv
-        wmax = float(np.max(self.graph.rows_from(np.arange(min(m, 64)))))
-        reach = wmax + math.sqrt(self.eps)
-        root = math.sqrt(self.eps)
-        cap = max(2.0, 2.0 * reach / root - 2.0 * math.log(reach / root))
-        return {
-            "max": float(gap.max()),
-            "min": float(gap.min()),
-            "q99": float(np.quantile(gap, 0.99)),
-            "cap": cap,
-            "n_pairs": int(n_pairs),
-        }
-
     def functional(self, kind: str,
                    external_pair: Optional[Callable] = None) -> "MetricFunctional":
         if kind not in FUNCTIONAL_KINDS:
@@ -430,10 +409,6 @@ class MetricFamily:
         if kind == "external" and external_pair is None:
             raise ConfigError("external functionals need a pair callable")
         return MetricFunctional(kind=kind, family=self, external_pair=external_pair)
-
-    # spec-facing aliases
-    g_value = g
-    d_value = d
 
 
 @dataclass
@@ -618,34 +593,8 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
 
 
 # ---------------------------------------------------------------------------
-# derived quantities and module-level conveniences
+# derived quantities
 # ---------------------------------------------------------------------------
-
-def g_value(family: MetricFamily, x, y) -> float:
-    """Closed-formula boundary-anchored distance."""
-    return family.g(x, y)
-
-
-def d_value(family: MetricFamily, x, y) -> float:
-    """Geodesic distance of the collar path family."""
-    return family.d(x, y)
-
-
-def vertical_path(family: MetricFamily, x, y) -> Polyline:
-    return family.vertical_path(x, y)
-
-
-def horizontal_path(family: MetricFamily, x, y) -> Polyline:
-    return family.horizontal_path(x, y)
-
-
-def composite_upper_path(family: MetricFamily, x, y) -> tuple[Polyline, float]:
-    return family.composite_upper_path(x, y)
-
-
-def geodesic(family: MetricFamily, x, y) -> Polyline:
-    return family.geodesic(x, y)
-
 
 def estimate_C(family: MetricFamily, pairs=None, n_pairs: int = 2000,
                seed: int = 0) -> float:

@@ -89,6 +89,7 @@ def test_load_config_rejects_bad_entries(tmp_path):
         dict(base, graph={"n_noodles": 3}),
         dict(base, tolerances={"newton_tol": -1.0}),
         dict(base, tolerances={"quad_rel_tol": 0}),
+        dict(base, tolerances={"newton_toll": 1e-8}),
         dict(base, seeds={"sampler": "zero"}),
         dict(base, epsilon=-0.5),
         dict(base, map=[1, 2]),

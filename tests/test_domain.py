@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypkob import (Domain, HeightProjection, ConfigError, OutsideShellRange,
-                    PointOutsideDomain, estimate_reach, reach_details)
+                    PointOutsideDomain, reach_details)
 
 from conftest import EPS
 
@@ -110,7 +110,7 @@ def test_outside_point_rejected(projection):
 def test_reach_estimate_ball(ball):
     est = reach_details(ball, n_samples=128, seed=2)
     assert abs(est.reach - 1.0) < 0.02
-    eps = estimate_reach(ball, n_samples=128, seed=2)
+    eps = reach_details(ball, n_samples=128, seed=2).epsilon
     assert isinstance(eps, float)
     assert abs(eps - 0.5) < 0.02
 

@@ -134,6 +134,10 @@ def test_distance_matrix_matches_pair_values(family, graph):
     # a deep pair on one ray exercises the straight-chord branch
     pts.append(ray_point(graph.nodes[3], 0.7))
     pts.append(ray_point(graph.nodes[3], 0.9))
+    # a deep point on another ray, and repeats of a collar and a deep point
+    pts.append(ray_point(graph.nodes[222], 0.8))
+    pts.append(pts[1].copy())
+    pts.append(pts[4].copy())
     pts = np.array(pts)
     for kind in ("g", "d"):
         fn = family.functional(kind)

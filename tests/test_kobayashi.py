@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hypkob import (ConfigError, KobayashiMetric, Polyline,
-                    PointOutsideShellRegion, ZeroVector, k_distance,
-                    k_infinitesimal, k_length, kobayashi_speed,
-                    quasi_isometry_fit, qi_check, split_vector)
+                    PointOutsideShellRegion, ZeroVector, kobayashi_speed,
+                    path_length, quasi_isometry_fit, qi_check, split_vector)
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS
@@ -86,8 +85,6 @@ def test_speed_rates_at_reference_height(projection, structure):
                                np.array([0, 0, 1.0, 0])) - 10.0) < 1e-6
     assert abs(kobayashi_speed(projection, structure, x,
                                np.array([1.0, 0, 0, 0])) - 100.0) < 1e-4
-    assert abs(k_infinitesimal(projection, structure, x,
-                               np.array([0, 0, 1.0, 0])) - 10.0) < 1e-6
 
 
 def test_speed_is_homogeneous(projection, structure, graph):
@@ -125,19 +122,23 @@ def test_scaling_exponents_along_heights(projection, structure):
 # lengths and distances
 # ---------------------------------------------------------------------------
 
-def test_radial_length_matches_log_oracle(projection, structure):
+def test_radial_length_matches_log_oracle(family):
     x = np.array([1.0 - 0.4, 0, 0, 0])
     y = np.array([1.0 - 0.04, 0, 0, 0])
     pl = Polyline(np.stack([x, y]))
-    got = k_length(projection, structure, pl, rel_tol=1e-6)
+    got = path_length(pl, family.functional("kobayashi_estimate"),
+                      rel_tol=1e-6, max_depth=12)
     assert abs(got - math.log(10.0)) < 1e-4
 
 
-def test_length_is_reversal_invariant(projection, structure, graph):
+def test_length_is_reversal_invariant(family, graph):
     a = ray_point(graph.nodes[14], 0.3)
     b = ray_point(graph.nodes[288], 0.05)
-    fwd = k_length(projection, structure, Polyline(np.stack([a, b])))
-    bwd = k_length(projection, structure, Polyline(np.stack([b, a])))
+    kob = family.functional("kobayashi_estimate")
+    fwd = path_length(Polyline(np.stack([a, b])), kob, rel_tol=1e-5,
+                      max_depth=12)
+    bwd = path_length(Polyline(np.stack([b, a])), kob, rel_tol=1e-5,
+                      max_depth=12)
     assert abs(fwd - bwd) < 1e-10 * max(fwd, 1.0)
 
 
@@ -145,19 +146,19 @@ def test_solver_distance_realizes_radial_oracle(kmetric, graph):
     f = graph.nodes[21]
     x = ray_point(f, 0.4)
     y = ray_point(f, 0.04)
-    got = k_distance(kmetric, x, y)
+    got = kmetric.distance(x, y)
     assert abs(got - math.log(10.0)) < 1e-9
     assert abs(kmetric.distance(y, x) - got) < 1e-12
 
 
-def test_solver_distance_bounded_by_path_lengths(kmetric, projection,
-                                                 structure, graph):
+def test_solver_distance_bounded_by_path_lengths(kmetric, family, graph):
     # the grid solver must never beat differences of admissible paths by
     # much, and never exceed the straight-chord quadrature
     a = ray_point(graph.nodes[60], 0.09)
     b = ray_point(graph.nodes[301], 0.09)
-    direct = k_length(projection, structure, Polyline(np.stack([a, b])),
-                      rel_tol=1e-5, max_depth=14)
+    direct = path_length(Polyline(np.stack([a, b])),
+                         family.functional("kobayashi_estimate"),
+                         rel_tol=1e-5, max_depth=14)
     got = kmetric.distance(a, b)
     assert 0.0 < got <= direct * (1.0 + 1e-9)
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from hypkob import (ConfigError, HeightsDiffer, Polyline, ProjectionsDiffer,
-                    RefinementStalled, collar_profile_distance,
-                    composite_upper_path, d_value, dilation, estimate_C,
-                    g_value, geodesic, horizontal_path, lift_dipping_path,
-                    path_length, vertical_path)
+                    RefinementStalled, collar_profile_distance, dilation,
+                    estimate_C, lift_dipping_path, path_length)
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS
@@ -71,8 +69,8 @@ def test_vertical_pair_closed_form(family, graph):
     x = ray_point(f, 0.04)
     y = ray_point(f, 0.01)
     want = math.log(2.0)
-    assert abs(d_value(family, x, y) - want) < 1e-6
-    assert abs(g_value(family, x, y) - want) < 1e-6
+    assert abs(family.d(x, y) - want) < 1e-6
+    assert abs(family.g(x, y) - want) < 1e-6
     assert abs(family.d(x, y) - 2.0 * math.log(0.2 / math.sqrt(0.02))) < 1e-6
 
 
@@ -86,8 +84,29 @@ def test_g_le_d_with_additive_cap(family, graph):
     gv = family.g_pairs(A, B)
     dv = family.d_pairs(A, B)
     assert np.all(dv >= gv - 1e-12)
-    cap = family.additive_gap(n_pairs=400, seed=1)["cap"]
+    # the theoretical cap uses the largest node separation on the graph
+    wmax = float(np.max(graph.rows_from(np.arange(min(m, 64)))))
+    root = math.sqrt(EPS)
+    reach = wmax + root
+    cap = max(2.0, 2.0 * reach / root - 2.0 * math.log(reach / root))
     assert np.all(dv - gv <= cap + 1e-9)
+
+
+def test_separation_slope_is_kernel_derivative(family):
+    # one separation in each regime of the collar profile, away from the
+    # kinks: below the larger height (0.2), up to the roof (sqrt(EPS)),
+    # and beyond it
+    A = family.prepare_on_rays([0, 0, 0], 0.01)
+    B = family.prepare_on_rays([7, 7, 7], 0.04)
+    W = np.array([0.1, 0.4, 1.5])
+    step = 1e-6
+    for kind in ("g", "d"):
+        diff = (family.kernel(kind, W + step, A, B)
+                - family.kernel(kind, W - step, A, B)) / (2.0 * step)
+        slope = family.slope(kind, W, A, B)
+        assert np.all(np.abs(slope - diff) <= 1e-6 * slope)
+    assert np.allclose(family.slope("d", W, A, B),
+                       [2.0 / 0.2, 2.0 / 0.4, 2.0 / math.sqrt(EPS)])
 
 
 def test_equality_only_for_shared_ray(family, graph):
@@ -154,7 +173,7 @@ def test_layered_collar_grid_dominates_profile(family, graph, projection):
 def test_vertical_path_cached_lengths(family, graph):
     f = graph.nodes[11]
     x, y = ray_point(f, 0.36), ray_point(f, 0.04)
-    pl = vertical_path(family, x, y)
+    pl = family.vertical_path(x, y)
     want = abs(math.log(0.6 / 0.2))
     for kind in ("g", "d"):
         cached = pl.cached_length(kind)
@@ -163,15 +182,15 @@ def test_vertical_path_cached_lengths(family, graph):
         fn = family.functional(kind)
         assert path_length(pl, fn) == cached
     with pytest.raises(ProjectionsDiffer):
-        vertical_path(family, ray_point(graph.nodes[0], 0.1),
-                      ray_point(graph.nodes[250], 0.1))
+        family.vertical_path(ray_point(graph.nodes[0], 0.1),
+                             ray_point(graph.nodes[250], 0.1))
 
 
 def test_horizontal_path_matches_boundary_distance(family, graph):
     i, j = 20, 180
     t = 0.09
     x, y = ray_point(graph.nodes[i], t), ray_point(graph.nodes[j], t)
-    pl = horizontal_path(family, x, y)
+    pl = family.horizontal_path(x, y)
     glen = path_length(pl, family.functional("g"), rel_tol=1e-6)
     w = graph.distance_nodes(i, j)
     assert abs(glen - 2.0 * w / 0.3) / (2.0 * w / 0.3) < 0.02
@@ -179,17 +198,17 @@ def test_horizontal_path_matches_boundary_distance(family, graph):
 
 def test_horizontal_path_requires_equal_heights(family, graph):
     with pytest.raises(HeightsDiffer):
-        horizontal_path(family, ray_point(graph.nodes[0], 0.09),
-                        ray_point(graph.nodes[100], 0.16))
+        family.horizontal_path(ray_point(graph.nodes[0], 0.09),
+                               ray_point(graph.nodes[100], 0.16))
     with pytest.raises(ConfigError):
-        horizontal_path(family, ray_point(graph.nodes[0], 0.8),
-                        ray_point(graph.nodes[100], 0.8))
+        family.horizontal_path(ray_point(graph.nodes[0], 0.8),
+                               ray_point(graph.nodes[100], 0.8))
 
 
 def test_degenerate_horizontal_path_is_a_point(family, graph):
     f = graph.nodes[33]
     x = ray_point(f, 0.16)
-    pl = horizontal_path(family, x, x.copy())
+    pl = family.horizontal_path(x, x.copy())
     assert pl.n_segments == 0
     assert path_length(pl, family.functional("g")) == 0.0
 
@@ -201,7 +220,7 @@ def test_composite_path_certifies_d(family, graph):
         i, j = rng.integers(0, m, size=2)
         x = ray_point(graph.nodes[i], rng.uniform(0.02, 0.4))
         y = ray_point(graph.nodes[j], rng.uniform(0.02, 0.4))
-        pl, cost = composite_upper_path(family, x, y)
+        pl, cost = family.composite_upper_path(x, y)
         assert abs(cost - family.d(x, y)) < 1e-12
         glen = path_length(pl, family.functional("g"), rel_tol=1e-5)
         assert abs(glen - cost) / max(cost, 1e-9) < 0.05
@@ -212,7 +231,7 @@ def test_composite_path_certifies_d(family, graph):
 def test_geodesic_polyline_realizes_distance(family, graph):
     x = ray_point(graph.nodes[60], 0.05)
     y = ray_point(graph.nodes[400], 0.2)
-    pl = geodesic(family, x, y)
+    pl = family.geodesic(x, y)
     glen = path_length(pl, family.functional("g"), rel_tol=1e-5)
     dv = family.d(x, y)
     assert abs(glen - dv) / dv < 0.05
@@ -221,7 +240,7 @@ def test_geodesic_polyline_realizes_distance(family, graph):
 def test_deep_same_ray_composite_is_straight(family, graph):
     f = graph.nodes[9]
     x, y = ray_point(f, 0.7), ray_point(f, 0.9)
-    pl, cost = composite_upper_path(family, x, y)
+    pl, cost = family.composite_upper_path(x, y)
     assert pl.points.shape[0] == 2
     assert abs(cost - np.linalg.norm(x - y)) < 1e-9
 
@@ -242,7 +261,7 @@ def test_refinement_stall_raises(family, graph):
 def test_dilation_of_vertical_path(family, graph):
     f = graph.nodes[70]
     y, x = ray_point(f, 0.04), ray_point(f, 0.36)
-    pl = vertical_path(family, y, x)
+    pl = family.vertical_path(y, x)
     fn = family.functional("d")
     for t in (0.05, 0.15, 0.25):
         got = dilation(pl, fn, t)
