@@ -433,14 +433,28 @@ class ReachEstimate:
     n_samples: int
 
 
+# points per batched fallback call: with 24 candidate rows each, a call
+# holds about 10^5 Newton systems, about 100 MiB of workspace (25 KiB per
+# point, measured with tracemalloc on the unit ball in R^4)
+_FALLBACK_CHUNK = 4096
+
+
 class HeightProjection:
     """Nearest-boundary projection and the square-root height function.
 
     The solver runs a damped Newton iteration on the first-order
     nearest-point conditions, seeded from the cached boundary cloud. Inside
-    the collar the foot is unique; deeper points fall back to polishing
-    several cloud candidates, with ties broken by the lexicographically
-    smallest foot.
+    the collar the foot is unique; deeper points, and points whose solve
+    fails, fall back to polishing their 24 nearest cloud candidates. The
+    fallback is one batched Newton call over every (point, candidate) pair
+    (per chunk of ``_FALLBACK_CHUNK`` points, which bounds its memory), in
+    which each point's candidates backtrack as a block of their own, so the
+    feet a point's candidates reach do not depend on the other points in
+    the call. Candidates that no backtrack improves stop early as stuck
+    instead of repeating the same sweep; only points left with no converged
+    candidate go on, together, to the normal-ray refinement. Each point
+    takes its nearest converged foot, with ties within 1e-9 broken by the
+    lexicographically smallest foot.
     """
 
     def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10,
@@ -454,10 +468,19 @@ class HeightProjection:
 
     # -- batched solver ------------------------------------------------------
 
-    def _newton_polish(self, X: np.ndarray, P0: np.ndarray):
+    def _newton_polish(self, X: np.ndarray, P0: np.ndarray,
+                       block: Optional[int] = None):
         """Damped Newton on (p, lam) for p - x - lam grad(p) = 0, rho(p) = 0.
 
-        Returns (P, ok) where ok flags convergence per point.
+        Returns (P, ok) where ok flags convergence per point. A point with
+        a singular tangent system takes a zero step; its neighbours in the
+        batch are solved as usual. Rows backtrack in consecutive blocks of
+        ``block`` (default: the whole batch): a block's step lengths are
+        halved together until every row of it has a lower residual, at most
+        eight times, and each row keeps its best trial. A point that no
+        backtrack improves keeps its (p, lam), so every later sweep would
+        repeat this one exactly: it is marked stuck and leaves the active
+        set unconverged.
         """
         dom = self.domain
         n = dom.dim
@@ -470,44 +493,40 @@ class HeightProjection:
         tol = self.newton_tol * scale
         g, r1, r2, rn = residual_at(dom, X, p, lam)
         ok = rn <= tol
+        stuck = np.zeros_like(ok)
         for _ in range(self.max_iter):
-            act = ~ok
-            if not np.any(act):
+            rows = np.flatnonzero(~(ok | stuck))
+            if rows.size == 0:
                 break
-            H = dom.hess(p[act])
-            ga = g[act]
-            m = ga.shape[0]
-            J = np.zeros((m, n + 1, n + 1))
-            J[:, :n, :n] = np.eye(n) - lam[act, None, None] * H
+            H = dom.hess(p[rows])
+            ga = g[rows]
+            J = np.zeros((rows.size, n + 1, n + 1))
+            J[:, :n, :n] = np.eye(n) - lam[rows, None, None] * H
             J[:, :n, n] = -ga
             J[:, n, :n] = ga
-            rhs = np.concatenate([-r1[act], -r2[act, None]], axis=1)
-            try:
-                step = np.linalg.solve(J, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # a singular tangent system stalls this sweep; the cloud
-                # fallback picks up whatever fails to converge
-                step = np.zeros((m, n + 1))
-            # backtracking on the residual norm, per point
-            t = np.ones(m)
-            base = rn[act]
-            best_p = p[act].copy()
-            best_lam = lam[act].copy()
-            best_rn = base.copy()
+            rhs = np.concatenate([-r1[rows], -r2[rows, None]], axis=1)
+            step = _solve_regular(J, rhs)
+            # backtracking on the residual norm: halve the steps of a block
+            # until every row of it has improved, at most eight times
+            owner = rows // (block or X.shape[0])
+            p0, lam0, base = p[rows], lam[rows], rn[rows]
+            r, pick = rows, slice(None)
+            t = 1.0
             for _ in range(8):
-                p_try = p[act] + t[:, None] * step[:, :n]
-                lam_try = lam[act] + t * step[:, n]
-                _, _, _, rn_try = residual_at(dom, X[act], p_try, lam_try)
-                better = rn_try < best_rn
-                best_p[better] = p_try[better]
-                best_lam[better] = lam_try[better]
-                best_rn[better] = rn_try[better]
-                if np.all(best_rn < base):
+                p_try = p0[pick] + t * step[pick, :n]
+                lam_try = lam0[pick] + t * step[pick, n]
+                g_try, r1_try, r2_try, rn_try = residual_at(dom, X[r], p_try, lam_try)
+                better = rn_try < rn[r]
+                rb = r[better]
+                p[rb], lam[rb], rn[rb] = p_try[better], lam_try[better], rn_try[better]
+                g[rb], r1[rb], r2[rb] = g_try[better], r1_try[better], r2_try[better]
+                pending = rn[rows] >= base
+                if not np.any(pending):
                     break
-                t = np.where(rn_try >= best_rn, t * 0.5, t)
-            p[act] = best_p
-            lam[act] = best_lam
-            g, r1, r2, rn = residual_at(dom, X, p, lam)
+                pick = (np.bincount(owner, weights=pending) > 0)[owner]
+                r = rows[pick]
+                t *= 0.5
+            stuck[rows[pending]] = True
             ok = rn <= tol
         return p, ok
 
@@ -524,7 +543,8 @@ class HeightProjection:
         where first-order stationarity cannot be resolved because the
         distance objective is flat there. A point is accepted when it
         sits on the boundary and either meets the Newton residual test
-        or is at least as close as the seed it started from.
+        or is at least as close as the seed it started from. Each point
+        stops once a ray moves it by less than a quarter of the tolerance.
         """
         dom = self.domain
         X = np.atleast_2d(X)
@@ -532,27 +552,29 @@ class HeightProjection:
         scale = 1.0 + np.linalg.norm(X, axis=-1)
         tol = self.newton_tol * scale
         span = 2.0 * dom.diameter_estimate()
+        rows = np.arange(X.shape[0])
         for _ in range(iters):
-            g = dom.grad(p)
+            if rows.size == 0:
+                break
+            Xr, pr = X[rows], p[rows]
+            g = dom.grad(pr)
             gn = np.linalg.norm(g, axis=-1, keepdims=True)
             d = g / np.maximum(gn, 1e-300)
-            hi = np.maximum(np.linalg.norm(p - X, axis=-1), 1e-3 * span)
+            hi = np.maximum(np.linalg.norm(pr - Xr, axis=-1), 1e-3 * span)
             for _ in range(40):
-                bad = dom.rho(X + hi[:, None] * d) < 0.0
+                bad = dom.rho(Xr + hi[:, None] * d) < 0.0
                 if not np.any(bad):
                     break
                 hi = np.where(bad, np.minimum(hi * 1.5, 1.01 * span), hi)
             lo = np.zeros_like(hi)
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                inside = dom.rho(X + mid[:, None] * d) < 0.0
+                inside = dom.rho(Xr + mid[:, None] * d) < 0.0
                 lo = np.where(inside, mid, lo)
                 hi = np.where(inside, hi, mid)
-            p_new = X + hi[:, None] * d
-            moved = np.abs(p_new - p).max(axis=-1)
-            p = p_new
-            if np.all(moved <= 0.25 * tol):
-                break
+            p[rows] = Xr + hi[:, None] * d
+            moved = np.abs(p[rows] - pr).max(axis=-1)
+            rows = rows[moved > 0.25 * tol[rows]]
         g = dom.grad(p)
         gn2 = np.sum(g * g, axis=-1)
         lam = np.sum((p - X) * g, axis=-1) / np.maximum(gn2, 1e-300)
@@ -562,6 +584,35 @@ class HeightProjection:
         on_boundary = np.abs(dom.rho(p)) <= tol
         ok = on_boundary & ((rn <= tol) | (d_new <= d_seed + tol))
         return p, ok
+
+    def _fallback_feet(self, X: np.ndarray):
+        """Nearest converged feet among each point's 24 nearest cloud points.
+
+        Returns (P, found), where found is False for a point none of whose
+        candidates converged.
+        """
+        dom = self.domain
+        cloud = dom.boundary_cloud()
+        f, k, n = X.shape[0], min(24, cloud.shape[0]), dom.dim
+        _, cand_idx = dom.cloud_tree().query(X, k=k)
+        xs = np.repeat(X, k, axis=0)
+        cands = cloud[np.reshape(cand_idx, -1)]
+        Pc, okc = self._newton_polish(xs, cands, block=k)
+        Pc, okc = Pc.reshape(f, k, n), okc.reshape(f, k)
+        rescue = ~okc.any(axis=1)
+        if np.any(rescue):
+            sub = np.repeat(rescue, k)
+            Pr, okr = self._normal_ray_polish(xs[sub], cands[sub])
+            Pc[rescue], okc[rescue] = Pr.reshape(-1, k, n), okr.reshape(-1, k)
+        # nearest converged foot; ties within 1e-9 go to the lexicographically
+        # smallest, i.e. the first of its point's rows in a sort by
+        # (point, not near, x_1, ..., x_n)
+        dc = np.where(okc, np.linalg.norm(Pc - X[:, None], axis=-1), np.inf)
+        near = dc <= dc.min(axis=1, keepdims=True) + 1e-9
+        keys = [Pc[..., i].ravel() for i in range(n - 1, -1, -1)]
+        keys += [~near.ravel(), np.repeat(np.arange(f), k)]
+        first = np.lexsort(keys).reshape(f, k)[:, 0]
+        return Pc.reshape(-1, n)[first], okc.any(axis=1)
 
     def project_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Feet and Euclidean distances for a batch of interior points."""
@@ -576,32 +627,26 @@ class HeightProjection:
         P, ok = self._newton_polish(X, cloud[ci])
         dist = np.linalg.norm(P - X, axis=-1)
         # a converged foot can never beat the cloud minimum by construction;
-        # a foot *worse* than the cloud minimum means the local basin was wrong
+        # a foot *worse* than the cloud minimum means the local basin was wrong.
+        # The depth test compares the squared distance with 1.25 eps, so it
+        # sends points deeper than sqrt(1.25 eps) (not 1.25 eps) to the
+        # fallback; the collar itself is dist <= eps.
         need_fallback = (~ok) | (dist > cd + 1e-9) | (dist**2 > self.epsilon * 1.25)
-        if np.any(need_fallback):
-            idx = np.nonzero(need_fallback)[0]
-            k = min(24, cloud.shape[0])
-            _, cand_idx = tree.query(X[idx], k=k)
-            for row, j in enumerate(idx):
-                cands = cloud[cand_idx[row]]
-                xs = np.repeat(X[j : j + 1], cands.shape[0], axis=0)
-                Pc, okc = self._newton_polish(xs, cands)
-                if not np.any(okc):
-                    Pc, okc = self._normal_ray_polish(xs, cands)
-                if not np.any(okc):
-                    if ok[j]:
-                        continue
-                    raise ProjectionDiverged(
-                        f"no converged boundary foot for point index {int(j)}"
-                    )
-                Pc = Pc[okc]
-                dc = np.linalg.norm(Pc - X[j], axis=-1)
-                dmin = dc.min()
-                near = Pc[dc <= dmin + 1e-9]
-                order = np.lexsort(near.T[::-1])
-                P[j] = near[order[0]]
-                dist[j] = np.linalg.norm(P[j] - X[j])
-                ok[j] = True
+        idx = np.flatnonzero(need_fallback)
+        for lo in range(0, idx.size, _FALLBACK_CHUNK):
+            part = idx[lo:lo + _FALLBACK_CHUNK]
+            feet, found = self._fallback_feet(X[part])
+            lost = ~found & ~ok[part]
+            if np.any(lost):
+                raise ProjectionDiverged(
+                    f"no converged boundary foot for point index {int(part[lost][0])}"
+                )
+            sel = part[found]
+            P[sel] = feet[found]
+            # the 1-D norm of each chosen offset: it can differ from the
+            # row-wise norm in the last bit, and reported depths use it
+            dist[sel] = [np.linalg.norm(P[j] - X[j]) for j in sel]
+            ok[sel] = True
         if np.any(~ok):
             raise ProjectionDiverged(f"{int(np.sum(~ok))} projections failed to converge")
         return P, dist
@@ -629,6 +674,23 @@ class HeightProjection:
         p = self.project(x)
         n = self.domain.outward_normal(p)
         return p - t * n
+
+
+def _solve_regular(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of linear systems, zero where a system is singular.
+
+    One singular matrix makes the stacked solve raise for all of them; the
+    singular ones are then found by their smallest singular value, and the
+    rest are solved in one stacked call.
+    """
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        s = np.linalg.svd(J, compute_uv=False)
+        regular = s[:, -1] > s[:, 0] * J.shape[-1] * np.finfo(float).eps
+        step = np.zeros_like(rhs)
+        step[regular] = np.linalg.solve(J[regular], rhs[regular, :, None])[..., 0]
+        return step
 
 
 def residual_at(dom: Domain, X, p_, lam_):

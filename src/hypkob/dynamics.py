@@ -134,42 +134,43 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
 
     The stop floor is a millionth of the collar width in squared height;
     below it the metric apparatus is unreliable and the orbit is flagged
-    instead of advanced further.
+    instead of advanced further. Each point is projected once: the records
+    keep the heights computed while stepping, and a frozen orbit carries
+    its last point and height forward.
     """
     X0 = np.atleast_2d(np.asarray(starts, dtype=float))
     m = X0.shape[0]
     domain = projection.domain
     floor = 1e-6 * projection.epsilon
     traj = [X0]
-    active = np.ones(m, dtype=bool)
-    stopped = np.zeros(m, dtype=bool)
-    depths0 = projection.height_batch(X0)**2
-    stopped |= depths0 < floor
-    active &= ~stopped
+    heights = [projection.height_batch(X0)]
+    active = heights[0]**2 >= floor
+    stopped = ~active
     for _ in range(n_max):
         if not np.any(active):
             break
         cur = traj[-1]
         nxt = cur.copy()
         nxt[active] = _step(F, domain, cur[active], rho_tol)
-        d = projection.height_batch(nxt[active])**2
-        hit = np.zeros(m, dtype=bool)
-        hit[np.flatnonzero(active)] = d < floor
+        h = heights[-1].copy()
+        h[active] = projection.height_batch(nxt[active])
+        hit = active & (h**2 < floor)
         stopped |= hit
         active &= ~hit
         traj.append(nxt)
+        heights.append(h)
     P = np.stack(traj, axis=1)  # (m, steps+1, dim)
+    Hs = np.stack(heights, axis=1)  # (m, steps+1)
     records = []
     for i in range(m):
         pts = P[i]
-        heights = projection.height_batch(pts)
         base = None
         if functional is not None:
             if omega is None:
                 raise ConfigError("a basepoint is needed for distance traces")
             base = np.array([functional.pair(p, omega) for p in pts])
         records.append(OrbitRecord(
-            start=X0[i].copy(), points=pts, heights=heights, base_trace=base,
+            start=X0[i].copy(), points=pts, heights=Hs[i], base_trace=base,
             stopped_early=bool(stopped[i]), n_steps=pts.shape[0] - 1))
     return records
 

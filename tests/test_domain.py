@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypkob import (Domain, HeightProjection, ConfigError, OutsideShellRange,
                     PointOutsideDomain, reach_details)
@@ -131,3 +132,106 @@ def test_boundary_sampler_on_surface(ellipsoid):
     assert np.abs(ellipsoid.rho(pts)).max() < 1e-8
     again = ellipsoid.sample_boundary(64, seed=5)
     assert np.array_equal(pts, again)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def test_singular_tangent_system_spares_its_neighbours(projection):
+    # from an off-boundary seed at the origin lam is exactly 1/2, so the
+    # (I - lam H) block of that row is exactly zero and its system singular;
+    # the other row must still take its Newton steps and converge
+    u = _unit([0.2, -0.5, 0.7, 0.4])
+    X = np.stack([0.5 * u, np.zeros(4)])
+    P0 = np.stack([_unit(u + [0.1, 0.1, 0.0, -0.1]), [0.9, 0.0, 0.0, 0.0]])
+    P, ok = projection._newton_polish(X, P0)
+    assert ok[0] and not ok[1]
+    assert np.abs(P[0] - u).max() <= projection.newton_tol * 1.5
+    assert np.array_equal(P[1], P0[1])
+
+
+def test_unimprovable_point_stops_after_one_sweep(monkeypatch):
+    # a zero step improves nothing, and repeating the sweep would repeat
+    # it exactly, so the stuck row costs one Hessian evaluation, not 100
+    ball = Domain.from_spec({"dimension": 4, "defining_function": {"type": "ball"}})
+    proj = HeightProjection(ball, EPS)
+    calls = []
+    hess = ball.hess
+    monkeypatch.setattr(ball, "hess", lambda p: calls.append(len(p)) or hess(p))
+    P, ok = proj._newton_polish(np.zeros((1, 4)), [[0.9, 0.0, 0.0, 0.0]])
+    assert not ok[0]
+    assert calls == [1]
+
+
+def test_fallback_trigger_compares_squared_distance(ball, monkeypatch):
+    # the depth test is dist**2 > 1.25 eps, i.e. depth > sqrt(1.25 eps):
+    # a ball point at depth 1.25 eps + 0.05 stays on the one-candidate
+    # Newton path, one at depth sqrt(1.25 eps) + 0.05 polishes 24 candidates
+    proj = HeightProjection(ball, EPS)
+    calls = []
+    polish = proj._newton_polish
+    monkeypatch.setattr(proj, "_newton_polish",
+                        lambda X, P0, **kw: calls.append(len(X)) or polish(X, P0, **kw))
+    u = _unit([0.3, 0.1, -0.6, 0.5])
+    for depth, rows in ((1.25 * EPS + 0.05, [1]),
+                        (np.sqrt(1.25 * EPS) + 0.05, [1, 24])):
+        calls.clear()
+        _, dist = proj.project_batch(((1.0 - depth) * u)[None])
+        assert calls == rows
+        assert abs(dist[0] - depth) < 1e-9
+
+
+_ELLIPSOID_AXES = np.array([1.0, 1.0, 0.7, 0.7])
+
+
+@pytest.fixture(scope="module")
+def complex_ellipsoid_projection():
+    dom = Domain.from_spec({
+        "dimension": 4,
+        "defining_function": {"type": "ellipsoid",
+                              "semi_axes": list(_ELLIPSOID_AXES)},
+    })
+    return HeightProjection(dom, 0.245)
+
+
+@st.composite
+def _mixed_batch(draw):
+    """Collar points, deep points and the centre, on the ball or the ellipsoid.
+
+    A point is s times the boundary point on a ray from the centre, with s
+    in [0.75, 0.97] (collar) or [0, 0.4] (deep), or the centre itself.
+    """
+    on_ellipsoid = draw(st.booleans())
+    axes = _ELLIPSOID_AXES if on_ellipsoid else np.ones(4)
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["collar", "deep", "centre"]),
+                              min_size=1, max_size=6)):
+        if kind == "centre":
+            rows.append(np.zeros(4))
+            continue
+        u = np.array(draw(st.lists(coord, min_size=4, max_size=4)
+                          .filter(lambda v: np.linalg.norm(v) > 0.1)))
+        b = u / np.sqrt(np.sum(u * u / axes**2))
+        lo, hi = (0.75, 0.97) if kind == "collar" else (0.0, 0.4)
+        rows.append(draw(st.floats(lo, hi)) * b)
+    return on_ellipsoid, np.array(rows)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=_mixed_batch())
+def test_batch_projection_equals_pointwise(projection,
+                                           complex_ellipsoid_projection, case):
+    on_ellipsoid, X = case
+    proj = complex_ellipsoid_projection if on_ellipsoid else projection
+    P, dist = proj.project_batch(X)
+    tol = proj.newton_tol * (1.0 + np.linalg.norm(X, axis=1))
+    for i, x in enumerate(X):
+        Pi, di = proj.project_batch(x[None])
+        assert np.abs(P[i] - Pi[0]).max() <= tol[i]
+        assert abs(dist[i] - di[0]) <= tol[i]
+        if not np.any(x):
+            # every foot ties at the centre: the same lexicographic pick
+            assert np.array_equal(P[i], Pi[0])

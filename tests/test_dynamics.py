@@ -159,3 +159,22 @@ def test_audit_determinism_and_kind_guard(family):
     assert r1 == r2
     with pytest.raises(ConfigError):
         check_semicontraction(identity_map(), family.functional("euclidean"))
+
+
+def test_orbit_heights_match_projection(projection, graph):
+    # the records keep the heights computed while stepping, and an orbit
+    # frozen at the floor carries its last point and height forward
+    b = graph.nodes[123]
+    F = affine_contraction(b, 0.8)
+    starts = np.vstack([spread_starts(graph, n=4), -0.3 * b, (1.0 - 1e-3) * b])
+    recs = iterate_many(F, projection, starts, n_max=40)
+    assert [r.stopped_early for r in recs] == [False] * 5 + [True]
+    frozen = recs[-1]
+    assert frozen.heights[-1] ** 2 < 1e-6 * EPS
+    assert np.array_equal(frozen.points[-2], frozen.points[-1])
+    assert frozen.heights[-2] == frozen.heights[-1]
+    for rec in recs:
+        assert rec.heights.shape == (rec.points.shape[0],)
+        tol = projection.newton_tol * (1.0 + np.linalg.norm(rec.points, axis=1))
+        gap = np.abs(rec.heights - projection.height_batch(rec.points))
+        assert np.all(gap <= tol)
