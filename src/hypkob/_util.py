@@ -10,11 +10,9 @@ import numpy as np
 _QUANTUM = 1e-12
 
 
-def pair_key(x: np.ndarray, y: np.ndarray) -> bytes:
-    """Symmetric cache key for a point pair, quantized to a 1e-12 grid."""
-    qx = np.round(np.asarray(x, dtype=float) / _QUANTUM).astype(np.int64).tobytes()
-    qy = np.round(np.asarray(y, dtype=float) / _QUANTUM).astype(np.int64).tobytes()
-    return qx + qy if qx <= qy else qy + qx
+def point_key(x: np.ndarray) -> bytes:
+    """Cache key for a point, quantized to a 1e-12 grid."""
+    return np.round(np.asarray(x, dtype=float) / _QUANTUM).astype(np.int64).tobytes()
 
 
 def _jsonable(obj):
@@ -47,7 +45,3 @@ def canonical_json(obj) -> str:
 def config_hash(obj) -> str:
     """Stable hex digest of a configuration mapping."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
-def rng_from(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)

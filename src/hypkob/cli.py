@@ -138,7 +138,7 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     gfun = fam.functional("g")
     kmetric = None
     if kind == "kobayashi_estimate":
-        kmetric = KobayashiMetric(ws.projection, ws.structure, ws.graph)
+        kmetric = KobayashiMetric(ws.projection, ws.graph)
     dim = ws.domain.dim
     header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
     if kind == "d":
@@ -224,7 +224,7 @@ def _cmd_qi(args, cfg: RunConfig, ws: Workspace):
     if args.metric == "kob":
         sampler = BoundaryBiasedSampler(fam, cfg.seeds["pairs"])
         pool = sampler.sample(46)
-        kmetric = KobayashiMetric(ws.projection, ws.structure, ws.graph)
+        kmetric = KobayashiMetric(ws.projection, ws.graph)
         rep = qi_check(fam, kmetric, pool)
         report = {
             "command": "qi",

@@ -145,8 +145,10 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
 
     A graph cache path is loaded when present and written after a fresh
     build; refinement happens after loading, so a cache plus a refine
-    count is a reproducible denser graph. Pointwise commands that never
-    touch boundary distances skip the graph entirely.
+    count is a reproducible denser graph. The cache carries a hash of the
+    domain spec, the structure spec and the graph block, and a cache
+    whose hash differs or is missing is refused. Pointwise commands that
+    never touch boundary distances skip the graph entirely.
     """
     domain = Domain.from_spec(cfg.domain_spec)
     structure = StructureField.from_spec(cfg.structure_spec, domain.dim)
@@ -163,8 +165,13 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
     graph = None
     if graph_cache and not graph_cache.endswith(".npz"):
         graph_cache = graph_cache + ".npz"
+    setup = config_hash({"domain": cfg.domain_spec,
+                         "structure": cfg.structure_spec, "graph": cfg.graph})
     if graph_cache and os.path.exists(graph_cache):
         graph = BoundaryGraph.load(graph_cache, domain, structure)
+        if graph.params.get("setup") != setup:
+            raise ConfigError(f"graph cache {graph_cache} was built for another "
+                              "domain, structure or graph setup")
     if graph is None:
         graph = BoundaryGraph.build(
             domain, structure,
@@ -175,6 +182,7 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
             selection=str(cfg.graph["selection"]),
         )
         if graph_cache:
+            graph.params["setup"] = setup
             graph.save(graph_cache)
     for _ in range(int(refine)):
         graph = graph.refine()

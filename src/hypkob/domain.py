@@ -2,9 +2,9 @@
 
 A domain is ``D = {rho < 0}`` for a C^2 scalar field ``rho`` with nonvanishing
 gradient on the zero set. This module provides the defining-function algebra
-(built-in balls, ellipsoids, superellipsoids and polynomial fields, with
-finite-difference fallbacks for derivatives), nearest-boundary projection,
-the square-root height function, inner shells, and a curvature-based collar
+(built-in balls, ellipsoids, superellipsoids and polynomial fields, each
+with its analytic derivatives), nearest-boundary projection, the
+square-root height function, inner shells, and a curvature-based collar
 width estimate.
 
 All geometric quantities are Euclidean; heights are ``h(x) = sqrt(dist(x,
@@ -29,7 +29,6 @@ from .errors import (
     PointOutsideDomain,
     ProjectionDiverged,
 )
-from ._util import rng_from
 
 __all__ = [
     "ScalarField",
@@ -51,57 +50,17 @@ __all__ = [
 
 @dataclass
 class ScalarField:
-    """A scalar field with optional analytic derivatives.
+    """A scalar field with its analytic gradient and Hessian.
 
-    ``value_fn`` maps arrays of shape (..., dim) to shape (...). When the
-    derivative callables are absent, central finite differences with the
-    step chosen by the owning :class:`Domain` are used instead.
+    ``value_fn`` maps arrays of shape (..., dim) to shape (...),
+    ``grad_fn`` to (..., dim) and ``hess_fn`` to (..., dim, dim).
     """
 
     dim: int
     value_fn: Callable[[np.ndarray], np.ndarray]
-    grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_fn: Callable[[np.ndarray], np.ndarray]
+    hess_fn: Callable[[np.ndarray], np.ndarray]
     name: str = "field"
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def gradient(self, x: np.ndarray, fd_step: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(x), dtype=float)
-        h = fd_step
-        out = np.empty(x.shape, dtype=float)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            out[..., i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return out
-
-    def hessian(self, x: np.ndarray, fd_step: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(x), dtype=float)
-        n = self.dim
-        h = fd_step
-        out = np.empty(x.shape[:-1] + (n, n), dtype=float)
-        f0 = self.value(x)
-        basis = np.eye(n) * h
-        for i in range(n):
-            ei = basis[i]
-            out[..., i, i] = (self.value(x + ei) - 2.0 * f0 + self.value(x - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = basis[j]
-                mixed = (
-                    self.value(x + ei + ej)
-                    - self.value(x + ei - ej)
-                    - self.value(x - ei + ej)
-                    + self.value(x - ei - ej)
-                ) / (4.0 * h**2)
-                out[..., i, j] = mixed
-                out[..., j, i] = mixed
-        return out
 
 
 def ball_field(dim: int, radius: float = 1.0) -> ScalarField:
@@ -216,6 +175,10 @@ def polynomial_field(dim: int, terms) -> ScalarField:
 # domain
 # ---------------------------------------------------------------------------
 
+# boundary points in the cached cloud that seeds every projection
+_CLOUD_SIZE = 4096
+
+
 class Domain:
     """A bounded domain ``{rho < 0}`` with a bounding box and sampling helpers.
 
@@ -226,14 +189,15 @@ class Domain:
     box : array (2, dim)
         Axis-aligned box containing the closure of the domain.
     fd_step : float, optional
-        Finite difference step; defaults to 1e-5 times the box diagonal.
+        Finite difference step of the contact-form derivatives in
+        ``structures``; defaults to 1e-5 times the box diagonal.
     seed : int
-        Seed for the cached dense boundary sample used as a projection
-        fallback and for diameter estimation.
+        Seed for the cached dense boundary sample (``_CLOUD_SIZE`` points)
+        used as a projection fallback and for diameter estimation.
     """
 
     def __init__(self, f: ScalarField, box, fd_step: Optional[float] = None,
-                 seed: int = 0, cloud_size: int = 4096):
+                 seed: int = 0):
         self.field = f
         self.dim = f.dim
         self.box = np.asarray(box, dtype=float).reshape(2, self.dim)
@@ -242,7 +206,6 @@ class Domain:
         diag = float(np.linalg.norm(self.box[1] - self.box[0]))
         self.fd_step = float(fd_step) if fd_step else 1e-5 * diag
         self.seed = int(seed)
-        self.cloud_size = int(cloud_size)
         self._cloud = None
         self._cloud_tree = None
         self._diameter = None
@@ -250,19 +213,19 @@ class Domain:
     # -- defining function ---------------------------------------------------
 
     def rho(self, x) -> np.ndarray:
-        v = self.field.value(x)
+        v = np.asarray(self.field.value_fn(np.asarray(x, dtype=float)), dtype=float)
         if not np.all(np.isfinite(v)):
             raise DerivativeEvaluationFailed("defining function returned non-finite values")
         return v
 
     def grad(self, x) -> np.ndarray:
-        g = self.field.gradient(x, self.fd_step)
+        g = np.asarray(self.field.grad_fn(np.asarray(x, dtype=float)), dtype=float)
         if not np.all(np.isfinite(g)):
             raise DerivativeEvaluationFailed("gradient returned non-finite values")
         return g
 
     def hess(self, x) -> np.ndarray:
-        h = self.field.hessian(x, self.fd_step)
+        h = np.asarray(self.field.hess_fn(np.asarray(x, dtype=float)), dtype=float)
         if not np.all(np.isfinite(h)):
             raise DerivativeEvaluationFailed("hessian returned non-finite values")
         return h
@@ -282,7 +245,7 @@ class Domain:
 
     def sample_interior(self, n: int, seed=0) -> np.ndarray:
         """Seeded rejection sample of interior points."""
-        rng = rng_from(seed)
+        rng = np.random.default_rng(seed)
         out = []
         have = 0
         for _ in range(200):
@@ -304,7 +267,7 @@ class Domain:
         sequence instead of pseudorandom draws, which gives more even
         coverage for graph building. Deterministic for a fixed seed.
         """
-        rng = rng_from(seed)
+        rng = np.random.default_rng(seed)
         halton = qmc.Halton(d=self.dim, seed=seed) if quasi else None
         pts = []
         have = 0
@@ -362,7 +325,7 @@ class Domain:
 
     def boundary_cloud(self) -> np.ndarray:
         if self._cloud is None:
-            self._cloud = self.sample_boundary(self.cloud_size, seed=self.seed,
+            self._cloud = self.sample_boundary(_CLOUD_SIZE, seed=self.seed,
                                                quasi=True)
         return self._cloud
 
@@ -387,38 +350,38 @@ class Domain:
             dim = int(spec["dimension"])
             df = spec["defining_function"]
             kind = df["type"]
-        except (KeyError, TypeError) as exc:
+            if dim < 2:
+                raise ConfigError("dimension must be at least 2")
+            if kind == "ball":
+                r = float(df.get("radius", 1.0))
+                f = ball_field(dim, r)
+                default_box = np.stack([-1.05 * r * np.ones(dim), 1.05 * r * np.ones(dim)])
+            elif kind == "ellipsoid":
+                axes = df["semi_axes"]
+                if len(axes) != dim:
+                    raise ConfigError("semi_axes length must match dimension")
+                f = ellipsoid_field(axes)
+                a = np.asarray(axes, dtype=float)
+                default_box = np.stack([-1.05 * a, 1.05 * a])
+            elif kind == "superellipsoid":
+                axes = df["semi_axes"]
+                if len(axes) != dim:
+                    raise ConfigError("semi_axes length must match dimension")
+                f = superellipsoid_field(axes, df["exponent"])
+                a = np.asarray(axes, dtype=float)
+                default_box = np.stack([-1.05 * a, 1.05 * a])
+            elif kind == "polynomial":
+                terms = [(t["coefficient"], t["exponents"]) for t in df["terms"]]
+                f = polynomial_field(dim, terms)
+                if "box" not in spec:
+                    raise ConfigError("polynomial domains need an explicit box")
+                default_box = None
+            else:
+                raise ConfigError(f"unknown defining function type {kind!r}")
+            box = np.asarray(spec["box"], dtype=float) if "box" in spec else default_box
+            return cls(f, box, fd_step=spec.get("fd_step"), seed=spec.get("seed", 0))
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"malformed domain spec: {exc}") from exc
-        if dim < 2:
-            raise ConfigError("dimension must be at least 2")
-        if kind == "ball":
-            r = float(df.get("radius", 1.0))
-            f = ball_field(dim, r)
-            default_box = np.stack([-1.05 * r * np.ones(dim), 1.05 * r * np.ones(dim)])
-        elif kind == "ellipsoid":
-            axes = df["semi_axes"]
-            if len(axes) != dim:
-                raise ConfigError("semi_axes length must match dimension")
-            f = ellipsoid_field(axes)
-            a = np.asarray(axes, dtype=float)
-            default_box = np.stack([-1.05 * a, 1.05 * a])
-        elif kind == "superellipsoid":
-            axes = df["semi_axes"]
-            if len(axes) != dim:
-                raise ConfigError("semi_axes length must match dimension")
-            f = superellipsoid_field(axes, df["exponent"])
-            a = np.asarray(axes, dtype=float)
-            default_box = np.stack([-1.05 * a, 1.05 * a])
-        elif kind == "polynomial":
-            terms = [(t["coefficient"], t["exponents"]) for t in df["terms"]]
-            f = polynomial_field(dim, terms)
-            if "box" not in spec:
-                raise ConfigError("polynomial domains need an explicit box")
-            default_box = None
-        else:
-            raise ConfigError(f"unknown defining function type {kind!r}")
-        box = np.asarray(spec["box"], dtype=float) if "box" in spec else default_box
-        return cls(f, box, fd_step=spec.get("fd_step"), seed=spec.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +395,9 @@ class ReachEstimate:
     kappa_max: float
     n_samples: int
 
+
+# Newton sweeps before a point counts as unconverged
+_NEWTON_MAX_ITER = 100
 
 # points per batched fallback call: with 24 candidate rows each, a call
 # holds about 10^5 Newton systems, about 100 MiB of workspace (25 KiB per
@@ -457,14 +423,12 @@ class HeightProjection:
     lexicographically smallest foot.
     """
 
-    def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10,
-                 max_iter: int = 100):
+    def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10):
         if epsilon <= 0:
             raise ConfigError("collar width must be positive")
         self.domain = domain
         self.epsilon = float(epsilon)
         self.newton_tol = float(newton_tol)
-        self.max_iter = int(max_iter)
 
     # -- batched solver ------------------------------------------------------
 
@@ -494,7 +458,7 @@ class HeightProjection:
         g, r1, r2, rn = residual_at(dom, X, p, lam)
         ok = rn <= tol
         stuck = np.zeros_like(ok)
-        for _ in range(self.max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             rows = np.flatnonzero(~(ok | stuck))
             if rows.size == 0:
                 break

@@ -103,6 +103,9 @@ def map_from_spec(spec: dict) -> DomainMap:
 # iteration
 # ---------------------------------------------------------------------------
 
+# largest defining-function value a map step may reach and stay inside
+_RHO_TOL = 1e-10
+
 @dataclass
 class OrbitRecord:
     """One orbit with its traces; trace arrays share one length."""
@@ -116,11 +119,10 @@ class OrbitRecord:
     verdict: str = ""
 
 
-def _step(F: DomainMap, domain: Domain, X: np.ndarray,
-          rho_tol: float) -> np.ndarray:
+def _step(F: DomainMap, domain: Domain, X: np.ndarray) -> np.ndarray:
     Y = np.atleast_2d(F(X))
     r = domain.rho(Y)
-    if np.any(r > rho_tol):
+    if np.any(r > _RHO_TOL):
         i = int(np.argmax(r))
         raise MapEscapedDomain(
             f"iterate left the domain (rho = {float(r[i]):.3e} at start {i})")
@@ -129,7 +131,7 @@ def _step(F: DomainMap, domain: Domain, X: np.ndarray,
 
 def iterate_many(F: DomainMap, projection: HeightProjection, starts,
                  n_max: int = 200, functional: Optional[MetricFunctional] = None,
-                 omega=None, rho_tol: float = 1e-10) -> list[OrbitRecord]:
+                 omega=None) -> list[OrbitRecord]:
     """Advance several starts together, freezing orbits at the stop floor.
 
     The stop floor is a millionth of the collar width in squared height;
@@ -151,7 +153,7 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
             break
         cur = traj[-1]
         nxt = cur.copy()
-        nxt[active] = _step(F, domain, cur[active], rho_tol)
+        nxt[active] = _step(F, domain, cur[active])
         h = heights[-1].copy()
         h[active] = projection.height_batch(nxt[active])
         hit = active & (h**2 < floor)
@@ -177,11 +179,10 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
 
 def iterate(F: DomainMap, projection: HeightProjection, x0,
             n_max: int = 200, functional: Optional[MetricFunctional] = None,
-            omega=None, rho_tol: float = 1e-10) -> OrbitRecord:
+            omega=None) -> OrbitRecord:
     """Advance a single start; see iterate_many for the stopping rule."""
     return iterate_many(F, projection, np.asarray(x0, dtype=float)[None],
-                        n_max=n_max, functional=functional, omega=omega,
-                        rho_tol=rho_tol)[0]
+                        n_max=n_max, functional=functional, omega=omega)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,8 @@ def check_semicontraction(F: DomainMap, functional: MetricFunctional,
     A = fam.prepare_on_rays(idx[:, 0], depths[:, 0])
     B = fam.prepare_on_rays(idx[:, 1], depths[:, 1])
     try:
-        FA = fam.prepare(_step(F, fam.graph.domain, A.points, 1e-10))
-        FB = fam.prepare(_step(F, fam.graph.domain, B.points, 1e-10))
+        FA = fam.prepare(_step(F, fam.graph.domain, A.points))
+        FB = fam.prepare(_step(F, fam.graph.domain, B.points))
     except MapEscapedDomain as err:
         return {"pass": False, "escaped": True, "error": str(err),
                 "n_pairs": int(n_pairs)}
@@ -241,6 +242,10 @@ def check_semicontraction(F: DomainMap, functional: MetricFunctional,
 # orbit classification
 # ---------------------------------------------------------------------------
 
+# boundary distance within which final feet count as one point
+_SPREAD_TOL = 1e-2
+
+
 @dataclass
 class OrbitVerdict:
     kind: str
@@ -248,14 +253,14 @@ class OrbitVerdict:
     evidence: dict
 
 
-def classify_orbit(family: MetricFamily, orbits: list[OrbitRecord],
-                   spread_tol: float = 1e-2) -> OrbitVerdict:
+def classify_orbit(family: MetricFamily,
+                   orbits: list[OrbitRecord]) -> OrbitVerdict:
     """The dichotomy verdict over a family of orbits.
 
     Bounded needs every orbit's tail heights to stay above a twentieth of
     the shell depth. Convergence needs every orbit to reach low heights
     with projections settling, and all final projections within the
-    spread tolerance of each other in the boundary metric; the returned
+    ``_SPREAD_TOL`` of each other in the boundary metric; the returned
     point is the first orbit's final foot. Anything mixed is Inconclusive
     with the per-orbit evidence attached.
     """
@@ -294,7 +299,7 @@ def classify_orbit(family: MetricFamily, orbits: list[OrbitRecord],
         rec.stopped_early or tm < floor
         for rec, tm in zip(orbits, tail_mins)
     ])
-    settling = np.asarray([late <= early + spread_tol
+    settling = np.asarray([late <= early + _SPREAD_TOL
                            for early, late in cauchy])
     feet = np.stack(tail_feet)
     mref = feet.shape[0]
@@ -304,7 +309,7 @@ def classify_orbit(family: MetricFamily, orbits: list[OrbitRecord],
             spread = max(spread, family.graph.distance_local(feet[i], feet[j]))
     evidence["projection_spread"] = float(spread)
     evidence["cauchy_pairs"] = [(float(a), float(b)) for a, b in cauchy]
-    if np.all(approaching) and np.all(settling) and spread <= spread_tol:
+    if np.all(approaching) and np.all(settling) and spread <= _SPREAD_TOL:
         return OrbitVerdict(kind="ConvergesTo", point=feet[0].copy(),
                             evidence=evidence)
     return OrbitVerdict(kind="Inconclusive", point=None, evidence=evidence)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NotStabilized, PrefixTooShort
+from .errors import ConfigError, HypkobError, NotStabilized, PrefixTooShort
 from .domain import Domain
 from .metrics import MetricFamily, MetricFunctional, Polyline
 
@@ -84,7 +84,7 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     """Full pairwise table under the functional's kind.
 
     The two collar metrics evaluate through the boundary-graph row cache;
-    euclidean broadcasts; external falls back to a pair loop.
+    euclidean broadcasts.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
@@ -92,12 +92,6 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     if kind == "euclidean":
         diff = pts[:, None, :] - pts[None, :, :]
         return np.linalg.norm(diff, axis=-1)
-    if kind == "external":
-        D = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                D[i, j] = D[j, i] = float(functional.external_pair(pts[i], pts[j]))
-        return D
     if kind not in ("g", "d"):
         raise ConfigError(
             "matrix evaluation is limited to the closed-form kinds")
@@ -139,24 +133,30 @@ def four_point_from_matrix(D: np.ndarray, quads: np.ndarray) -> np.ndarray:
 
 
 def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
-                     seed: int = 0, pool_size: Optional[int] = None
-                     ) -> HyperbolicityReport:
+                     seed: int = 0) -> HyperbolicityReport:
     """Sampled four-point constant of the functional.
 
     Points come from a shared pool so one pairwise table serves every
     quadruple; the quadruple index draws are seeded separately from the
-    pool draw, and both are deterministic.
+    pool draw, and both are deterministic. Quadruples whose defect is not
+    finite are counted as failures, and the constant, its witness and its
+    quantile are taken over the rest.
     """
     if n_quadruples < 1:
         raise ConfigError("need at least one quadruple")
-    if pool_size is None:
-        pool_size = int(min(max(64, 4 * math.isqrt(n_quadruples)), 1600))
-    pts = np.atleast_2d(np.asarray(sampler.sample(pool_size, seed=seed),
+    n_pool = int(min(max(64, 4 * math.isqrt(n_quadruples)), 1600))
+    pts = np.atleast_2d(np.asarray(sampler.sample(n_pool, seed=seed),
                                    dtype=float))
     D = distance_matrix(functional, pts)
     rng = np.random.default_rng(seed + 1)
     quads = rng.integers(0, pts.shape[0], size=(n_quadruples, 4))
     defects = four_point_from_matrix(D, quads)
+    finite = np.isfinite(defects)
+    failures = int(defects.size - np.count_nonzero(finite))
+    if failures == defects.size:
+        raise HypkobError(f"none of {failures} quadruples has a finite defect")
+    if failures:
+        quads, defects = quads[finite], defects[finite]
     worst = int(np.argmax(defects))
     return HyperbolicityReport(
         delta=float(defects[worst]),
@@ -166,6 +166,7 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
         kind=functional.kind,
         seed=int(seed),
         defect_q99=float(np.quantile(defects, 0.99)),
+        failures=failures,
     )
 
 
@@ -190,14 +191,13 @@ class ConvergenceReport:
     products_min: list = field(default_factory=list)
 
 
-def converges_at_infinity(functional: MetricFunctional, sequence, omega,
-                          growth_margin: float = math.log(4.0)
-                          ) -> ConvergenceReport:
+def converges_at_infinity(functional: MetricFunctional, sequence,
+                          omega) -> ConvergenceReport:
     """Divergence audit of pairwise products along a sequence prefix.
 
     For each index the minimum product over later pairs is recorded; the
-    verdict is diverging when that tail minimum climbs by more than the
-    margin from the first level to the last, bounded otherwise.
+    verdict is diverging when that tail minimum climbs by more than ln 4
+    from the first level to the last, bounded otherwise.
     """
     pts = np.atleast_2d(np.asarray(sequence, dtype=float))
     m = pts.shape[0]
@@ -212,7 +212,7 @@ def converges_at_infinity(functional: MetricFunctional, sequence, omega,
         iu, ju = np.triu_indices(block.shape[0], k=1)
         tail_mins.append(float(block[iu, ju].min()))
     growth = tail_mins[-1] - tail_mins[0]
-    verdict = "diverging" if growth > growth_margin else "bounded"
+    verdict = "diverging" if growth > math.log(4.0) else "bounded"
     return ConvergenceReport(verdict=verdict, tail_min=tail_mins[-1],
                              growth=float(growth), n_points=int(m),
                              products_min=tail_mins)
@@ -272,12 +272,12 @@ def boundary_product(functional: MetricFunctional, a, b, omega,
 
 
 def boundary_identification(functional: MetricFunctional, pairs, omega,
-                            depth: int = 24, band_cap: float = 4.0) -> dict:
+                            depth: int = 24) -> dict:
     """Ratio table comparing exponentiated products with the boundary metric.
 
     For each boundary pair the tabulated value is exp(-product) divided by
     the graph distance of the pair; the observed band and its spread are
-    reported, and the check passes when the spread stays under the cap.
+    reported, and the check passes when the spread stays under four.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
@@ -304,7 +304,7 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
         "band_lo": lo,
         "band_hi": hi,
         "spread": hi / lo,
-        "ok": bool(hi <= band_cap * lo),
+        "ok": bool(hi <= 4.0 * lo),
         "n_pairs": int(pairs.shape[0]),
     }
 

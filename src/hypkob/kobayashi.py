@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -172,15 +171,10 @@ def kobayashi_speed(projection: HeightProjection, structure: StructureField,
 class KobayashiMetric:
     """Distances of the interior estimate via the layered shell solver."""
 
-    def __init__(self, projection: HeightProjection, structure: StructureField,
-                 graph: BoundaryGraph, level_ratio: float = 1.25,
-                 t_min: Optional[float] = None, t_max: Optional[float] = None):
+    def __init__(self, projection: HeightProjection, graph: BoundaryGraph):
         self.projection = projection
-        self.structure = structure
         self.graph = graph
-        self.solver = LayeredSolver(graph, projection, mode="kobayashi",
-                                    level_ratio=level_ratio,
-                                    t_min=t_min, t_max=t_max)
+        self.solver = LayeredSolver(graph, projection, mode="kobayashi")
 
     def distance(self, x, y) -> float:
         return self.solver.distance(x, y)
@@ -207,13 +201,18 @@ class QIReport:
                 and self.Cprime <= cprime_cap)
 
 
-def quasi_isometry_fit(g_values, k_values, c_grid=None) -> QIReport:
+# multipliers scanned by the sandwich fit
+_C_GRID = np.geomspace(1.0, 20.0, 241)
+
+
+def quasi_isometry_fit(g_values, k_values) -> QIReport:
     """Smallest constants with ``k/C - C' <= g <= C k + C'`` over pairs.
 
-    The multiplier grid is scanned upward from one; the first value whose
-    closing additive constant is finite wins, and that additive constant
-    is reported with it. Pairs where either side fails to be finite are
-    counted as irreducible violations and excluded from the envelopes.
+    The multiplier grid ``_C_GRID`` is scanned upward from one; the first
+    value whose closing additive constant is finite wins, and that
+    additive constant is reported with it. Pairs where either side fails
+    to be finite are counted as irreducible violations and excluded from
+    the envelopes.
     """
     g = np.asarray(g_values, dtype=float).ravel()
     k = np.asarray(k_values, dtype=float).ravel()
@@ -225,14 +224,8 @@ def quasi_isometry_fit(g_values, k_values, c_grid=None) -> QIReport:
     kf = k[finite]
     if gf.size == 0:
         raise ConfigError("no finite pairs to fit")
-    if c_grid is None:
-        c_grid = np.geomspace(1.0, 20.0, 241)
-    c_grid = np.sort(np.asarray(c_grid, dtype=float))
-    c_grid = c_grid[c_grid >= 1.0]
-    if c_grid.size == 0:
-        raise ConfigError("the multiplier grid must reach 1")
     C = cp = None
-    for cand in c_grid:
+    for cand in _C_GRID:
         over = float(np.max(gf - cand * kf, initial=0.0))
         under = float(np.max(kf / cand - gf, initial=0.0))
         closing = max(over, under, 0.0)
@@ -248,8 +241,8 @@ def quasi_isometry_fit(g_values, k_values, c_grid=None) -> QIReport:
     )
 
 
-def qi_check(family: MetricFamily, kmetric: KobayashiMetric, points,
-             c_grid=None) -> QIReport:
+def qi_check(family: MetricFamily, kmetric: KobayashiMetric,
+             points) -> QIReport:
     """Fit the sandwich over all pairs from a pool of interior points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
@@ -259,4 +252,4 @@ def qi_check(family: MetricFamily, kmetric: KobayashiMetric, points,
     P = family.prepare(pts)
     iu, ju = np.triu_indices(m, k=1)
     G = family.g_pairs(P.take(iu), P.take(ju))
-    return quasi_isometry_fit(G, K[iu, ju], c_grid=c_grid)
+    return quasi_isometry_fit(G, K[iu, ju])

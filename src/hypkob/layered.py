@@ -16,7 +16,6 @@ for the interior Finsler metric.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -28,30 +27,32 @@ from .domain import HeightProjection
 
 __all__ = ["LayeredSolver"]
 
+# depth ratio of consecutive levels of the ladder
+_LEVEL_RATIO = 1.25
+
 
 class LayeredSolver:
-    """Dijkstra over node-by-level shells with mode-specific edge rates."""
+    """Dijkstra over node-by-level shells with mode-specific edge rates.
+
+    The levels run geometrically from ``eps / 1024`` up to the collar
+    width ``eps`` (collar mode), or up to the square of 0.45 diameters,
+    shrunk until every pushed node stays interior (estimate mode).
+    """
 
     def __init__(self, graph: BoundaryGraph, projection: HeightProjection,
-                 mode: str = "collar", level_ratio: float = 1.25,
-                 t_min: Optional[float] = None, t_max: Optional[float] = None):
+                 mode: str = "collar"):
         if mode not in ("collar", "kobayashi"):
             raise ConfigError(f"unknown layered mode {mode!r}")
-        if level_ratio <= 1.0:
-            raise ConfigError("level ratio must exceed one")
         self.graph = graph
         self.projection = projection
         self.mode = mode
         self.eps = projection.epsilon
-        if t_min is None:
-            t_min = self.eps / 1024.0
-        if t_max is None:
-            if mode == "collar":
-                t_max = self.eps
-            else:
-                half = 0.45 * graph.domain.diameter_estimate()
-                t_max = max(self.eps, half * half)
-        if mode == "kobayashi":
+        t_min = self.eps / 1024.0
+        if mode == "collar":
+            t_max = self.eps
+        else:
+            half = 0.45 * graph.domain.diameter_estimate()
+            t_max = max(self.eps, half * half)
             # the deep ladder must keep every pushed node strictly interior
             normals = graph.node_normals()
             while t_max > self.eps:
@@ -59,12 +60,8 @@ class LayeredSolver:
                 if float(np.max(graph.domain.rho(probe))) < -1e-12:
                     break
                 t_max *= 0.8
-        if not 0 < t_min < t_max:
-            raise ConfigError("need 0 < t_min < t_max for the level ladder")
-        if mode == "collar" and t_max > self.eps * (1 + 1e-12):
-            raise ConfigError("collar mode levels cannot exceed the collar width")
         n_levels = max(2, int(math.ceil(math.log(t_max / t_min)
-                                        / math.log(level_ratio))) + 1)
+                                        / math.log(_LEVEL_RATIO))) + 1)
         self.levels = np.geomspace(t_min, t_max, n_levels)
         self._assemble()
 

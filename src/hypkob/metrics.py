@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     ProjectionsDiffer,
     RefinementStalled,
 )
-from ._util import pair_key
+from ._util import point_key
 from .boundary import BoundaryGraph
 from .domain import HeightProjection
 
@@ -48,7 +48,10 @@ __all__ = [
     "dilation",
 ]
 
-FUNCTIONAL_KINDS = ("g", "d", "kobayashi_estimate", "euclidean", "external")
+FUNCTIONAL_KINDS = ("g", "d", "kobayashi_estimate", "euclidean")
+
+# feet closer than this fraction of the domain diameter share one normal ray
+_FOOT_TOL = 1e-8
 
 
 def _peak(w, ha, hb, eps):
@@ -157,16 +160,13 @@ class PreparedPoints:
 class MetricFamily:
     """Evaluator for the boundary-anchored metrics over one domain setup."""
 
-    def __init__(self, projection: HeightProjection, graph: BoundaryGraph,
-                 foot_tol: float = 1e-8):
+    def __init__(self, projection: HeightProjection, graph: BoundaryGraph):
         if graph.domain is not projection.domain:
             raise ConfigError("graph and projection must share one domain")
         self.projection = projection
         self.graph = graph
         self.eps = projection.epsilon
-        self.foot_tol = float(foot_tol)
         self._point_cache: dict[bytes, tuple] = {}
-        self._pair_cache: dict[tuple, float] = {}
 
     # -- preparation ---------------------------------------------------------
 
@@ -176,7 +176,7 @@ class MetricFamily:
         m = X.shape[0]
         feet = np.empty_like(X)
         depth = np.empty(m)
-        keys = [pair_key(x, x) for x in X]
+        keys = [point_key(x) for x in X]
         missing = [i for i, k in enumerate(keys) if k not in self._point_cache]
         if missing:
             P, dist = self.projection.project_batch(X[missing])
@@ -213,7 +213,7 @@ class MetricFamily:
     def _same_foot(self, fa, fb) -> np.ndarray:
         """Whether feet coincide within tolerance, i.e. share one normal ray."""
         scale = self.graph.domain.diameter_estimate()
-        return np.linalg.norm(fa - fb, axis=-1) <= self.foot_tol * scale
+        return np.linalg.norm(fa - fb, axis=-1) <= _FOOT_TOL * scale
 
     def kernel(self, kind: str, W, A: PreparedPoints,
                B: PreparedPoints) -> np.ndarray:
@@ -277,24 +277,13 @@ class MetricFamily:
         """Collar geodesic distance for aligned point batches."""
         return self._aligned("d", A, B, w_mode)
 
-    # -- scalar interface with caching ----------------------------------------
-
-    def _pair(self, x, y, kind: str) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        key = (kind, pair_key(x, y))
-        if key not in self._pair_cache:
-            A = self.prepare(x[None])
-            B = self.prepare(y[None])
-            fn = self.g_pairs if kind == "g" else self.d_pairs
-            self._pair_cache[key] = float(fn(A, B)[0])
-        return self._pair_cache[key]
+    # -- scalar interface ------------------------------------------------------
 
     def g(self, x, y) -> float:
-        return self._pair(x, y, "g")
+        return float(self.g_pairs(self.prepare(x), self.prepare(y))[0])
 
     def d(self, x, y) -> float:
-        return self._pair(x, y, "d")
+        return float(self.d_pairs(self.prepare(x), self.prepare(y))[0])
 
     # -- structured paths ------------------------------------------------------
 
@@ -320,10 +309,10 @@ class MetricFamily:
             pl.set_segment_lengths("d", [val])
         return pl
 
-    def horizontal_path(self, x, y, height_tol: float = 1e-9) -> Polyline:
+    def horizontal_path(self, x, y) -> Polyline:
         """Constant-height path over the graph geodesic between the feet.
 
-        Both endpoints must sit at one height within tolerance. The
+        Both endpoints must sit at one height, within 1e-9·max(h, 1). The
         interior vertices are the geodesic nodes pushed inward to the
         shared depth, and every segment pins the frame its edge weight
         was built with, so the measured horizontal cost reproduces the
@@ -332,7 +321,7 @@ class MetricFamily:
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
-        if abs(A.height[0] - B.height[0]) > height_tol * max(A.height[0], 1.0):
+        if abs(A.height[0] - B.height[0]) > 1e-9 * max(A.height[0], 1.0):
             raise HeightsDiffer(
                 f"heights {A.height[0]:.6g} and {B.height[0]:.6g} differ")
         if A.extra[0] > 0 or B.extra[0] > 0:
@@ -402,13 +391,8 @@ class MetricFamily:
         pl, _ = self.composite_upper_path(x, y)
         return pl
 
-    def functional(self, kind: str,
-                   external_pair: Optional[Callable] = None) -> "MetricFunctional":
-        if kind not in FUNCTIONAL_KINDS:
-            raise ConfigError(f"unknown length functional {kind!r}")
-        if kind == "external" and external_pair is None:
-            raise ConfigError("external functionals need a pair callable")
-        return MetricFunctional(kind=kind, family=self, external_pair=external_pair)
+    def functional(self, kind: str) -> "MetricFunctional":
+        return MetricFunctional(kind=kind, family=self)
 
 
 @dataclass
@@ -416,17 +400,16 @@ class MetricFunctional:
     """Length functional over polylines for one of the named kinds.
 
     Also exposes the pairwise distance of the kind where one exists in
-    closed or cached form; the interior Finsler estimate has no pairwise
-    shortcut here and refers callers to its own solver.
+    closed form; the interior Finsler estimate has no pairwise shortcut
+    here and refers callers to its own solver.
     """
 
     kind: str
     family: MetricFamily
-    external_pair: Optional[Callable] = None
 
-    def length(self, polyline: Polyline, rel_tol: float = 1e-6,
-               max_depth: int = 10) -> float:
-        return path_length(polyline, self, rel_tol=rel_tol, max_depth=max_depth)
+    def __post_init__(self):
+        if self.kind not in FUNCTIONAL_KINDS:
+            raise ConfigError(f"unknown length functional {self.kind!r}")
 
     def pair(self, x, y) -> float:
         if self.kind == "g":
@@ -436,9 +419,6 @@ class MetricFunctional:
         if self.kind == "euclidean":
             return float(np.linalg.norm(np.asarray(x, dtype=float)
                                         - np.asarray(y, dtype=float)))
-        if self.kind == "external":
-            return float(self.external_pair(np.asarray(x, dtype=float),
-                                            np.asarray(y, dtype=float)))
         raise ConfigError(
             "pairwise values for the interior estimate come from its solver")
 
@@ -450,9 +430,6 @@ class MetricFunctional:
             return self.family.d_pairs(A, B)
         if self.kind == "euclidean":
             return np.linalg.norm(A.points - B.points, axis=-1)
-        if self.kind == "external":
-            return np.array([float(self.external_pair(a, b))
-                             for a, b in zip(A.points, B.points)])
         raise ConfigError(
             "pairwise values for the interior estimate come from its solver")
 
@@ -475,16 +452,6 @@ def _refined_points(pl: Polyline, depth: int) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(nseg), per)
     return fine, owner
 
-
-def _metric_sum(family: MetricFamily, pts: np.ndarray, kind: str,
-                external_pair) -> float:
-    if kind == "external":
-        return float(sum(external_pair(pts[i], pts[i + 1])
-                         for i in range(pts.shape[0] - 1)))
-    A = family.prepare(pts[:-1])
-    B = family.prepare(pts[1:])
-    vals = family.d_pairs(A, B, w_mode="local")
-    return float(vals.sum())
 
 def _rate_sum(family: MetricFamily, pl: Polyline, pts: np.ndarray,
               owner: np.ndarray, frame_nodes: np.ndarray, kind: str) -> float:
@@ -518,7 +485,7 @@ def _rate_sum(family: MetricFamily, pl: Polyline, pts: np.ndarray,
         h_mid = h[:-1][owner] + frac * dh[owner]
         rates = (2.0 * w_seg[owner] + np.abs(dh[owner])) / (per * h_mid)
         total += float(rates[keep[owner]].sum())
-    elif kind == "kobayashi_estimate":
+    else:
         from .kobayashi import kobayashi_speed_batch
         sub = keep[owner]
         a = pts[:-1][sub]
@@ -526,23 +493,21 @@ def _rate_sum(family: MetricFamily, pl: Polyline, pts: np.ndarray,
         midpts = 0.5 * (a + b)
         total += float(kobayashi_speed_batch(
             family.projection, family.graph.structure, midpts, b - a).sum())
-    else:
-        raise ConfigError(f"rate quadrature does not apply to kind {kind!r}")
     return total
 
 
-def _path_length(family: MetricFamily, polyline: Polyline, kind: str = "g",
-                 external_pair: Optional[Callable] = None, rel_tol: float = 1e-6,
-                 max_depth: int = 10) -> float:
-    """Length of a polyline under one of the named functionals.
+def path_length(polyline: Polyline, functional: MetricFunctional,
+                rel_tol: float = 1e-6, max_depth: int = 10) -> float:
+    """Length of the polyline under the given functional.
 
-    Distance kinds refine by chord bisection until the partition sums
-    settle; rate kinds refine a midpoint quadrature of the known
-    infinitesimal form. Failure to settle within the depth budget raises
-    with the last two estimates attached.
+    Cached closed-form segment lengths are honored first; a single-point
+    polyline has length zero. Otherwise ``d`` refines by chord bisection
+    until the partition sums settle, and the rate kinds (``g`` and the
+    interior estimate) refine a midpoint quadrature of their infinitesimal
+    form. Failure to settle within the depth budget raises with the last
+    two estimates attached.
     """
-    if kind not in FUNCTIONAL_KINDS:
-        raise ConfigError(f"unknown length functional {kind!r}")
+    kind = functional.kind
     cached = polyline.cached_length(kind)
     if cached is not None:
         return cached
@@ -550,46 +515,28 @@ def _path_length(family: MetricFamily, polyline: Polyline, kind: str = "g",
         return 0.0
     if kind == "euclidean":
         return polyline.euclidean_length()
-    if kind == "external" and external_pair is None:
-        raise ConfigError("external functionals need a pair callable")
-    if kind in ("g", "kobayashi_estimate"):
+    family = functional.family
+    rate = kind != "d"
+    if rate:
         frame_nodes = polyline.frame_nodes
         if frame_nodes is None:
             mids = 0.5 * (polyline.points[:-1] + polyline.points[1:])
             feet, _ = family.projection.project_batch(mids)
             frame_nodes = family.graph.snap(feet)
-        prev = None
-        for depth in range(max_depth + 1):
-            pts, owner = _refined_points(polyline, depth)
-            cur = _rate_sum(family, polyline, pts, owner, frame_nodes, kind)
-            if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                return cur
-            prev = cur
-        raise RefinementStalled(
-            f"rate quadrature did not settle at depth {max_depth}", (prev, cur))
     prev = None
     for depth in range(max_depth + 1):
-        pts, _ = _refined_points(polyline, depth)
-        cur = _metric_sum(family, pts, kind, external_pair)
+        pts, owner = _refined_points(polyline, depth)
+        if rate:
+            cur = _rate_sum(family, polyline, pts, owner, frame_nodes, kind)
+        else:
+            A, B = family.prepare(pts[:-1]), family.prepare(pts[1:])
+            cur = float(family.d_pairs(A, B, w_mode="local").sum())
         if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
-    raise RefinementStalled(
-        f"partition sums did not settle at depth {max_depth}", (prev, cur))
-
-
-def path_length(polyline: Polyline, functional: MetricFunctional,
-                rel_tol: float = 1e-6, max_depth: int = 10) -> float:
-    """Length of the polyline under the given functional.
-
-    Cached closed-form segment lengths are honored first; otherwise the
-    supremum over partitions is approached by dyadic refinement (metric
-    kinds) or by midpoint quadrature of the infinitesimal form (rate
-    kinds). A single-point polyline has length zero.
-    """
-    return _path_length(functional.family, polyline, kind=functional.kind,
-                        external_pair=functional.external_pair,
-                        rel_tol=rel_tol, max_depth=max_depth)
+    what = "rate quadrature" if rate else "partition sums"
+    raise RefinementStalled(f"{what} did not settle at depth {max_depth}",
+                            (prev, cur))
 
 
 # ---------------------------------------------------------------------------

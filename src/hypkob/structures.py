@@ -70,33 +70,36 @@ class StructureField:
 
     @classmethod
     def from_spec(cls, spec: dict, dim: int) -> "StructureField":
-        kind = spec.get("type", "standard")
-        if kind == "standard":
-            return standard_structure(dim)
-        if kind == "matrix_polynomial":
-            base = np.asarray(spec["constant"], dtype=float)
-            terms = spec.get("linear", [])
-            linear = np.zeros((dim, dim, dim))
-            for t in terms:
-                linear[:, :, int(t["variable"])] += np.asarray(t["matrix"], dtype=float)
+        try:
+            kind = spec.get("type", "standard")
+            if kind == "standard":
+                return standard_structure(dim)
+            if kind == "matrix_polynomial":
+                base = np.asarray(spec["constant"], dtype=float)
+                terms = spec.get("linear", [])
+                linear = np.zeros((dim, dim, dim))
+                for t in terms:
+                    linear[:, :, int(t["variable"])] += np.asarray(t["matrix"], dtype=float)
 
-            def fn(x):
-                return base + np.einsum("ijk,...k->...ij", linear, x)
+                def fn(x):
+                    return base + np.einsum("ijk,...k->...ij", linear, x)
 
-            return cls(dim, fn, name="matrix_polynomial")
-        if kind == "grid":
-            axes = [np.asarray(a, dtype=float) for a in spec["axes"]]
-            values = np.asarray(spec["values"], dtype=float)
-            interp = RegularGridInterpolator(axes, values, bounds_error=False,
-                                             fill_value=None)
+                return cls(dim, fn, name="matrix_polynomial")
+            if kind == "grid":
+                axes = [np.asarray(a, dtype=float) for a in spec["axes"]]
+                values = np.asarray(spec["values"], dtype=float)
+                interp = RegularGridInterpolator(axes, values, bounds_error=False,
+                                                 fill_value=None)
 
-            def fn(x):
-                flat = np.atleast_2d(x.reshape(-1, dim))
-                out = interp(flat).reshape(x.shape[:-1] + (dim, dim))
-                return out
+                def fn(x):
+                    flat = np.atleast_2d(x.reshape(-1, dim))
+                    out = interp(flat).reshape(x.shape[:-1] + (dim, dim))
+                    return out
 
-            return cls(dim, fn, name="grid")
-        raise ConfigError(f"unknown structure type {kind!r}")
+                return cls(dim, fn, name="grid")
+            raise ConfigError(f"unknown structure type {kind!r}")
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"malformed structure spec: {exc}") from exc
 
 
 def standard_structure(dim: int) -> StructureField:

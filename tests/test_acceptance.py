@@ -263,9 +263,9 @@ def test_criterion_06_boundary_identification_band(acc):
 
 def test_criterion_07_kobayashi_qi_fit(acc):
     pool = BoundaryBiasedSampler(acc["fam8"], 5).sample(46)
-    km = KobayashiMetric(acc["projection"], acc["structure"], acc["graph8"])
+    km = KobayashiMetric(acc["projection"], acc["graph8"])
     base = qi_check(acc["fam8"], km, pool)
-    kmr = KobayashiMetric(acc["projection"], acc["structure"], acc["ref8"])
+    kmr = KobayashiMetric(acc["projection"], acc["ref8"])
     refined = qi_check(acc["fam8r"], kmr, pool)
     n_pairs = base.n_pairs
     finite = (np.isfinite(base.C) and np.isfinite(base.Cprime)

@@ -12,7 +12,10 @@ import os
 import numpy as np
 import pytest
 
+from hypkob.boundary import BoundaryGraph
 from hypkob.config import load_config
+from hypkob.domain import Domain
+from hypkob.structures import standard_structure
 from hypkob.cli import main
 from hypkob.errors import ConfigError
 
@@ -116,6 +119,26 @@ def test_main_maps_config_errors_to_exit_2(tmp_path):
     assert main(["check", "--config", str(tmp_path / "none.json")]) == 2
     path = write_json(tmp_path / "bad.json", {"domain": {"dimension": 4}})
     assert main(["check", "--config", path]) == 2
+    # per-type keys missing from the domain or structure spec, or unreadable
+    bad = [
+        {"domain": {"dimension": 4, "defining_function": {
+            "type": "ball", "radius": "large"}}},
+        {"domain": {"dimension": 4, "defining_function": {
+            "type": "superellipsoid", "semi_axes": [1.0, 1.0, 1.0, 1.0]}}},
+        {"domain": {"dimension": 4,
+                    "defining_function": {"type": "ellipsoid"}}},
+        {"domain": {"dimension": 4, "defining_function": {"type": "ball"}},
+         "structure": {"type": "matrix_polynomial"}},
+        {"domain": {"dimension": 4, "box": [[-1] * 4, [1] * 4],
+                    "defining_function": {"type": "polynomial", "terms": []}}},
+        {"domain": {"dimension": 4, "defining_function": {"type": "ball"}},
+         "structure": {"type": "matrix_polynomial", "constant": np.eye(4).tolist(),
+                       "linear": [{"variable": 7,
+                                   "matrix": np.eye(4).tolist()}]}},
+    ]
+    for i, raw in enumerate(bad):
+        path = write_json(tmp_path / f"bad_type{i}.json", raw)
+        assert main(["check", "--config", path]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +310,34 @@ def test_graph_cache_file_is_created_and_reused(rig):
     assert os.path.getmtime(cache) == before
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["graph"]["n_nodes"] == 160
+
+
+def test_graph_cache_refuses_another_setup(rig, tmp_path):
+    pairs = write_pairs(rig["root"] / "pairs_c.csv", [SAME])
+    code, _ = run(rig, "dist", "out_cache_ball", "--metric", "g",
+                  "--pairs", pairs)
+    assert code == 0
+    cache = rig["cache"] + ".npz"
+    before = os.path.getmtime(cache)
+    cfg = read_json(rig["config"])
+    cfg["domain"] = {"dimension": 4, "defining_function": {
+        "type": "ellipsoid", "semi_axes": [1.0, 1.0, 0.7, 0.7]}}
+    ell = write_json(tmp_path / "ellipsoid.json", cfg)
+    argv = ["dist", "--metric", "g", "--pairs", pairs, "--config", ell,
+            "--out", str(tmp_path / "out_ell"), "--graph-cache", cache]
+    assert main(argv) == 2
+    assert os.path.getmtime(cache) == before
+    # a cache written without the setup hash is refused as well
+    ball = load_config(rig["config"])
+    untagged = str(tmp_path / "untagged.npz")
+    graph = BoundaryGraph.load(cache, Domain.from_spec(ball.domain_spec),
+                               standard_structure(4))
+    del graph.params["setup"]
+    graph.save(untagged)
+    argv = ["dist", "--metric", "g", "--pairs", pairs, "--config",
+            rig["config"], "--out", str(tmp_path / "out_untagged"),
+            "--graph-cache", untagged]
+    assert main(argv) == 2
 
 
 def test_delta_rejects_kobayashi_metric(rig):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypkob import (Domain, HeightProjection, ConfigError, OutsideShellRange,
-                    PointOutsideDomain, reach_details)
+                    PointOutsideDomain, ball_field, ellipsoid_field,
+                    polynomial_field, reach_details, superellipsoid_field)
 
 from conftest import EPS
 
@@ -124,6 +125,29 @@ def test_from_spec_round_trip(ball):
     with pytest.raises(ConfigError):
         Domain.from_spec({"dimension": 1,
                           "defining_function": {"type": "ball"}})
+
+
+@pytest.mark.parametrize("field", [
+    ball_field(4, 0.9),
+    ellipsoid_field([1.0, 1.2, 0.7, 0.9]),
+    # exponent 4: at 2.5 the |x|^(p-2) Hessian is too rough near the
+    # coordinate planes for a central difference to check it
+    superellipsoid_field([1.0, 1.2, 0.7, 0.9], 4.0),
+    polynomial_field(4, [(1.0, (4, 0, 0, 0)), (0.5, (0, 2, 2, 0)),
+                         (2.0, (1, 0, 0, 3)), (-0.3, (0, 1, 1, 1)),
+                         (1.0, (0, 0, 2, 0)), (-1.0, (0, 0, 0, 0))]),
+], ids=lambda f: f.name)
+def test_field_derivatives_match_central_differences(field):
+    # the gradient against differences of the value (step 1e-5), the
+    # Hessian against differences of the gradient (step 1e-4)
+    X = np.random.default_rng(0).uniform(-0.8, 0.8, (50, 4))
+    E = np.eye(4)
+    G = np.stack([(field.value_fn(X + 1e-5 * e) - field.value_fn(X - 1e-5 * e))
+                  / 2e-5 for e in E], axis=-1)
+    H = np.stack([(field.grad_fn(X + 1e-4 * e) - field.grad_fn(X - 1e-4 * e))
+                  / 2e-4 for e in E], axis=-1)
+    assert np.abs(field.grad_fn(X) - G).max() < 1e-8
+    assert np.abs(field.hess_fn(X) - H).max() < 1e-6
 
 
 def test_boundary_sampler_on_surface(ellipsoid):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypkob import (BoundaryBiasedSampler, BoxSampler, MetricFamily,
-                    NotStabilized, PrefixTooShort, boundary_identification,
-                    boundary_product, converges_at_infinity, distance_matrix,
-                    four_point_delta, four_point_from_matrix, gromov_product,
-                    normal_record, triangle_thinness)
+from hypkob import (BoundaryBiasedSampler, BoxSampler, HypkobError,
+                    MetricFamily, NotStabilized, PrefixTooShort,
+                    boundary_identification, boundary_product,
+                    converges_at_infinity, distance_matrix, four_point_delta,
+                    four_point_from_matrix, gromov_product, normal_record,
+                    triangle_thinness)
 
 from conftest import EPS
 
@@ -81,6 +82,32 @@ def test_four_point_delta_euclidean_square(ball):
     # defect is (diagonal sum - side sum) / 2
     expect = 0.5 * (2 * 0.5 * math.sqrt(2.0) - 2 * 0.5)
     assert abs(rep.delta - expect) < 1e-12
+
+
+def test_four_point_delta_counts_non_finite_defects(family):
+    pool = np.random.default_rng(4).normal(size=(12, 4)) * 0.3
+    pool[5] = np.nan
+
+    class FixedSampler:
+        def __init__(self, pts):
+            self.pts = pts
+
+        def sample(self, n, seed=None):
+            return self.pts
+
+    fn = family.functional("euclidean")
+    rep = four_point_delta(fn, FixedSampler(pool), n_quadruples=2000, seed=0)
+    quads = np.random.default_rng(1).integers(0, 12, size=(2000, 4))
+    clean = ~np.any(quads == 5, axis=1)
+    D = distance_matrix(fn, pool)
+    assert rep.failures == int(np.count_nonzero(~clean)) > 0
+    assert np.isfinite(rep.delta)
+    assert rep.delta == np.max(four_point_from_matrix(D, quads[clean]))
+    assert np.all(np.isfinite(rep.worst_points))
+    assert rep.delta >= rep.defect_q99 >= 0.0
+    with pytest.raises(HypkobError):
+        four_point_delta(fn, FixedSampler(np.full((12, 4), np.nan)),
+                         n_quadruples=100, seed=0)
 
 
 # ---------------------------------------------------------------------------

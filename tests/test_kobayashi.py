@@ -16,8 +16,8 @@ def ray_point(foot, t):
 
 
 @pytest.fixture(scope="module")
-def kmetric(projection, structure, graph):
-    return KobayashiMetric(projection, structure, graph)
+def kmetric(projection, graph):
+    return KobayashiMetric(projection, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +166,6 @@ def test_solver_distance_bounded_by_path_lengths(kmetric, family, graph):
 def test_layered_solver_mode_guards(graph, projection):
     with pytest.raises(ConfigError):
         LayeredSolver(graph, projection, mode="nope")
-    with pytest.raises(ConfigError):
-        LayeredSolver(graph, projection, level_ratio=1.0)
-    with pytest.raises(ConfigError):
-        LayeredSolver(graph, projection, t_min=0.4, t_max=0.2)
 
 
 # ---------------------------------------------------------------------------
