@@ -12,7 +12,7 @@ for domain self-maps.
 from .errors import (
     HypkobError, ConfigError, PointOutsideDomain, ProjectionDiverged,
     CurvatureEstimateFailed, OutsideShellRange, DerivativeEvaluationFailed,
-    DimensionTooSmall, DegenerateContact, ContactUnavailable,
+    DimensionTooSmall, DegenerateContact,
     GraphDisconnected, ImageOffBoundary, ProjectionsDiffer, HeightsDiffer,
     RefinementStalled, PrefixTooShort, NotStabilized, ZeroVector,
     PointOutsideShellRegion, MapEscapedDomain,
@@ -24,8 +24,9 @@ from .domain import (
 )
 from .structures import (
     StructureField, standard_structure, check_structure, alpha_vec, eta_vec,
-    two_form_on, levi_form, levi_matrix, ConvexityReport,
-    check_strict_convexity, ContactData, contact_at, contact_batch,
+    dalpha_matrix, levi_form, levi_matrix, ConvexityReport,
+    check_strict_convexity, transverse_frame, ContactData, contact_at,
+    contact_batch,
 )
 from .boundary import (
     BoundaryGraph, BoundaryMap, LipschitzReport, lipschitz_details,

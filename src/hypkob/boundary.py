@@ -3,8 +3,9 @@
 The boundary metric is approximated by a k-nearest-neighbor graph on
 sampled boundary nodes. Edge weights use an anisotropic chord cost that
 charges the chord component transverse to the maximal complex tangent
-distribution an ``anisotropy`` multiplier before taking the norm, with
-the frame pinned at the node nearest the edge midpoint. At anisotropy 1
+distribution (along the frame ``structures.transverse_frame`` gives at
+each node) an ``anisotropy`` multiplier before taking the norm, with the
+frame pinned at the node nearest the edge midpoint. At anisotropy 1
 the weights collapse to plain Euclidean chord lengths. Distances are
 Dijkstra shortest paths; rows are cached.
 
@@ -27,12 +28,11 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
-    ContactUnavailable,
     GraphDisconnected,
     ImageOffBoundary,
 )
 from .domain import Domain
-from .structures import StructureField
+from .structures import StructureField, transverse_frame
 
 __all__ = [
     "BoundaryGraph",
@@ -54,7 +54,7 @@ class BoundaryGraph:
         self.params = dict(params)
         self.tree = cKDTree(self.nodes)
         self._rows: dict[int, np.ndarray] = {}
-        self._frames = self._build_frames()
+        self._frames = transverse_frame(domain, structure, self.nodes)
 
     # -- construction --------------------------------------------------------
 
@@ -101,17 +101,6 @@ class BoundaryGraph:
         graph = cls(domain, structure, nodes, csr_matrix((n_nodes, n_nodes)), params)
         graph._connect(k_neighbors)
         return graph
-
-    def _build_frames(self):
-        """Per-node orthonormal pair spanning the transverse directions."""
-        g = self.domain.grad(self.nodes)
-        n = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        jn = self.structure.apply(self.nodes, n)
-        jn = jn - np.sum(jn * n, axis=-1, keepdims=True) * n
-        nrm = np.linalg.norm(jn, axis=-1, keepdims=True)
-        if np.any(nrm <= 1e-10):
-            raise ContactUnavailable("degenerate transverse frame at a graph node")
-        return n, jn / nrm
 
     def _edge_weights(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         mid = 0.5 * (self.nodes[ii] + self.nodes[jj])
@@ -237,21 +226,9 @@ class BoundaryGraph:
         Takes the cheaper of a direct anisotropic chord and the best
         node-routed path entered and exited through the k nearest nodes of
         each endpoint. Resolves separations below the node spacing that
-        plain snapping rounds away.
+        plain snapping rounds away. One pair of ``distance_local_batch``.
         """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        direct = float(self.chord_cost(p[None], q[None])[0])
-        kq = min(k, self.nodes.shape[0])
-        _, ip = self.tree.query(p, k=kq)
-        _, iq = self.tree.query(q, k=kq)
-        ip = np.atleast_1d(ip)
-        iq = np.atleast_1d(iq)
-        cin = self.chord_cost(np.repeat(p[None], ip.size, axis=0), self.nodes[ip])
-        cout = self.chord_cost(self.nodes[iq], np.repeat(q[None], iq.size, axis=0))
-        D = self.rows_from(ip)[:, iq]
-        routed = float(np.min(cin[:, None] + D + cout[None, :]))
-        return min(direct, routed)
+        return float(self.distance_local_batch(p, q, k=k)[0])
 
     def distance_local_batch(self, A, B, k: int = 6) -> np.ndarray:
         """Vectorized short-range corrected distances for aligned batches."""

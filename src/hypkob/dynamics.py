@@ -273,7 +273,7 @@ def classify_orbit(family: MetricFamily,
     floor = 0.05 * root
     tail_mins = []
     tail_feet = []
-    cauchy = []
+    marked = []
     for rec in orbits:
         half = rec.points.shape[0] // 2
         tail_mins.append(float(rec.heights[half:].min()))
@@ -281,12 +281,10 @@ def classify_orbit(family: MetricFamily,
         marks = sorted(set([half, (3 * n) // 4, n - 1]))
         Pm = family.prepare(rec.points[marks])
         tail_feet.append(Pm.feet[-1])
-        if len(marks) >= 3:
-            d_early = family.graph.distance_local(Pm.feet[0], Pm.feet[-1])
-            d_late = family.graph.distance_local(Pm.feet[1], Pm.feet[-1])
-            cauchy.append((d_early, d_late))
-        else:
-            cauchy.append((0.0, 0.0))
+        # Cauchy pairs: the half and three-quarter feet against the last
+        # one; an orbit too short for three marks pairs its last foot
+        # with itself, at distance exactly zero
+        marked.append(Pm.feet[[0, 1]] if len(marks) >= 3 else Pm.feet[[-1, -1]])
     tail_mins = np.asarray(tail_mins)
     evidence = {
         "tail_min_heights": [float(v) for v in tail_mins],
@@ -299,15 +297,16 @@ def classify_orbit(family: MetricFamily,
         rec.stopped_early or tm < floor
         for rec, tm in zip(orbits, tail_mins)
     ])
-    settling = np.asarray([late <= early + _SPREAD_TOL
-                           for early, late in cauchy])
     feet = np.stack(tail_feet)
-    mref = feet.shape[0]
-    spread = 0.0
-    for i in range(mref):
-        for j in range(i + 1, mref):
-            spread = max(spread, family.graph.distance_local(feet[i], feet[j]))
-    evidence["projection_spread"] = float(spread)
+    graph = family.graph
+    cauchy = graph.distance_local_batch(np.concatenate(marked),
+                                        np.repeat(feet, 2, axis=0),
+                                        k=8).reshape(-1, 2)
+    settling = cauchy[:, 1] <= cauchy[:, 0] + _SPREAD_TOL
+    iu, ju = np.triu_indices(feet.shape[0], k=1)
+    spread = float(np.max(graph.distance_local_batch(feet[iu], feet[ju], k=8),
+                          initial=0.0))
+    evidence["projection_spread"] = spread
     evidence["cauchy_pairs"] = [(float(a), float(b)) for a, b in cauchy]
     if np.all(approaching) and np.all(settling) and spread <= _SPREAD_TOL:
         return OrbitVerdict(kind="ConvergesTo", point=feet[0].copy(),

@@ -46,10 +46,6 @@ class DegenerateContact(HypkobError):
     """The two-form on the contact distribution is numerically degenerate."""
 
 
-class ContactUnavailable(HypkobError):
-    """Contact data could not be assembled at a boundary point."""
-
-
 # --- boundary graph ----------------------------------------------------------
 
 class GraphDisconnected(HypkobError):

@@ -1,17 +1,20 @@
 """Almost complex structures and the induced contact geometry on the boundary.
 
-A structure is a field of matrices ``J(x)`` with ``J(x)^2 = -Id``. From a
-domain and a structure we derive the boundary one-form (evaluated through
-its coefficient vector), the Levi form of the defining function, the
-maximal ``J``-invariant tangent distribution, and the restricted two-form,
-all through batched numpy evaluations with central finite differences for
-the exterior derivatives.
+A structure is a field of matrices ``J(x)`` with ``J(x)^2 = -Id``. This
+module is the only one that knows the contact geometry a domain and a
+structure induce: the rotated one-form ``alpha`` (through its coefficient
+vector), its exterior derivative ``dalpha_matrix`` (central differences
+along the coordinate axes), the Levi form, the transverse frame
+``(n, u)`` whose orthogonal complement is the maximal ``J``-invariant
+tangent distribution, and the restricted two-form, all through batched
+numpy evaluations. The boundary graph and the Kobayashi-type estimate
+take their frames from ``transverse_frame``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -29,10 +32,12 @@ __all__ = [
     "check_structure",
     "alpha_vec",
     "eta_vec",
+    "dalpha_matrix",
     "levi_form",
     "levi_matrix",
     "check_strict_convexity",
     "ConvexityReport",
+    "transverse_frame",
     "ContactData",
     "contact_batch",
     "contact_at",
@@ -150,71 +155,42 @@ def eta_vec(domain: Domain, structure: StructureField, x) -> np.ndarray:
     return -alpha_vec(domain, structure, x)
 
 
-def _directional_form_derivative(domain: Domain, structure: StructureField,
-                                 x: np.ndarray, U: np.ndarray, V: np.ndarray,
-                                 step: float) -> np.ndarray:
-    """Central difference of ``alpha(V)`` along U with V held constant."""
-    ap = alpha_vec(domain, structure, x + step * U)
-    am = alpha_vec(domain, structure, x - step * U)
-    return np.einsum("...i,...i->...", ap - am, V) / (2.0 * step)
+def dalpha_matrix(domain: Domain, structure: StructureField, x) -> np.ndarray:
+    """Antisymmetric matrices ``A`` with ``d alpha (U, V) = U^T A V``.
 
-
-def two_form_on(domain: Domain, structure: StructureField, x, U, V,
-                step: Optional[float] = None) -> np.ndarray:
-    """Exterior derivative of the rotated form on constant extensions of U, V.
-
-    ``d alpha (U, V) = D_U[alpha(V)] - D_V[alpha(U)]`` when U and V are
-    extended as constant vector fields.
+    ``A[i, j] = d_i alpha_j - d_j alpha_i``, the exterior derivative of the
+    rotated form on constant vector fields, from central differences of
+    ``alpha_vec`` along the ``2 * dim`` coordinate directions. Points of
+    shape (..., dim) give matrices of shape (..., dim, dim).
     """
     x = np.asarray(x, dtype=float)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if step is None:
-        step = max(domain.fd_step, 1e-7)
-    return (_directional_form_derivative(domain, structure, x, U, V, step)
-            - _directional_form_derivative(domain, structure, x, V, U, step))
+    step = max(domain.fd_step, 1e-7)
+    E = step * np.eye(x.shape[-1])
+    xs = x[..., None, :]
+    D = (alpha_vec(domain, structure, xs + E)
+         - alpha_vec(domain, structure, xs - E)) / (2.0 * step)
+    return D - np.swapaxes(D, -1, -2)
 
 
 def levi_form(domain: Domain, structure: StructureField, x, X) -> np.ndarray:
-    """Quadratic form ``d(alpha)(X, JX)`` with scale-normalized differencing.
+    """Quadratic form ``d(alpha)(X, JX)``.
 
     Supports batched points (m, dim) with vectors of the same shape, or a
     single point and vector. Zero vectors give exactly zero.
     """
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    Xb = np.atleast_2d(X)
-    nrm = np.linalg.norm(Xb, axis=-1)
-    out = np.zeros(xb.shape[0])
-    mask = nrm > 0
-    if np.any(mask):
-        U = Xb[mask] / nrm[mask][:, None]
-        JU = structure.apply(xb[mask], U)
-        q = two_form_on(domain, structure, xb[mask], U, JU)
-        out[mask] = q * nrm[mask] ** 2
-    return float(out[0]) if single else out
+    JX = structure.apply(x, X)
+    out = np.einsum("...i,...ij,...j->...", X,
+                    dalpha_matrix(domain, structure, x), JX)
+    return float(out) if x.ndim == 1 else out
 
 
 def levi_matrix(domain: Domain, structure: StructureField, x) -> np.ndarray:
-    """Symmetric matrix of the Levi quadratic form by polarization."""
+    """Symmetric matrix of the Levi quadratic form, ``sym(A J)``."""
     x = np.asarray(x, dtype=float)
-    n = domain.dim
-    A = np.zeros(x.shape[:-1] + (n, n))
-    eye = np.eye(n)
-    diag = [levi_form(domain, structure, x, np.broadcast_to(eye[i], x.shape).copy())
-            for i in range(n)]
-    for i in range(n):
-        A[..., i, i] = diag[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            plus = np.broadcast_to(eye[i] + eye[j], x.shape).copy()
-            minus = np.broadcast_to(eye[i] - eye[j], x.shape).copy()
-            qp = levi_form(domain, structure, x, plus)
-            qm = levi_form(domain, structure, x, minus)
-            A[..., i, j] = A[..., j, i] = 0.25 * (qp - qm)
-    return A
+    AJ = dalpha_matrix(domain, structure, x) @ structure.j(x)
+    return 0.5 * (AJ + np.swapaxes(AJ, -1, -2))
 
 
 @dataclass
@@ -225,21 +201,26 @@ class ConvexityReport:
     worst_point: np.ndarray
 
 
+# a sample passes when its smallest Levi eigenvalue exceeds the margin;
+# the inward samples sit band * 0.1 * (box diagonal) inside the boundary
+_CONVEXITY_MARGIN = 0.0
+_BOUNDARY_BAND = 0.05
+
+
 def check_strict_convexity(domain: Domain, structure: StructureField,
-                           n_samples: int = 64, seed: int = 0,
-                           margin: float = 0.0,
-                           band: float = 0.05) -> ConvexityReport:
+                           n_samples: int = 64,
+                           seed: int = 0) -> ConvexityReport:
     """Positivity of the Levi form near the boundary.
 
-    Samples points with ``|rho|`` below ``band`` times the field scale
-    (boundary samples pushed slightly inward), assembles the Levi matrix at
-    each, and reports the smallest eigenvalue over the sample set.
+    Samples boundary points and copies pushed ``_BOUNDARY_BAND`` times a
+    tenth of the box diagonal inward, assembles the Levi matrix at each,
+    and reports the smallest eigenvalue over the sample set.
     """
     pts = domain.sample_boundary(n_samples, seed=seed)
     g = domain.grad(pts)
     nrm = np.linalg.norm(g, axis=-1, keepdims=True)
     scale = float(np.linalg.norm(domain.box[1] - domain.box[0]))
-    inward = pts - (band * 0.1 * scale) * g / nrm
+    inward = pts - (_BOUNDARY_BAND * 0.1 * scale) * g / nrm
     inward = inward[domain.rho(inward) < 0]
     sample = np.concatenate([pts, inward], axis=0)
     A = levi_matrix(domain, structure, sample)
@@ -249,7 +230,7 @@ def check_strict_convexity(domain: Domain, structure: StructureField,
     return ConvexityReport(
         min_eigenvalue=float(mins[worst]),
         n_points=int(sample.shape[0]),
-        ok=bool(mins[worst] > margin),
+        ok=bool(mins[worst] > _CONVEXITY_MARGIN),
         worst_point=sample[worst],
     )
 
@@ -258,13 +239,53 @@ def check_strict_convexity(domain: Domain, structure: StructureField,
 # contact data on the boundary
 # ---------------------------------------------------------------------------
 
+def transverse_frame(domain: Domain, structure: StructureField,
+                     P) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frame ``(n, u)`` of the complement of the distribution.
+
+    ``n`` is the unit outward normal and ``u`` is ``J^T n`` with its normal
+    part removed, normalised. The maximal complex tangent distribution
+    ``T(bD) & J T(bD)`` is the orthogonal complement of ``{n, J^T n}``, so
+    it is the complement of this frame; it is ``J``-invariant whenever
+    ``J`` squares to minus the identity, orthogonal or not. Points of
+    shape (..., dim) give two arrays of that shape. Raises
+    ``DegenerateContact`` where the gradient vanishes or ``J^T n`` is
+    parallel to ``n``.
+    """
+    P = np.asarray(P, dtype=float)
+    g = domain.grad(P)
+    gn = np.linalg.norm(g, axis=-1, keepdims=True)
+    if np.any(gn <= 1e-12):
+        raise DegenerateContact("vanishing gradient at a contact point")
+    n = g / gn
+    jtn = np.einsum("...ji,...j->...i", structure.j(P), n)
+    u = jtn - np.sum(jtn * n, axis=-1, keepdims=True) * n
+    un = np.linalg.norm(u, axis=-1, keepdims=True)
+    if np.any(un <= 1e-8 * np.linalg.norm(jtn, axis=-1, keepdims=True)):
+        raise DegenerateContact("normal and rotated normal nearly parallel")
+    return n, u / un
+
+
+def _nullspace_bases(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space bases for batched row stacks, sign-normalized."""
+    _, _, vt = np.linalg.svd(rows)
+    basis = vt[:, rows.shape[1]:, :]
+    # deterministic sign: first sufficiently large component positive
+    b = basis.reshape(-1, basis.shape[-1])
+    idx = np.argmax(np.abs(b) > 1e-8, axis=1)
+    signs = np.sign(b[np.arange(b.shape[0]), idx])
+    signs[signs == 0] = 1.0
+    return (b * signs[:, None]).reshape(basis.shape)
+
+
 @dataclass
 class ContactData:
     """Contact frame at one boundary point.
 
     ``basis`` holds an orthonormal basis of the maximal complex tangent
     distribution as rows; ``omega`` is the restricted two-form in that
-    basis; ``normal`` and ``jnormal`` span the complement.
+    basis; ``normal`` and ``jnormal`` are the frame of ``transverse_frame``
+    that spans the complement.
     """
 
     point: np.ndarray
@@ -275,69 +296,28 @@ class ContactData:
     jnormal: np.ndarray
 
 
-def _nullspace_bases(rows: np.ndarray, keep: int) -> np.ndarray:
-    """Orthonormal null-space bases for batched row stacks, sign-normalized."""
-    _, s, vt = np.linalg.svd(rows)
-    basis = vt[:, rows.shape[1]:, :][:, :keep, :]
-    # deterministic sign: first sufficiently large component positive
-    b = basis.reshape(-1, basis.shape[-1])
-    idx = np.argmax(np.abs(b) > 1e-8, axis=1)
-    signs = np.sign(b[np.arange(b.shape[0]), idx])
-    signs[signs == 0] = 1.0
-    basis = (b * signs[:, None]).reshape(basis.shape)
-    return basis, s
-
-
 def contact_batch(domain: Domain, structure: StructureField,
                   P: np.ndarray) -> list[ContactData]:
     """Contact data at a batch of boundary points.
 
-    The distribution is the orthogonal complement of the span of the
-    gradient and its pullback under ``J``; it is ``J``-invariant whenever
-    ``J`` squares to minus the identity. Degenerate spans raise.
+    The distribution is the complement of ``transverse_frame``; the
+    restricted two-form is ``-B A B^T`` with ``A`` from ``dalpha_matrix``
+    (``d eta = -d alpha``). Degenerate frames and two-forms raise.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    m, n = P.shape
-    if n < 4:
+    if P.shape[1] < 4:
         raise DimensionTooSmall("contact data needs dimension at least 4")
-    g = domain.grad(P)
-    gn = np.linalg.norm(g, axis=-1)
-    if np.any(gn <= 1e-12):
-        raise DegenerateContact("vanishing gradient at a contact point")
-    normal = g / gn[:, None]
-    J = structure.j(P)
-    jtn = np.einsum("mji,mj->mi", J, normal)
-    jtn_n = np.linalg.norm(jtn, axis=-1)
-    if np.any(jtn_n <= 1e-8):
-        raise DegenerateContact("rotated normal collapsed; structure degenerate here")
-    rows = np.stack([normal, jtn / jtn_n[:, None]], axis=1)  # (m, 2, n)
-    basis, sv = _nullspace_bases(rows, n - 2)
-    if np.any(sv[:, 1] <= 1e-8):
-        raise DegenerateContact("normal and rotated normal nearly parallel")
+    normal, u = transverse_frame(domain, structure, P)
+    basis = _nullspace_bases(np.stack([normal, u], axis=1))
     eta = eta_vec(domain, structure, P)
-    # restricted two-form on the distribution, entrywise by finite differences
-    step = max(domain.fd_step, 1e-7)
-    k = n - 2
-    omega = np.zeros((m, k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            U = basis[:, a, :]
-            V = basis[:, b, :]
-            # d(eta) = -d(alpha); evaluate on constant extensions
-            val = -two_form_on(domain, structure, P, U, V, step=step)
-            omega[:, a, b] = val
-            omega[:, b, a] = -val
+    omega = -basis @ dalpha_matrix(domain, structure, P) @ np.swapaxes(basis, 1, 2)
     sv_omega = np.linalg.svd(omega, compute_uv=False)
     floor = 1e-6 * np.maximum(sv_omega[:, 0], 1e-300)
     if np.any(sv_omega[:, -1] < floor):
         raise DegenerateContact("restricted two-form is numerically degenerate")
-    jnormal = structure.apply(P, normal)
-    out = []
-    for i in range(m):
-        out.append(ContactData(point=P[i], eta=eta[i], basis=basis[i],
-                               omega=omega[i], normal=normal[i],
-                               jnormal=jnormal[i]))
-    return out
+    return [ContactData(point=P[i], eta=eta[i], basis=basis[i], omega=omega[i],
+                        normal=normal[i], jnormal=u[i])
+            for i in range(P.shape[0])]
 
 
 def contact_at(domain: Domain, structure: StructureField, p) -> ContactData:
