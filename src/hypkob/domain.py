@@ -421,6 +421,18 @@ class HeightProjection:
     candidate go on, together, to the normal-ray refinement. Each point
     takes its nearest converged foot, with ties within 1e-9 broken by the
     lexicographically smallest foot.
+
+    A caller that already knows a near-foot for each point (an orbit's
+    previous step, a ladder point's boundary node) passes it as
+    ``seed_feet``. Only the points bound for the fallback use it: one
+    batched Newton solve from the seeds, each point backtracking alone,
+    and a seeded foot is accepted when its solve converges and it is no
+    farther than the nearest cloud point. The rejected points go on to the
+    fallback; collar points never touch the seeds. Beyond the reach this
+    rule is as fine as the cloud and no finer: a local foot within the
+    cloud's own resolution of the nearest one is taken as nearest. On the
+    ball every deep point off the centre has a single nearest foot, and
+    any farther critical point lies beyond the cloud distance.
     """
 
     def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10):
@@ -578,8 +590,13 @@ class HeightProjection:
         first = np.lexsort(keys).reshape(f, k)[:, 0]
         return Pc.reshape(-1, n)[first], okc.any(axis=1)
 
-    def project_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Feet and Euclidean distances for a batch of interior points."""
+    def project_batch(self, X, seed_feet=None) -> tuple[np.ndarray, np.ndarray]:
+        """Feet and Euclidean distances for a batch of interior points.
+
+        ``seed_feet`` (shape of ``X``) are known near-feet, such as the
+        previous orbit step's; they are tried only for the points that
+        would otherwise go to the fallback (see the class docstring).
+        """
         dom = self.domain
         X = np.atleast_2d(np.asarray(X, dtype=float))
         r = dom.rho(X)
@@ -597,6 +614,20 @@ class HeightProjection:
         # fallback; the collar itself is dist <= eps.
         need_fallback = (~ok) | (dist > cd + 1e-9) | (dist**2 > self.epsilon * 1.25)
         idx = np.flatnonzero(need_fallback)
+
+        def accept(sel, feet):
+            P[sel] = feet
+            # the 1-D norm of each chosen offset: it can differ from the
+            # row-wise norm in the last bit, and reported depths use it
+            dist[sel] = [np.linalg.norm(P[j] - X[j]) for j in sel]
+            ok[sel] = True
+
+        if seed_feet is not None and idx.size:
+            seeds = np.atleast_2d(np.asarray(seed_feet, dtype=float))[idx]
+            Ps, oks = self._newton_polish(X[idx], seeds, block=1)
+            take = oks & (np.linalg.norm(Ps - X[idx], axis=-1) <= cd[idx] + 1e-9)
+            accept(idx[take], Ps[take])
+            idx = idx[~take]
         for lo in range(0, idx.size, _FALLBACK_CHUNK):
             part = idx[lo:lo + _FALLBACK_CHUNK]
             feet, found = self._fallback_feet(X[part])
@@ -605,12 +636,7 @@ class HeightProjection:
                 raise ProjectionDiverged(
                     f"no converged boundary foot for point index {int(part[lost][0])}"
                 )
-            sel = part[found]
-            P[sel] = feet[found]
-            # the 1-D norm of each chosen offset: it can differ from the
-            # row-wise norm in the last bit, and reported depths use it
-            dist[sel] = [np.linalg.norm(P[j] - X[j]) for j in sel]
-            ok[sel] = True
+            accept(part[found], feet[found])
         if np.any(~ok):
             raise ProjectionDiverged(f"{int(np.sum(~ok))} projections failed to converge")
         return P, dist

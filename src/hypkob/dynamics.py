@@ -138,14 +138,17 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
     below it the metric apparatus is unreliable and the orbit is flagged
     instead of advanced further. Each point is projected once: the records
     keep the heights computed while stepping, and a frozen orbit carries
-    its last point and height forward.
+    its last point and height forward. The feet of each step seed the
+    projection of the next, so a deep orbit point polishes its previous
+    foot instead of the projection's 24 cloud candidates.
     """
     X0 = np.atleast_2d(np.asarray(starts, dtype=float))
     m = X0.shape[0]
     domain = projection.domain
     floor = 1e-6 * projection.epsilon
     traj = [X0]
-    heights = [projection.height_batch(X0)]
+    feet, dist = projection.project_batch(X0)
+    heights = [np.sqrt(dist)]
     active = heights[0]**2 >= floor
     stopped = ~active
     for _ in range(n_max):
@@ -155,7 +158,9 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
         nxt = cur.copy()
         nxt[active] = _step(F, domain, cur[active])
         h = heights[-1].copy()
-        h[active] = projection.height_batch(nxt[active])
+        feet[active], dist = projection.project_batch(nxt[active],
+                                                      seed_feet=feet[active])
+        h[active] = np.sqrt(dist)
         hit = active & (h**2 < floor)
         stopped |= hit
         active &= ~hit

@@ -59,9 +59,9 @@ class TangentSplit:
 
 
 def _split_arrays(projection: HeightProjection, structure: StructureField,
-                  X: np.ndarray, V: np.ndarray):
+                  X: np.ndarray, V: np.ndarray, seed_feet=None):
     """Batched split into horizontal and normal-plane components."""
-    feet, depth = projection.project_batch(X)
+    feet, depth = projection.project_batch(X, seed_feet=seed_feet)
     n, u = transverse_frame(projection.domain, structure, feet)
     vn = (np.sum(V * n, axis=-1, keepdims=True) * n
           + np.sum(V * u, axis=-1, keepdims=True) * u)
@@ -85,8 +85,14 @@ def split_vector(projection: HeightProjection, structure: StructureField,
 
 
 def kobayashi_speed_batch(projection: HeightProjection,
-                          structure: StructureField, X, V) -> np.ndarray:
-    """Pointwise norm for aligned batches; zero vectors give zero."""
+                          structure: StructureField, X, V,
+                          seed_feet=None) -> np.ndarray:
+    """Pointwise norm for aligned batches; zero vectors give zero.
+
+    ``seed_feet``, aligned with ``X``, are known near-feet that the
+    projection tries before its fallback (``HeightProjection``); the
+    layered ladder passes each edge's boundary node.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
     vnorm = np.linalg.norm(V, axis=-1)
@@ -95,7 +101,9 @@ def kobayashi_speed_batch(projection: HeightProjection,
     if not np.any(nz):
         return out
     Xa, Va = X[nz], V[nz]
-    vh, vn, depth, _, _ = _split_arrays(projection, structure, Xa, Va)
+    seeds = None if seed_feet is None else np.atleast_2d(seed_feet)[nz]
+    vh, vn, depth, _, _ = _split_arrays(projection, structure, Xa, Va,
+                                        seed_feet=seeds)
     h = np.sqrt(depth)
     inside = depth <= projection.epsilon * (1 + 1e-12)
     nh = np.linalg.norm(vh, axis=-1)

@@ -36,7 +36,11 @@ class LayeredSolver:
 
     The levels run geometrically from ``eps / 1024`` up to the collar
     width ``eps`` (collar mode), or up to the square of 0.45 diameters,
-    shrunk until every pushed node stays interior (estimate mode).
+    shrunk until every pushed node stays interior (estimate mode). Past
+    the collar, an edge's cost is the estimate's speed at the midpoint of
+    its two pushed nodes, whose projection is seeded with the edge's
+    first boundary node. The grid's COO parts are kept, and each query
+    appends its stub and same-column edges to them in one vectorised pass.
     """
 
     def __init__(self, graph: BoundaryGraph, projection: HeightProjection,
@@ -88,7 +92,8 @@ class LayeredSolver:
         pb = nodes[jj] - t * normals[jj]
         return kobayashi_speed_batch(self.projection,
                                      self.graph.structure,
-                                     0.5 * (pa + pb), pb - pa)
+                                     0.5 * (pa + pb), pb - pa,
+                                     seed_feet=nodes[ii])
 
     def _assemble(self):
         m = self.graph.nodes.shape[0]
@@ -109,34 +114,22 @@ class LayeredSolver:
             rows.append(k * m + idx)
             cols.append((k + 1) * m + idx)
             data.append(np.full(m, vcost[k]))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-        n = L * m
-        self._grid = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        # the raw COO parts; queries append their own edges to them
+        self._parts = (np.concatenate(rows), np.concatenate(cols),
+                       np.concatenate(data))
+        self._n = L * m
 
     # -- queries -------------------------------------------------------------
 
     def _query_stubs(self, depths: np.ndarray, cols: np.ndarray, offset: int):
-        """Edges from virtual query nodes into the grid."""
+        """Edges from virtual query nodes to their column's adjacent levels."""
         L = self.levels.size
-        m = self._m
-        rows, colsout, data = [], [], []
         pos = np.searchsorted(self.levels, depths)
-        for q, (s, c) in enumerate(zip(depths, cols)):
-            attach = []
-            p = pos[q]
-            if p > 0:
-                attach.append(p - 1)
-            if p < L:
-                attach.append(p)
-            for lvl in attach:
-                t = self.levels[lvl]
-                lo, hi = (s, t) if s <= t else (t, s)
-                rows.append(offset + q)
-                colsout.append(lvl * m + c)
-                data.append(float(self._vertical_cost(lo, hi)))
-        return rows, colsout, data
+        q = np.concatenate([np.flatnonzero(pos > 0), np.flatnonzero(pos < L)])
+        lvl = np.concatenate([pos[pos > 0] - 1, pos[pos < L]])
+        s, t = depths[q], self.levels[lvl]
+        cost = self._vertical_cost(np.minimum(s, t), np.maximum(s, t))
+        return offset + q, lvl * self._m + cols[q], cost
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Pairwise solver distances for a pool of interior points."""
@@ -148,23 +141,22 @@ class LayeredSolver:
             raise ConfigError("query points must be strictly interior")
         cols = self.graph.snap(feet)
         Q = pts.shape[0]
-        n = self._grid.shape[0]
-        rows, colsout, data = self._query_stubs(depth, cols, n)
+        n = self._n
+        sr, sc, sd = self._query_stubs(depth, cols, n)
         # exact vertical edges between queries sharing a column
         scale = self.graph.domain.diameter_estimate()
-        for a in range(Q):
-            for b in range(a + 1, Q):
-                if cols[a] == cols[b] and np.linalg.norm(
-                        feet[a] - feet[b]) <= 1e-8 * scale:
-                    lo, hi = sorted((depth[a], depth[b]))
-                    rows.append(n + a)
-                    colsout.append(n + b)
-                    data.append(float(self._vertical_cost(lo, hi)))
-        base = self._grid.tocoo()
+        a, b = np.triu_indices(Q, k=1)
+        same = cols[a] == cols[b]
+        a, b = a[same], b[same]
+        same = np.linalg.norm(feet[a] - feet[b], axis=-1) <= 1e-8 * scale
+        a, b = a[same], b[same]
+        vd = self._vertical_cost(np.minimum(depth[a], depth[b]),
+                                 np.maximum(depth[a], depth[b]))
+        rows, colsout, data = self._parts
         aug = coo_matrix(
-            (np.concatenate([base.data, np.asarray(data)]),
-             (np.concatenate([base.row, np.asarray(rows, dtype=int)]),
-              np.concatenate([base.col, np.asarray(colsout, dtype=int)]))),
+            (np.concatenate([data, sd, vd]),
+             (np.concatenate([rows, sr, n + a]),
+              np.concatenate([colsout, sc, n + b]))),
             shape=(n + Q, n + Q)).tocsr()
         ids = np.arange(n, n + Q)
         D = dijkstra(aug, directed=False, indices=ids)[:, ids]
