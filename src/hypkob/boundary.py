@@ -9,6 +9,13 @@ frame pinned at the node nearest the edge midpoint. At anisotropy 1
 the weights collapse to plain Euclidean chord lengths. Distances are
 Dijkstra shortest paths; rows are cached.
 
+Nodes are thinned from oversampled boundary candidates by the exact
+greedy farthest-point rule; a KD-tree over the candidates prunes each
+step's distance update to the candidates it can change, without changing
+the chosen nodes. The adjacency is symmetric by construction, so rows and
+geodesics run one-direction Dijkstra on it; a graph whose adjacency is not
+exactly symmetric, such as an edited cache, is refused.
+
 Two evaluation modes coexist deliberately. Snapping to nodes gives an
 exact pseudometric on the node set (used for tables and long-range
 queries); the local mode corrects short-range queries with direct chord
@@ -50,6 +57,9 @@ class BoundaryGraph:
         self.domain = domain
         self.structure = structure
         self.nodes = np.asarray(nodes, dtype=float)
+        if (adjacency != adjacency.T).nnz:
+            raise ConfigError("graph adjacency is not symmetric; rows and "
+                              "geodesics run one-direction Dijkstra on it")
         self.adjacency = adjacency
         self.params = dict(params)
         self.tree = cKDTree(self.nodes)
@@ -68,6 +78,9 @@ class BoundaryGraph:
         boundary candidates: ``farthest`` point sampling for even spacing,
         ``halton`` to keep the quasirandom candidates in order (nested
         under refinement), or ``curvature`` for curvature-weighted draws.
+        ``farthest`` is the exact greedy rule, with each step's update
+        pruned by a KD-tree. The k-NN adjacency is made symmetric
+        (``A.maximum(A.T)``), so distance rows use one-direction Dijkstra.
         """
         if n_nodes < 8:
             raise ConfigError("boundary graphs need at least 8 nodes")
@@ -206,7 +219,7 @@ class BoundaryGraph:
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         missing = [int(i) for i in np.unique(indices) if int(i) not in self._rows]
         if missing:
-            rows = dijkstra(self.adjacency, directed=False, indices=missing)
+            rows = dijkstra(self.adjacency, directed=True, indices=missing)
             for pos, i in enumerate(missing):
                 self._rows[i] = rows[pos]
         return np.stack([self._rows[int(i)] for i in indices])
@@ -255,7 +268,7 @@ class BoundaryGraph:
         """Node polyline and length of a shortest path between snapped points."""
         i, j = (int(v) for v in self.snap(np.stack([
             np.asarray(p, dtype=float), np.asarray(q, dtype=float)])))
-        dist, pred = dijkstra(self.adjacency, directed=False, indices=i,
+        dist, pred = dijkstra(self.adjacency, directed=True, indices=i,
                               return_predecessors=True)
         self._rows.setdefault(i, dist)
         if not np.isfinite(dist[j]):
@@ -298,7 +311,12 @@ class BoundaryGraph:
 
 
 def _farthest_point_subset(cand: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Greedy farthest-point thinning, started from a seeded candidate."""
+    """Greedy farthest-point thinning, started from a seeded candidate.
+
+    Exactly the greedy rule: each step takes the first candidate of
+    largest distance to the chosen set. A KD-tree over the candidates
+    limits each step's distance update to the candidates it can change.
+    """
     rng = np.random.default_rng(seed)
     m = cand.shape[0]
     if n >= m:
@@ -307,10 +325,19 @@ def _farthest_point_subset(cand: np.ndarray, n: int, seed: int) -> np.ndarray:
     chosen = np.empty(n, dtype=int)
     chosen[0] = start
     mind = np.linalg.norm(cand - cand[start], axis=-1)
+    tree = cKDTree(cand)
     for t in range(1, n):
         nxt = int(np.argmax(mind))
         chosen[t] = nxt
-        np.minimum(mind, np.linalg.norm(cand - cand[nxt], axis=-1), out=mind)
+        # mind[nxt] is the largest minimum, so only candidates within it of
+        # cand[nxt] can get smaller; the margin keeps any the tree's own
+        # rounding would leave out. The update repeats the full loop's
+        # expression, so every mind value, and each argmax, is unchanged.
+        near = np.asarray(tree.query_ball_point(cand[nxt],
+                                                mind[nxt] * (1 + 1e-9)),
+                          dtype=int)
+        mind[near] = np.minimum(
+            mind[near], np.linalg.norm(cand[near] - cand[nxt], axis=-1))
     return cand[np.sort(chosen)]
 
 

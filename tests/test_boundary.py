@@ -1,8 +1,37 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from hypkob import (BoundaryGraph, BoundaryMap, ConfigError, ImageOffBoundary,
-                    lipschitz_details)
+from hypkob import (BoundaryGraph, BoundaryMap, ConfigError, Domain,
+                    ImageOffBoundary, lipschitz_details)
+from hypkob.boundary import _farthest_point_subset
+
+
+def _greedy_reference(cand, n, seed):
+    """Unpruned greedy farthest-point loop: every step updates every candidate."""
+    rng = np.random.default_rng(seed)
+    m = cand.shape[0]
+    if n >= m:
+        return cand
+    start = int(rng.integers(m))
+    chosen = np.empty(n, dtype=int)
+    chosen[0] = start
+    mind = np.linalg.norm(cand - cand[start], axis=-1)
+    for t in range(1, n):
+        nxt = int(np.argmax(mind))
+        chosen[t] = nxt
+        np.minimum(mind, np.linalg.norm(cand - cand[nxt], axis=-1), out=mind)
+    return cand[np.sort(chosen)]
+
+
+def _ellipsoid_0707():
+    return Domain.from_spec({
+        "dimension": 4,
+        "defining_function": {"type": "ellipsoid",
+                              "semi_axes": [1.0, 1.0, 0.7, 0.7]},
+    })
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +66,73 @@ def test_anisotropy_below_one_rejected(ball, structure):
     with pytest.raises(ConfigError):
         BoundaryGraph.build(ball, structure, n_nodes=64, k_neighbors=6,
                             anisotropy=0.5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_farthest_point_subset_equals_greedy_loop(ball, seed):
+    for dom in (ball, _ellipsoid_0707()):
+        cand = dom.sample_boundary(1200, seed=seed, quasi=True)
+        got = _farthest_point_subset(cand, 300, seed)
+        assert np.array_equal(got, _greedy_reference(cand, 300, seed))
+
+
+def _reflect(points, v):
+    """Householder reflection by elementwise sums, so its rounding is portable."""
+    v = np.asarray(v, dtype=float)
+    H = np.eye(v.size) - 2.0 * v[:, None] * v[None, :] / np.sum(v * v)
+    return np.sum(points[:, :, None] * H[None, :, :], axis=1)
+
+
+def test_farthest_point_subset_equals_greedy_loop_on_ties():
+    grid = np.arange(5.0)
+    lattice = np.stack(np.meshgrid(grid, grid, grid, grid, indexing="ij"),
+                       axis=-1).reshape(-1, 4)
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=8)))
+    cases = [
+        # an integer lattice: many distances tie exactly, so the first
+        # index of the largest value must win as in the full loop
+        (lattice, [(300, 0), (300, 5), (624, 2)]),
+        # the same lattice reflected: "equal" distances differ in the last
+        # bits, so any other distance expression picks other nodes
+        (_reflect(0.1 * lattice, [1, -2, 3, 1]), [(300, 0), (300, 5)]),
+        # a reflected 8-cube: in 8 dimensions the tree's squared distances
+        # round differently from the norm, and without the pruning margin
+        # it leaves out a candidate whose minimum the full loop lowers
+        (_reflect(0.3 * cube, [-3, 2, 1, 2, -4, 2, 5, 3]),
+         [(110, 0), (80, 1), (255, 0)]),
+    ]
+    for cand, runs in cases:
+        for n, seed in runs:
+            got = _farthest_point_subset(cand, n, seed)
+            assert np.array_equal(got, _greedy_reference(cand, n, seed))
+        for n in (cand.shape[0], cand.shape[0] + 5):
+            assert _farthest_point_subset(cand, n, 0) is cand
+
+
+@pytest.mark.parametrize("which", ["ball", "ellipsoid"])
+def test_rows_and_geodesics_equal_undirected_dijkstra(graph, structure, which):
+    if which == "ball":
+        src = graph
+    else:
+        src = BoundaryGraph.build(_ellipsoid_0707(), structure, n_nodes=300,
+                                  k_neighbors=10, anisotropy=8.0, seed=4)
+    # a fresh row cache, so every row below is computed here
+    g = BoundaryGraph(src.domain, src.structure, src.nodes, src.adjacency,
+                      src.params)
+    m = g.nodes.shape[0]
+    sources = np.arange(0, m, 7)
+    ref = dijkstra(g.adjacency, directed=False, indices=sources)
+    assert np.array_equal(g.rows_from(sources), ref)
+    rng = np.random.default_rng(21)
+    for i, j in rng.integers(0, m, size=(25, 2)):
+        dist, pred = dijkstra(g.adjacency, directed=False, indices=int(i),
+                              return_predecessors=True)
+        path = [int(j)]
+        while path[-1] != i:
+            path.append(int(pred[path[-1]]))
+        nodes, total = g.geodesic(g.nodes[i], g.nodes[j])
+        assert np.array_equal(nodes, g.nodes[np.array(path[::-1])])
+        assert total == dist[j]
 
 
 def test_distance_dominates_straight_chord(graph):

@@ -340,6 +340,26 @@ def test_graph_cache_refuses_another_setup(rig, tmp_path):
     assert main(argv) == 2
 
 
+def test_graph_cache_refuses_asymmetric_adjacency(rig, tmp_path, capsys):
+    pairs = write_pairs(rig["root"] / "pairs_s.csv", [SAME])
+    code, _ = run(rig, "dist", "out_cache_sym", "--metric", "g",
+                  "--pairs", pairs)
+    assert code == 0
+    with np.load(rig["cache"] + ".npz", allow_pickle=False) as z:
+        arrays = {key: z[key] for key in z.files}
+    # one direction of one edge changes; the setup hash stays valid
+    arrays["data"] = arrays["data"].copy()
+    arrays["data"][0] *= 2.0
+    bad = str(tmp_path / "asymmetric.npz")
+    np.savez_compressed(bad, **arrays)
+    capsys.readouterr()
+    argv = ["dist", "--metric", "g", "--pairs", pairs, "--config",
+            rig["config"], "--out", str(tmp_path / "out_asym"),
+            "--graph-cache", bad]
+    assert main(argv) == 2
+    assert "not symmetric" in capsys.readouterr().err
+
+
 def test_delta_rejects_kobayashi_metric(rig):
     with pytest.raises(SystemExit) as exc:
         main(["delta", "--config", rig["config"], "--metric", "kob"])
