@@ -33,8 +33,7 @@ from .boundary import (
 )
 from .metrics import (
     MetricFamily, MetricFunctional, Polyline, PreparedPoints,
-    collar_profile_distance, path_length, estimate_C, lift_dipping_path,
-    dilation,
+    collar_profile_distance, path_length, estimate_C,
 )
 from .kobayashi import (
     TangentSplit, split_vector, kobayashi_speed, kobayashi_speed_batch,

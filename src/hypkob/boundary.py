@@ -191,17 +191,17 @@ class BoundaryGraph:
         return np.sqrt(horiz * horiz + (lam * trans) ** 2)
 
     def edge_components(self):
-        """Upper-triangle edge list with split chord components.
+        """Upper-triangle edge list with weights and split chord components.
 
-        Returns ``(ii, jj, horiz, trans)`` where the components use the
-        same midpoint frames as the stored edge weights.
+        Returns ``(ii, jj, w, horiz, trans)``: ``w`` holds the stored edge
+        weights, and the components use the same midpoint frames.
         """
         coo = self.adjacency.tocoo()
         mask = coo.row < coo.col
         ii = coo.row[mask]
         jj = coo.col[mask]
         horiz, trans = self.chord_parts(self.nodes[ii], self.nodes[jj])
-        return ii, jj, horiz, trans
+        return ii, jj, coo.data[mask], horiz, trans
 
     def node_normals(self) -> np.ndarray:
         return self._frames[0]

@@ -329,8 +329,7 @@ def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
                 entries.append({"pair": i, "error": "parse"})
                 continue
             try:
-                pl = fam.geodesic(x, y)
-                dval = fam.d(x, y)
+                pl, dval = fam.composite_upper_path(x, y)
                 glen = path_length(pl, gfun, rel_tol=1e-4, max_depth=8)
                 seg = []
                 if pl.points.shape[0] > 1:

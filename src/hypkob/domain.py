@@ -178,6 +178,9 @@ def polynomial_field(dim: int, terms) -> ScalarField:
 # boundary points in the cached cloud that seeds every projection
 _CLOUD_SIZE = 4096
 
+# feet closer than this fraction of the domain diameter share one normal ray
+_FOOT_TOL = 1e-8
+
 
 class Domain:
     """A bounded domain ``{rho < 0}`` with a bounding box and sampling helpers.
@@ -341,6 +344,15 @@ class Domain:
             d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
             self._diameter = float(np.sqrt(d2.max()))
         return self._diameter
+
+    def same_foot(self, fa, fb) -> np.ndarray:
+        """Whether boundary feet coincide within tolerance.
+
+        Coinciding feet share one normal ray; the tolerance is
+        ``_FOOT_TOL`` times the diameter estimate.
+        """
+        scale = self.diameter_estimate()
+        return np.linalg.norm(fa - fb, axis=-1) <= _FOOT_TOL * scale
 
     # -- construction from a spec mapping ------------------------------------
 

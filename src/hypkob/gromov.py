@@ -315,7 +315,7 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
 
 def _edge_nodes(functional: MetricFunctional, x, y, subdiv: int) -> np.ndarray:
     if functional.kind in ("g", "d"):
-        pl = functional.family.geodesic(x, y)
+        pl, _ = functional.family.composite_upper_path(x, y)
     else:
         pl = Polyline(np.stack([np.asarray(x, dtype=float),
                                 np.asarray(y, dtype=float)]))

@@ -11,6 +11,12 @@ and the core carries a comparable fixed metric. Curve lengths are
 distances come from the layered shell solver. A fit routine compares
 the resulting distance with the boundary-anchored log metric and
 reports the smallest multiplicative-additive sandwich.
+
+The weights live here and nowhere else: the constants ``A_H`` and
+``A_N`` of the norm ``A_H |v_H| / sqrt(depth) + A_N |v_N| / depth``, and
+``kobayashi_rate``, its value from the two component norms. The layered
+solver (collar levels, rungs and query stubs) and the exact length of
+ray-aligned segments in ``metrics`` read them from this module.
 """
 
 from __future__ import annotations
@@ -84,6 +90,28 @@ def split_vector(projection: HeightProjection, structure: StructureField,
                         v_N=vn[0], v_H=vh[0])
 
 
+# weights of the horizontal and transverse parts of the estimate
+A_H = 1.0
+A_N = 1.0
+
+
+def kobayashi_rate(nh, nn, depth, eps):
+    """The estimate's speed from the component norms at a depth.
+
+    ``nh`` and ``nn`` are the norms of the horizontal and transverse
+    parts of a vector. Inside the collar (``depth <= eps``) the speed is
+    ``A_H nh / sqrt(depth) + A_N nn / depth``; past the collar roof both
+    weights decay like ``1/depth``, scaled to join the collar form
+    continuously, so the core carries a fixed comparable metric instead
+    of a jump at the roof. Along a normal ray the speed is
+    ``A_N / depth`` at every depth, so a ray segment from ``t_lo`` to
+    ``t_hi`` has length ``A_N log(t_hi / t_lo)``.
+    """
+    inside = depth <= eps * (1 + 1e-12)
+    return np.where(inside, A_H * nh / np.sqrt(depth) + A_N * nn / depth,
+                    (A_H * math.sqrt(eps) * nh + A_N * nn) / depth)
+
+
 def kobayashi_speed_batch(projection: HeightProjection,
                           structure: StructureField, X, V,
                           seed_feet=None) -> np.ndarray:
@@ -104,16 +132,9 @@ def kobayashi_speed_batch(projection: HeightProjection,
     seeds = None if seed_feet is None else np.atleast_2d(seed_feet)[nz]
     vh, vn, depth, _, _ = _split_arrays(projection, structure, Xa, Va,
                                         seed_feet=seeds)
-    h = np.sqrt(depth)
-    inside = depth <= projection.epsilon * (1 + 1e-12)
-    nh = np.linalg.norm(vh, axis=-1)
-    nn = np.linalg.norm(vn, axis=-1)
-    # past the collar roof both weights decay like 1/depth, scaled to
-    # join the collar form continuously; the core then carries a fixed
-    # comparable metric instead of a jump at the roof
-    root = math.sqrt(projection.epsilon)
-    val = np.where(inside, nh / h + nn / depth, (root * nh + nn) / depth)
-    out[nz] = val
+    out[nz] = kobayashi_rate(np.linalg.norm(vh, axis=-1),
+                             np.linalg.norm(vn, axis=-1), depth,
+                             projection.epsilon)
     return out
 
 

@@ -41,6 +41,10 @@ class LayeredSolver:
     its two pushed nodes, whose projection is seeded with the edge's
     first boundary node. The grid's COO parts are kept, and each query
     appends its stub and same-column edges to them in one vectorised pass.
+
+    The collar mode charges the graph's stored edge weights. The estimate
+    mode owns no weights of its own: its collar levels, its rungs and its
+    query stubs read ``kobayashi.kobayashi_rate`` and ``kobayashi.A_N``.
     """
 
     def __init__(self, graph: BoundaryGraph, projection: HeightProjection,
@@ -75,17 +79,19 @@ class LayeredSolver:
         t_lo = np.asarray(t_lo, dtype=float)
         t_hi = np.asarray(t_hi, dtype=float)
         ratio = np.log(t_hi / t_lo)
-        return 0.5 * ratio if self.mode == "collar" else ratio
+        if self.mode == "collar":
+            return 0.5 * ratio
+        from .kobayashi import A_N
+        return A_N * ratio
 
     def _horizontal_costs(self, t: float) -> np.ndarray:
         """Per-edge costs at one depth level."""
-        ii, jj, u, z = self._edges
+        ii, jj, w, u, z = self._edges
         if self.mode == "collar":
-            lam = self.graph.params["anisotropy"]
-            return 2.0 * np.sqrt(u * u + (lam * z) ** 2) / math.sqrt(t)
+            return 2.0 * w / math.sqrt(t)
+        from .kobayashi import kobayashi_rate, kobayashi_speed_batch
         if t <= self.eps * (1 + 1e-12):
-            return u / math.sqrt(t) + z / t
-        from .kobayashi import kobayashi_speed_batch
+            return kobayashi_rate(u, z, t, self.eps)
         nodes = self.graph.nodes
         normals = self.graph.node_normals()
         pa = nodes[ii] - t * normals[ii]
@@ -100,7 +106,7 @@ class LayeredSolver:
         L = self.levels.size
         self._m = m
         self._edges = self.graph.edge_components()
-        ii, jj, _, _ = self._edges
+        ii, jj = self._edges[:2]
         rows, cols, data = [], [], []
         for k, t in enumerate(self.levels):
             base = k * m
@@ -144,11 +150,10 @@ class LayeredSolver:
         n = self._n
         sr, sc, sd = self._query_stubs(depth, cols, n)
         # exact vertical edges between queries sharing a column
-        scale = self.graph.domain.diameter_estimate()
         a, b = np.triu_indices(Q, k=1)
         same = cols[a] == cols[b]
         a, b = a[same], b[same]
-        same = np.linalg.norm(feet[a] - feet[b], axis=-1) <= 1e-8 * scale
+        same = self.graph.domain.same_foot(feet[a], feet[b])
         a, b = a[same], b[same]
         vd = self._vertical_cost(np.minimum(depth[a], depth[b]),
                                  np.maximum(depth[a], depth[b]))

@@ -44,14 +44,9 @@ __all__ = [
     "path_length",
     "collar_profile_distance",
     "estimate_C",
-    "lift_dipping_path",
-    "dilation",
 ]
 
 FUNCTIONAL_KINDS = ("g", "d", "kobayashi_estimate", "euclidean")
-
-# feet closer than this fraction of the domain diameter share one normal ray
-_FOOT_TOL = 1e-8
 
 
 def _peak(w, ha, hb, eps):
@@ -210,11 +205,6 @@ class MetricFamily:
 
     # -- the two metrics ------------------------------------------------------
 
-    def _same_foot(self, fa, fb) -> np.ndarray:
-        """Whether feet coincide within tolerance, i.e. share one normal ray."""
-        scale = self.graph.domain.diameter_estimate()
-        return np.linalg.norm(fa - fb, axis=-1) <= _FOOT_TOL * scale
-
     def kernel(self, kind: str, W, A: PreparedPoints,
                B: PreparedPoints) -> np.ndarray:
         """Values of ``g`` or ``d`` from the boundary separations ``W``.
@@ -236,7 +226,7 @@ class MetricFamily:
         out = A.extra + B.extra + core
         both_deep = (A.extra > 0) & (B.extra > 0)
         if np.any(both_deep):
-            same_ray = both_deep & self._same_foot(A.feet, B.feet)
+            same_ray = both_deep & self.graph.domain.same_foot(A.feet, B.feet)
             if np.any(same_ray):
                 direct = np.linalg.norm(A.points - B.points, axis=-1)
                 out = np.where(same_ray, direct, out)
@@ -296,7 +286,7 @@ class MetricFamily:
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
-        if not self._same_foot(A.feet[0], B.feet[0]):
+        if not self.graph.domain.same_foot(A.feet[0], B.feet[0]):
             gap = float(np.linalg.norm(A.feet[0] - B.feet[0]))
             raise ProjectionsDiffer(
                 f"feet differ by {gap:.3e}; not a single-ray pair")
@@ -326,7 +316,7 @@ class MetricFamily:
                 f"heights {A.height[0]:.6g} and {B.height[0]:.6g} differ")
         if A.extra[0] > 0 or B.extra[0] > 0:
             raise ConfigError("horizontal paths are collar constructions")
-        if self._same_foot(A.feet[0], B.feet[0]):
+        if self.graph.domain.same_foot(A.feet[0], B.feet[0]):
             return Polyline(A.points[0][None])
         h = float(A.height[0])
         t = h * h
@@ -349,7 +339,7 @@ class MetricFamily:
         B = self.prepare(np.asarray(y, dtype=float)[None])
         dval = float(self.d_pairs(A, B)[0])
         if (A.extra[0] > 0 and B.extra[0] > 0
-                and self._same_foot(A.feet[0], B.feet[0])):
+                and self.graph.domain.same_foot(A.feet[0], B.feet[0])):
             pl = Polyline(np.stack([A.points[0], B.points[0]]))
             return pl, dval
         w = float(self.separations(A, B)[0])
@@ -385,11 +375,6 @@ class MetricFamily:
         pl = Polyline(np.array(pts), frame_nodes=frames,
                       vertical=np.array(vertical, dtype=bool))
         return pl, dval
-
-    def geodesic(self, x, y) -> Polyline:
-        """Minimizing polyline for ``d``: vertical stubs over an optimal shell."""
-        pl, _ = self.composite_upper_path(x, y)
-        return pl
 
     def functional(self, kind: str) -> "MetricFunctional":
         return MetricFunctional(kind=kind, family=self)
@@ -471,10 +456,14 @@ def _rate_sum(family: MetricFamily, pl: Polyline, pts: np.ndarray,
     vert = (np.zeros(nseg, dtype=bool) if pl.vertical is None
             else pl.vertical.astype(bool))
     total = 0.0
-    scale = 2.0 if kind == "kobayashi_estimate" else 1.0
     if np.any(vert):
+        # the ray length under g; the estimate's, A_N |log(t1/t0)|, is
+        # 2 A_N times it
         logs = np.abs(np.log(h[1:] / h[:-1]))
-        total += scale * float(logs[vert].sum())
+        if kind == "kobayashi_estimate":
+            from .kobayashi import A_N
+            logs = 2.0 * A_N * logs
+        total += float(logs[vert].sum())
     keep = ~vert
     if not np.any(keep):
         return total
@@ -565,56 +554,3 @@ def estimate_C(family: MetricFamily, pairs=None, n_pairs: int = 2000,
         B = family.prepare_on_rays(idx[:, 1], depths[:, 1])
     gap = family.d_pairs(A, B) - family.g_pairs(A, B)
     return float(np.max(gap))
-
-
-def lift_dipping_path(family: MetricFamily, polyline: Polyline,
-                      floor_height: float) -> Polyline:
-    """Replace the below-floor stretch by a path along the floor shell.
-
-    Interior points whose height dips under the floor are moved out to
-    the shell at the floor height along their normal rays; endpoints stay
-    put. The lifted path never measures longer under the collar metrics.
-    """
-    if not (floor_height > 0):
-        raise ConfigError("the floor height must be positive")
-    P = family.prepare(polyline.points)
-    lift = P.height < floor_height
-    lift[0] = False
-    lift[-1] = False
-    if not np.any(lift):
-        return Polyline(polyline.points.copy())
-    t = floor_height * floor_height
-    pts = polyline.points.copy()
-    n = family.graph.domain.outward_normal(P.feet[lift])
-    pts[lift] = P.feet[lift] - t * n
-    return Polyline(pts)
-
-
-def dilation(polyline: Polyline, functional: MetricFunctional, t: float,
-             step: float = 1e-4) -> float:
-    """Metric stretch rate at parameter ``t`` along the polyline.
-
-    The parametrization is Euclidean arc length; the rate is a central
-    difference of the pairwise distance across a short parameter window,
-    clipped at the ends of the path.
-    """
-    params = polyline.params()
-    total = float(params[-1])
-    if total <= 0:
-        raise ConfigError("dilation needs a path of positive length")
-    lo = max(0.0, float(t) - step)
-    hi = min(total, float(t) + step)
-    if hi <= lo:
-        raise ConfigError("parameter outside the path range")
-    pts = polyline.points
-    lo_pt = _point_at_param(pts, params, lo)
-    hi_pt = _point_at_param(pts, params, hi)
-    return functional.pair(lo_pt, hi_pt) / (hi - lo)
-
-
-def _point_at_param(pts: np.ndarray, params: np.ndarray, s: float) -> np.ndarray:
-    j = int(np.searchsorted(params, s, side="right") - 1)
-    j = min(max(j, 0), pts.shape[0] - 2)
-    seg = params[j + 1] - params[j]
-    frac = 0.0 if seg <= 0 else (s - params[j]) / seg
-    return (1.0 - frac) * pts[j] + frac * pts[j + 1]

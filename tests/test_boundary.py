@@ -41,7 +41,7 @@ def iso_graph(ball, structure):
 
 
 def test_unit_anisotropy_weights_are_chords(iso_graph):
-    ii, jj, horiz, trans = iso_graph.edge_components()
+    ii, jj, _, horiz, trans = iso_graph.edge_components()
     chords = np.linalg.norm(iso_graph.nodes[ii] - iso_graph.nodes[jj], axis=1)
     assert np.allclose(np.sqrt(horiz**2 + trans**2), chords, atol=1e-12)
     w = np.asarray(iso_graph.adjacency[ii, jj]).ravel()
@@ -52,7 +52,7 @@ def test_weights_monotone_in_anisotropy(ball, structure, iso_graph):
     g8 = BoundaryGraph.build(ball, structure, n_nodes=200, k_neighbors=8,
                              anisotropy=8.0, seed=3)
     assert np.array_equal(g8.nodes, iso_graph.nodes)
-    ii, jj, _, _ = iso_graph.edge_components()
+    ii, jj = iso_graph.edge_components()[:2]
     w1 = np.asarray(iso_graph.adjacency[ii, jj]).ravel()
     w8 = np.asarray(g8.adjacency[ii, jj]).ravel()
     chords = np.linalg.norm(g8.nodes[ii] - g8.nodes[jj], axis=1)

@@ -1,12 +1,17 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and the
+public names agree.
 
 No linter ships with the test extra, so this parses each source file with
 ``ast``. A name counts as used when it appears as a name, as the root of
 an attribute chain, inside a quoted annotation, or in ``__all__``. The
 package ``__init__`` is exempt: its imports are the public re-exports.
+Every ``__all__`` entry must be bound in its module, and every name the
+package ``__init__`` re-exports from a module that defines ``__all__``
+must be listed there.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -61,3 +66,23 @@ def test_module_uses_every_import(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert unused == [], f"{path.name} imports but never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_are_bound(path):
+    mod = importlib.import_module(f"hypkob.{path.stem}")
+    unbound = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert unbound == [], f"{path.name} lists unbound names: {unbound}"
+
+
+def test_reexports_are_listed_in_all():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    unlisted = []
+    for node in tree.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        mod = importlib.import_module(f"hypkob.{node.module}")
+        if hasattr(mod, "__all__"):
+            unlisted += [f"{node.module}.{a.name}" for a in node.names
+                         if a.name not in mod.__all__]
+    assert unlisted == [], f"re-exported but not in __all__: {unlisted}"

@@ -6,6 +6,7 @@ import pytest
 from hypkob import (ConfigError, KobayashiMetric, Polyline,
                     PointOutsideShellRegion, ZeroVector, kobayashi_speed,
                     path_length, quasi_isometry_fit, qi_check, split_vector)
+from hypkob import kobayashi
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS
@@ -161,6 +162,31 @@ def test_solver_distance_bounded_by_path_lengths(kmetric, family, graph):
                          rel_tol=1e-5, max_depth=14)
     got = kmetric.distance(a, b)
     assert 0.0 < got <= direct * (1.0 + 1e-9)
+
+
+def test_weights_have_one_owner(monkeypatch, projection, structure, graph,
+                                family):
+    # the speed, the layered ladder and ray-segment lengths all follow
+    # the two constants of the kobayashi module
+    x = np.array([0.99, 0.0, 0.0, 0.0])  # depth 0.01
+    radial, horizontal = np.eye(4)[0], np.eye(4)[2]
+    before = [kobayashi_speed(projection, structure, x, v)
+              for v in (radial, horizontal)]
+    scale_n, scale_h = 0.3 / kobayashi.A_N, 0.6 / kobayashi.A_H
+    monkeypatch.setattr(kobayashi, "A_N", 0.3)
+    monkeypatch.setattr(kobayashi, "A_H", 0.6)
+    s_n, s_h = [kobayashi_speed(projection, structure, x, v)
+                for v in (radial, horizontal)]
+    assert abs(s_n - scale_n * before[0]) < 1e-12 * before[0]
+    assert abs(s_h - scale_h * before[1]) < 1e-12 * before[1]
+    f = graph.nodes[21]
+    a, b = ray_point(f, 0.4), ray_point(f, 0.04)
+    want = 0.3 * math.log(10.0)
+    solver = LayeredSolver(graph, projection, mode="kobayashi")
+    assert abs(solver.distance(a, b) - want) < 1e-9
+    got = path_length(family.vertical_path(a, b),
+                      family.functional("kobayashi_estimate"))
+    assert abs(got - want) < 1e-9
 
 
 def test_layered_solver_mode_guards(graph, projection):

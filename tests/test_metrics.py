@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hypkob import (ConfigError, HeightsDiffer, Polyline, ProjectionsDiffer,
-                    RefinementStalled, collar_profile_distance, dilation,
-                    estimate_C, lift_dipping_path, path_length)
+                    RefinementStalled, collar_profile_distance, estimate_C,
+                    path_length)
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS
@@ -231,7 +231,7 @@ def test_composite_path_certifies_d(family, graph):
 def test_geodesic_polyline_realizes_distance(family, graph):
     x = ray_point(graph.nodes[60], 0.05)
     y = ray_point(graph.nodes[400], 0.2)
-    pl = family.geodesic(x, y)
+    pl, _ = family.composite_upper_path(x, y)
     glen = path_length(pl, family.functional("g"), rel_tol=1e-5)
     dv = family.d(x, y)
     assert abs(glen - dv) / dv < 0.05
@@ -256,42 +256,6 @@ def test_refinement_stall_raises(family, graph):
         path_length(pl, fn, rel_tol=1e-15, max_depth=1)
     prev, last = exc_info.value.args[1]
     assert np.isfinite(prev) and np.isfinite(last)
-
-
-def test_dilation_of_vertical_path(family, graph):
-    f = graph.nodes[70]
-    y, x = ray_point(f, 0.04), ray_point(f, 0.36)
-    pl = family.vertical_path(y, x)
-    fn = family.functional("d")
-    for t in (0.05, 0.15, 0.25):
-        got = dilation(pl, fn, t)
-        want = 0.5 / (0.04 + t)
-        assert abs(got - want) / want < 1e-3
-
-
-def test_lift_dipping_path_shortens(family, graph):
-    i, j = 25, 120
-    a = ray_point(graph.nodes[i], 0.16)
-    b = ray_point(graph.nodes[j], 0.16)
-    nodes, _ = graph.geodesic(graph.nodes[i], graph.nodes[j])
-    hugging = [a]
-    for p in nodes:
-        hugging.append(ray_point(p, 1e-4))
-    hugging.append(b)
-    from hypkob import Polyline
-    pl = Polyline(np.array(hugging))
-    lifted = lift_dipping_path(family, pl, floor_height=0.2)
-    fn = family.functional("g")
-    len_orig = path_length(pl, fn, rel_tol=1e-4, max_depth=12)
-    len_lift = path_length(lifted, fn, rel_tol=1e-4, max_depth=12)
-    assert len_lift <= len_orig + 1e-9
-    inner = lifted.points[1:-1]
-    h = family.projection.height_batch(inner)
-    assert np.all(h >= 0.2 - 1e-6)
-    assert np.allclose(lifted.points[0], pl.points[0])
-    assert np.allclose(lifted.points[-1], pl.points[-1])
-    with pytest.raises(ConfigError):
-        lift_dipping_path(family, pl, floor_height=0.0)
 
 
 def test_estimate_C_finite_and_stable(family):
