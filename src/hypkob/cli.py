@@ -131,6 +131,30 @@ def _cmd_check(args, cfg: RunConfig, ws: Workspace):
     return report, (0 if ok else 1)
 
 
+def _batch_values(fam, kind: str, rows: list) -> dict:
+    """Row index to ``[g]``, or ``[g, d]`` for kind ``d``, over all parsed rows.
+
+    One ``prepare`` call projects the endpoints of all rows, and one
+    ``g_pairs`` (and ``d_pairs``) call evaluates them. Empty when the
+    batch raises, so that the rows go one at a time and a bad row marks
+    only itself.
+    """
+    idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
+    if kind not in ("g", "d") or not idx:
+        return {}
+    m = len(idx)
+    XY = np.array([rows[i][1] for i in idx] + [rows[i][2] for i in idx])
+    try:
+        P = fam.prepare(XY)
+        A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
+        cols = [fam.g_pairs(A, B)]
+        if kind == "d":
+            cols.append(fam.d_pairs(A, B))
+    except HypkobError:
+        return {}
+    return {i: [float(c[k]) for c in cols] for k, i in enumerate(idx)}
+
+
 def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     kind = _KIND[args.metric]
     rows = read_pair_rows(args.pairs, ws.domain.dim)
@@ -139,6 +163,7 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     kmetric = None
     if kind == "kobayashi_estimate":
         kmetric = KobayashiMetric(ws.projection, ws.graph)
+    batch = _batch_values(fam, kind, rows)
     dim = ws.domain.dim
     header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
     if kind == "d":
@@ -151,7 +176,7 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for ok, x, y in rows:
+        for i, (ok, x, y) in enumerate(rows):
             if not ok:
                 n_err += 1
                 wr.writerow([""] * (2 * dim)
@@ -160,20 +185,22 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
             coords = [_fmt(v) for v in x] + [_fmt(v) for v in y]
             try:
                 if kind == "g":
-                    row = [_fmt(fam.g(x, y))]
+                    val = batch[i][0] if i in batch else fam.g(x, y)
+                    row = [_fmt(val)]
                 elif kind == "d":
-                    lo = fam.g(x, y)
-                    val = fam.d(x, y)
+                    lo, val = batch[i] if i in batch else (fam.g(x, y),
+                                                           fam.d(x, y))
+                    # the endpoints are in the point cache by now
                     pl, _ = fam.composite_upper_path(x, y)
                     up = path_length(pl, gfun, rel_tol=1e-4, max_depth=8)
                     row = [_fmt(lo), _fmt(val), _fmt(up)]
-                    values.append(val)
                 elif kind == "kobayashi_estimate":
-                    row = [_fmt(kmetric.distance(x, y))]
+                    val = kmetric.distance(x, y)
+                    row = [_fmt(val)]
                 else:
-                    row = [_fmt(np.linalg.norm(x - y))]
-                if kind != "d":
-                    values.append(float(row[-1]))
+                    val = np.linalg.norm(x - y)
+                    row = [_fmt(val)]
+                values.append(float(val))
                 wr.writerow(coords + row + [""])
             except HypkobError as exc:
                 n_err += 1

@@ -611,8 +611,10 @@ class HeightProjection:
         """
         dom = self.domain
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        # the exterior test is per point, so a batch neither admits nor
+        # refuses a point that it would not on its own
         r = dom.rho(X)
-        if np.any(r > 1e-12 * (1.0 + np.abs(r).max())):
+        if np.any(r > 1e-12 * (1.0 + np.abs(r))):
             raise PointOutsideDomain("projection requested for a point outside the domain")
         tree = dom.cloud_tree()
         cd, ci = tree.query(X, k=1)

@@ -340,7 +340,10 @@ class MetricFamily:
         dval = float(self.d_pairs(A, B)[0])
         if (A.extra[0] > 0 and B.extra[0] > 0
                 and self.graph.domain.same_foot(A.feet[0], B.feet[0])):
-            pl = Polyline(np.stack([A.points[0], B.points[0]]))
+            # the straight segment over the shared foot, whose node pins
+            # its frame: path_length then needs no projection of its own
+            pl = Polyline(np.stack([A.points[0], B.points[0]]),
+                          frame_nodes=A.node[:1])
             return pl, dval
         w = float(self.separations(A, B)[0])
         peak = float(_peak(w, A.heff[0], B.heff[0], self.eps))

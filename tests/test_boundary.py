@@ -135,6 +135,21 @@ def test_rows_and_geodesics_equal_undirected_dijkstra(graph, structure, which):
         assert total == dist[j]
 
 
+def test_batched_dijkstra_predecessors_equal_single_source(ball, structure):
+    # caching predecessors with the distance rows would keep geodesics
+    # unchanged only if a batched call breaks ties as a single-source one
+    g = BoundaryGraph.build(ball, structure, n_nodes=2000, k_neighbors=12,
+                            anisotropy=8.0, seed=2)
+    sources = np.random.default_rng(5).choice(2000, size=200, replace=False)
+    dist, pred = dijkstra(g.adjacency, directed=True, indices=sources,
+                          return_predecessors=True)
+    for k, i in enumerate(sources):
+        d1, p1 = dijkstra(g.adjacency, directed=True, indices=int(i),
+                          return_predecessors=True)
+        assert np.array_equal(pred[k], p1)
+        assert np.array_equal(dist[k], d1)
+
+
 def test_distance_dominates_straight_chord(graph):
     rng = np.random.default_rng(8)
     m = graph.nodes.shape[0]

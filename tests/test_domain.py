@@ -109,6 +109,24 @@ def test_outside_point_rejected(projection):
         projection.project(np.array([1.5, 0.0, 0.0, 0.0]))
 
 
+def test_exterior_tolerance_does_not_depend_on_the_batch(projection, ball):
+    deep = np.array([0.0, 0.1, 0.0, 0.0])
+    outside = np.sqrt(1.0 + 1.5e-12) * np.array([1.0, 0.0, 0.0, 0.0])
+    assert ball.rho(outside) > 1.2e-12
+    # refused alone, and refused next to a deep point, whose |rho| of
+    # about 1 would widen a tolerance taken over the batch
+    with pytest.raises(PointOutsideDomain):
+        projection.project_batch(outside[None])
+    with pytest.raises(PointOutsideDomain):
+        projection.project_batch(np.stack([deep, outside]))
+    # a point within the per-point tolerance is taken in both cases
+    edge = np.sqrt(1.0 + 0.5e-12) * np.array([0.0, 0.0, 1.0, 0.0])
+    assert 0.0 < ball.rho(edge) < 0.8e-12
+    alone = projection.project_batch(edge[None])
+    paired = projection.project_batch(np.stack([deep, edge]))
+    assert np.allclose(alone[0][0], paired[0][1], atol=1e-10)
+
+
 def test_reach_estimate_ball(ball):
     est = reach_details(ball, n_samples=128, seed=2)
     assert abs(est.reach - 1.0) < 0.02
