@@ -12,9 +12,10 @@ Dijkstra shortest paths; rows are cached.
 Nodes are thinned from oversampled boundary candidates by the exact
 greedy farthest-point rule; a KD-tree over the candidates prunes each
 step's distance update to the candidates it can change, without changing
-the chosen nodes. The adjacency is symmetric by construction, so rows and
-geodesics run one-direction Dijkstra on it; a graph whose adjacency is not
-exactly symmetric, such as an edited cache, is refused.
+the chosen nodes. The adjacency is symmetric by construction, so rows run
+one-direction Dijkstra on it and geodesics walk back over a cached row; a
+graph whose adjacency is not exactly symmetric, such as an edited cache, is
+refused.
 
 Two evaluation modes coexist deliberately. Snapping to nodes gives an
 exact pseudometric on the node set (used for tables and long-range
@@ -58,8 +59,8 @@ class BoundaryGraph:
         self.structure = structure
         self.nodes = np.asarray(nodes, dtype=float)
         if (adjacency != adjacency.T).nnz:
-            raise ConfigError("graph adjacency is not symmetric; rows and "
-                              "geodesics run one-direction Dijkstra on it")
+            raise ConfigError("graph adjacency is not symmetric; rows run "
+                              "one-direction Dijkstra on it")
         self.adjacency = adjacency
         self.params = dict(params)
         self.tree = cKDTree(self.nodes)
@@ -264,20 +265,41 @@ class BoundaryGraph:
         routed = np.min(cin[:, :, None] + Dmid + cout[:, None, :], axis=(1, 2))
         return np.minimum(direct, routed)
 
+    def geodesic_nodes(self, i: int, j: int) -> np.ndarray:
+        """Node indices of a shortest path from node ``i`` to node ``j``.
+
+        Walks back from ``j`` over the cached distance row of ``i``: the
+        predecessor of ``c`` is a neighbour ``k`` with
+        ``row[k] + A[k, c] == row[c]``, compared exactly. Dijkstra sets
+        ``row[c]`` to that very sum, and the adjacency is exactly symmetric,
+        so row ``c`` of the CSR matrix holds the ``A[k, c]``. Ties go to the
+        smallest index. No second Dijkstra runs and nothing is stored.
+        """
+        i, j = int(i), int(j)
+        row = self.rows_from([i])[0]
+        if not np.isfinite(row[j]):
+            raise GraphDisconnected(f"no path between nodes {i} and {j}")
+        A = self.adjacency
+        path = [j]
+        c = j
+        while c != i:
+            lo, hi = A.indptr[c], A.indptr[c + 1]
+            nbr = A.indices[lo:hi]
+            rk = row[nbr]
+            # the strict decrease keeps the walk from cycling
+            c = int(nbr[(rk + A.data[lo:hi] == row[c]) & (rk < row[c])].min())
+            path.append(c)
+        return np.array(path[::-1])
+
     def geodesic(self, p, q) -> tuple[np.ndarray, float]:
-        """Node polyline and length of a shortest path between snapped points."""
+        """Node polyline and length of a shortest path between snapped points.
+
+        The path is ``geodesic_nodes`` between the snapped nodes, so it
+        reuses the source's cached distance row.
+        """
         i, j = (int(v) for v in self.snap(np.stack([
             np.asarray(p, dtype=float), np.asarray(q, dtype=float)])))
-        dist, pred = dijkstra(self.adjacency, directed=True, indices=i,
-                              return_predecessors=True)
-        self._rows.setdefault(i, dist)
-        if not np.isfinite(dist[j]):
-            raise GraphDisconnected(f"no path between nodes {i} and {j}")
-        path = [j]
-        while path[-1] != i:
-            path.append(int(pred[path[-1]]))
-        path.reverse()
-        return self.nodes[np.array(path)], float(dist[j])
+        return self.nodes[self.geodesic_nodes(i, j)], self.distance_nodes(i, j)
 
     # -- scales --------------------------------------------------------------
 

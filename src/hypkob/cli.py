@@ -131,13 +131,19 @@ def _cmd_check(args, cfg: RunConfig, ws: Workspace):
     return report, (0 if ok else 1)
 
 
-def _batch_values(fam, kind: str, rows: list) -> dict:
-    """Row index to ``[g]``, or ``[g, d]`` for kind ``d``, over all parsed rows.
+def _upper(fam, pl) -> float:
+    """The ``upper`` column of ``dist``: the g-length of a witness path."""
+    return path_length(pl, fam.functional("g"), rel_tol=1e-4, max_depth=8)
 
-    One ``prepare`` call projects the endpoints of all rows, and one
-    ``g_pairs`` (and ``d_pairs``) call evaluates them. Empty when the
-    batch raises, so that the rows go one at a time and a bad row marks
-    only itself.
+
+def _batch_values(fam, kind: str, rows: list) -> dict:
+    """Row index to ``[g]``, or ``[g, d, upper]`` for kind ``d``.
+
+    Covers every parsed row. One ``prepare`` call projects the endpoints of all rows, one
+    ``g_pairs`` call evaluates them and, for kind ``d``, one
+    ``composite_upper_paths`` call builds every witness path with its
+    ``d``. Empty when the batch raises, so that the rows go one at a time
+    and a bad row marks only itself.
     """
     idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
     if kind not in ("g", "d") or not idx:
@@ -149,7 +155,8 @@ def _batch_values(fam, kind: str, rows: list) -> dict:
         A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
         cols = [fam.g_pairs(A, B)]
         if kind == "d":
-            cols.append(fam.d_pairs(A, B))
+            paths, dval = fam.composite_upper_paths(A, B)
+            cols += [dval, [_upper(fam, pl) for pl in paths]]
     except HypkobError:
         return {}
     return {i: [float(c[k]) for c in cols] for k, i in enumerate(idx)}
@@ -159,7 +166,6 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     kind = _KIND[args.metric]
     rows = read_pair_rows(args.pairs, ws.domain.dim)
     fam = ws.family
-    gfun = fam.functional("g")
     kmetric = None
     if kind == "kobayashi_estimate":
         kmetric = KobayashiMetric(ws.projection, ws.graph)
@@ -188,11 +194,11 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
                     val = batch[i][0] if i in batch else fam.g(x, y)
                     row = [_fmt(val)]
                 elif kind == "d":
-                    lo, val = batch[i] if i in batch else (fam.g(x, y),
-                                                           fam.d(x, y))
-                    # the endpoints are in the point cache by now
-                    pl, _ = fam.composite_upper_path(x, y)
-                    up = path_length(pl, gfun, rel_tol=1e-4, max_depth=8)
+                    if i in batch:
+                        lo, val, up = batch[i]
+                    else:
+                        pl, val = fam.composite_upper_path(x, y)
+                        lo, up = fam.g(x, y), _upper(fam, pl)
                     row = [_fmt(lo), _fmt(val), _fmt(up)]
                 elif kind == "kobayashi_estimate":
                     val = kmetric.distance(x, y)
@@ -341,7 +347,6 @@ def _cmd_orbit(args, cfg: RunConfig, ws: Workspace):
 def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
     rows = read_pair_rows(args.pairs, ws.domain.dim)
     fam = ws.family
-    gfun = fam.functional("g")
     dim = ws.domain.dim
     out_path = os.path.join(cfg.out_dir, "geodesic.csv")
     entries = []
@@ -357,12 +362,13 @@ def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
                 continue
             try:
                 pl, dval = fam.composite_upper_path(x, y)
-                glen = path_length(pl, gfun, rel_tol=1e-4, max_depth=8)
+                glen = _upper(fam, pl)
                 seg = []
                 if pl.points.shape[0] > 1:
-                    P = fam.prepare(pl.points[:-1])
-                    Q = fam.prepare(pl.points[1:])
-                    seg = [float(v) for v in fam.g_pairs(P, Q)]
+                    n = pl.points.shape[0]
+                    seg = [float(v) for v in fam.g_pairs(
+                        pl.prepared.take(np.arange(n - 1)),
+                        pl.prepared.take(np.arange(1, n)))]
                 params = pl.params()
                 for j in range(pl.points.shape[0]):
                     wr.writerow([i, j] + [_fmt(v) for v in pl.points[j]]

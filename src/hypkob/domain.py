@@ -619,7 +619,9 @@ class HeightProjection:
         tree = dom.cloud_tree()
         cd, ci = tree.query(X, k=1)
         cloud = dom.boundary_cloud()
-        P, ok = self._newton_polish(X, cloud[ci])
+        # each point backtracks alone, so its foot does not depend on the
+        # batch it is projected in
+        P, ok = self._newton_polish(X, cloud[ci], block=1)
         dist = np.linalg.norm(P - X, axis=-1)
         # a converged foot can never beat the cloud minimum by construction;
         # a foot *worse* than the cloud minimum means the local basin was wrong.

@@ -123,13 +123,21 @@ class HyperbolicityReport:
 
 
 def four_point_from_matrix(D: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Defects (L - M)/2 of index quadruples against a distance table."""
+    """Defects (L - M)/2 of index quadruples against a distance table.
+
+    L and M are the largest and the middle of the three pair sums, taken
+    exactly by comparisons; a ``nan`` sum gives a ``nan`` defect.
+    """
     i, j, k, l = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-    s1 = D[i, j] + D[k, l]
-    s2 = D[i, k] + D[j, l]
-    s3 = D[i, l] + D[j, k]
-    sums = np.sort(np.stack([s1, s2, s3], axis=-1), axis=-1)
-    return np.maximum(0.5 * (sums[:, 2] - sums[:, 1]), 0.0)
+    m = D.shape[1]
+    flat = np.ascontiguousarray(D).ravel()
+    im, jm = i * m, j * m
+    s1 = flat.take(im + j) + flat.take(k * m + l)
+    s2 = flat.take(im + k) + flat.take(jm + l)
+    s3 = flat.take(im + l) + flat.take(jm + k)
+    hi = np.maximum(s1, s2)
+    mid = np.maximum(np.minimum(s1, s2), np.minimum(hi, s3))
+    return np.maximum(0.5 * (np.maximum(hi, s3) - mid), 0.0)
 
 
 def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,

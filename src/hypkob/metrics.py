@@ -82,12 +82,15 @@ class Polyline:
 
     ``seg_lengths`` caches per-segment lengths under named functionals;
     constructions with a closed form attach theirs so no quadrature runs.
+    ``prepared`` holds the vertices' feet and depths where the construction
+    knows them, so measuring the path projects none of its vertices.
     """
 
     points: np.ndarray
     frame_nodes: Optional[np.ndarray] = None
     vertical: Optional[np.ndarray] = None
     seg_lengths: Optional[dict] = None
+    prepared: Optional["PreparedPoints"] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -95,10 +98,16 @@ class Polyline:
             raise ConfigError("a polyline needs at least one point")
         if self.seg_lengths is None:
             self.seg_lengths = {}
+        if (self.prepared is not None
+                and len(self.prepared) != self.points.shape[0]):
+            raise ConfigError("prepared vertices must match the points")
         gaps = np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
         if np.any(gaps == 0.0):
             keep = gaps > 0.0
             self.points = np.vstack([self.points[:-1][keep], self.points[-1:]])
+            if self.prepared is not None:
+                self.prepared = self.prepared.take(np.append(np.flatnonzero(keep),
+                                                             keep.size))
             if self.frame_nodes is not None and self.frame_nodes.shape[0] == keep.size:
                 self.frame_nodes = self.frame_nodes[keep]
             if self.vertical is not None and self.vertical.shape[0] == keep.size:
@@ -179,12 +188,17 @@ class MetricFamily:
                 self._point_cache[keys[i]] = (P[pos], float(dist[pos]))
         for i, k in enumerate(keys):
             feet[i], depth[i] = self._point_cache[k]
-        node = self.graph.snap(feet)
+        return self._prepare_known(X, feet, depth, self.graph.snap(feet))
+
+    def _prepare_known(self, X, feet, depth, node) -> PreparedPoints:
+        """Points whose feet, depths and foot nodes are already known."""
+        depth = np.asarray(depth, dtype=float)
         height = np.sqrt(depth)
-        roof = math.sqrt(self.eps)
-        heff = np.minimum(height, roof)
+        heff = np.minimum(height, math.sqrt(self.eps))
         extra = np.maximum(depth - self.eps, 0.0)
-        return PreparedPoints(X, feet, depth, height, node, heff, extra)
+        return PreparedPoints(np.asarray(X, dtype=float),
+                              np.asarray(feet, dtype=float), depth, height,
+                              np.asarray(node), heff, extra)
 
     def prepare_on_rays(self, node_idx, depths) -> PreparedPoints:
         """Points built at known depths on node normal rays, no solver pass.
@@ -199,9 +213,7 @@ class MetricFamily:
         feet = self.graph.nodes[node_idx]
         n = self.graph.domain.outward_normal(feet)
         pts = feet - depths[:, None] * n
-        height = np.sqrt(depths)
-        return PreparedPoints(pts, feet, depths.copy(), height, node_idx.copy(),
-                              height.copy(), np.zeros_like(height))
+        return self._prepare_known(pts, feet, depths.copy(), node_idx.copy())
 
     # -- the two metrics ------------------------------------------------------
 
@@ -284,15 +296,16 @@ class MetricFamily:
         is the log ratio of the heights, exactly; it is attached to the
         polyline so no quadrature is needed.
         """
-        A = self.prepare(np.asarray(x, dtype=float)[None])
-        B = self.prepare(np.asarray(y, dtype=float)[None])
+        P = self.prepare(np.stack([np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float)]))
+        A, B = P.take([0]), P.take([1])
         if not self.graph.domain.same_foot(A.feet[0], B.feet[0]):
             gap = float(np.linalg.norm(A.feet[0] - B.feet[0]))
             raise ProjectionsDiffer(
                 f"feet differ by {gap:.3e}; not a single-ray pair")
         pl = Polyline(np.stack([A.points[0], B.points[0]]),
                       frame_nodes=np.array([A.node[0]]),
-                      vertical=np.array([True]))
+                      vertical=np.array([True]), prepared=P)
         val = abs(math.log(A.height[0] / B.height[0]))
         if pl.n_segments == 1:
             pl.set_segment_lengths("g", [val])
@@ -306,8 +319,9 @@ class MetricFamily:
         interior vertices are the geodesic nodes pushed inward to the
         shared depth, and every segment pins the frame its edge weight
         was built with, so the measured horizontal cost reproduces the
-        graph distance between the snapped feet. Coinciding feet give
-        the degenerate single-point path.
+        graph distance between the snapped feet. The shell vertices carry
+        their construction feet and depth, so measuring the path projects
+        none of them. Coinciding feet give the degenerate single-point path.
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
@@ -320,64 +334,101 @@ class MetricFamily:
             return Polyline(A.points[0][None])
         h = float(A.height[0])
         t = h * h
-        nodes, _ = self.graph.geodesic(A.feet[0], B.feet[0])
-        bndry = np.vstack([A.feet[0][None], nodes, B.feet[0][None]])
+        path = self.graph.geodesic_nodes(A.node[0], B.node[0])
+        bndry = np.vstack([A.feet[0][None], self.graph.nodes[path],
+                           B.feet[0][None]])
         shell = bndry - t * self.graph.domain.outward_normal(bndry)
         pts = np.vstack([A.points[0], shell, B.points[0]])
         frames = self.graph.snap(0.5 * (bndry[:-1] + bndry[1:]))
         # the hop onto and off the shell moves no foot; any frame works
         frames = np.concatenate([frames[:1], frames, frames[-1:]])
-        return Polyline(pts, frame_nodes=frames)
+        known = self._prepare_known(
+            pts, np.vstack([A.feet, bndry, B.feet]),
+            np.concatenate([A.depth, np.full(len(shell), t), B.depth]),
+            np.concatenate([A.node, A.node, path, B.node, B.node]))
+        return Polyline(pts, frame_nodes=frames, prepared=known)
 
     def composite_upper_path(self, x, y) -> tuple[Polyline, float]:
         """Up-over-down witness path together with its exact cost.
 
-        The cost equals the composite distance for the pair, so the path
-        certifies the value of ``d`` from above.
+        The one-pair case of ``composite_upper_paths``.
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
-        dval = float(self.d_pairs(A, B)[0])
-        if (A.extra[0] > 0 and B.extra[0] > 0
-                and self.graph.domain.same_foot(A.feet[0], B.feet[0])):
-            # the straight segment over the shared foot, whose node pins
-            # its frame: path_length then needs no projection of its own
-            pl = Polyline(np.stack([A.points[0], B.points[0]]),
-                          frame_nodes=A.node[:1])
-            return pl, dval
-        w = float(self.separations(A, B)[0])
-        peak = float(_peak(w, A.heff[0], B.heff[0], self.eps))
+        paths, dval = self.composite_upper_paths(A, B)
+        return paths[0], float(dval[0])
+
+    def composite_upper_paths(self, A: PreparedPoints, B: PreparedPoints
+                              ) -> tuple[list, np.ndarray]:
+        """Witness paths of aligned batches, with their exact costs ``d``.
+
+        Each cost equals the composite distance for its pair, so the path
+        certifies the value of ``d`` from above. A path climbs the normal
+        ray of the first foot to the peak shell (or descends it, from a
+        deep endpoint), follows the graph geodesic between the snapped feet
+        on that shell and descends the second ray; a deep pair over one
+        foot takes the straight segment, framed by that foot's node. Every
+        vertex carries its foot and depth: the endpoints' from ``A`` and
+        ``B``, the shell vertices' from the construction (a node or an
+        endpoint foot at the peak depth), so measuring a path projects
+        nothing.
+        """
+        n, dom = len(A), self.graph.domain
+        dval = self.d_pairs(A, B)
+        W = self.separations(A, B)
+        peak = _peak(W, A.heff, B.heff, self.eps)
         tpk = peak * peak
-        dom = self.graph.domain
-        pts = [A.points[0]]
-        feet = [A.feet[0]]
-        vertical = []
-        na = dom.outward_normal(A.feet[0])
-        nb = dom.outward_normal(B.feet[0])
-        # climb (or descend, for a deep endpoint) to the peak shell
-        if abs(A.depth[0] - tpk) > 1e-14:
-            pts.append(A.feet[0] - tpk * na)
-            feet.append(A.feet[0])
-            vertical.append(True)
-        if w > 0:
-            nodes, _ = self.graph.geodesic(A.feet[0], B.feet[0])
-            shell = nodes - tpk * dom.outward_normal(nodes)
-            for p, f in zip(shell, nodes):
-                pts.append(p)
-                feet.append(f)
-                vertical.append(False)
-        if abs(B.depth[0] - tpk) > 1e-14:
-            pts.append(B.feet[0] - tpk * nb)
-            feet.append(B.feet[0])
-            vertical.append(False)
-        pts.append(B.points[0])
-        feet.append(B.feet[0])
-        vertical.append(True)
-        feet = np.array(feet)
+        straight = (A.extra > 0) & (B.extra > 0)
+        if np.any(straight):
+            straight &= dom.same_foot(A.feet, B.feet)
+        climb = np.abs(A.depth - tpk) > 1e-14
+        descend = np.abs(B.depth - tpk) > 1e-14
+        # the vertices of all paths, in order, as indices into the stacked
+        # sources (A's rows, B's rows, the graph nodes); ``vert[v]`` marks
+        # the segment into vertex ``v`` as one along a normal ray
+        src, vert, starts = [], [], []
+        for r in range(n):
+            starts.append(len(src))
+            src.append(r)
+            vert.append(False)
+            if not straight[r]:
+                if climb[r]:
+                    src.append(r)
+                    vert.append(True)
+                if W[r] > 0:
+                    path = self.graph.geodesic_nodes(A.node[r], B.node[r])
+                    src.extend((2 * n + path).tolist())
+                    vert.extend([False] * path.size)
+                if descend[r]:
+                    src.append(n + r)
+                    vert.append(False)
+            src.append(n + r)
+            vert.append(not straight[r])
+        starts.append(len(src))
+        src = np.array(src)
+        shell = np.ones(src.size, dtype=bool)
+        shell[starts[:-1]] = False
+        shell[np.array(starts[1:]) - 1] = False
+        row = np.repeat(np.arange(n), np.diff(starts))
+        nodes = self.graph.nodes
+        feet = np.vstack([A.feet, B.feet, nodes])[src]
+        node = np.concatenate([A.node, B.node, np.arange(len(nodes))])[src]
+        depth = np.concatenate([A.depth, B.depth, np.zeros(len(nodes))])[src]
+        points = np.vstack([A.points, B.points, nodes])[src]
+        depth[shell] = tpk[row[shell]]
+        points[shell] = (feet[shell] - depth[shell, None]
+                         * dom.outward_normal(feet[shell]))
+        P = self._prepare_known(points, feet, depth, node)
         frames = self.graph.snap(0.5 * (feet[:-1] + feet[1:]))
-        pl = Polyline(np.array(pts), frame_nodes=frames,
-                      vertical=np.array(vertical, dtype=bool))
-        return pl, dval
+        frames[np.array(starts[:-1])[straight]] = A.node[straight]
+        vert = np.array(vert)
+        paths = []
+        for r in range(n):
+            s, e = starts[r], starts[r + 1]
+            paths.append(Polyline(points[s:e], frame_nodes=frames[s:e - 1],
+                                  vertical=vert[s + 1:e],
+                                  prepared=P.take(np.arange(s, e))))
+        return paths, dval
 
     def functional(self, kind: str) -> "MetricFunctional":
         return MetricFunctional(kind=kind, family=self)
@@ -441,8 +492,9 @@ def _refined_points(pl: Polyline, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return fine, owner
 
 
-def _rate_sum(family: MetricFamily, pl: Polyline, pts: np.ndarray,
-              owner: np.ndarray, frame_nodes: np.ndarray, kind: str) -> float:
+def _rate_sum(family: MetricFamily, pl: Polyline, P: PreparedPoints,
+              pts: np.ndarray, owner: np.ndarray, frame_nodes: np.ndarray,
+              kind: str) -> float:
     """First-order sum: per sub-chord rate at interpolated midpoints.
 
     The functional is intrinsic to the polyline data. Each original
@@ -451,8 +503,8 @@ def _rate_sum(family: MetricFamily, pl: Polyline, pts: np.ndarray,
     interpolate linearly along the segment, so refinement sharpens only
     the height weighting and never re-splits a boundary chord into
     cheaper arcs. Ray-aligned segments use the exact log form instead.
+    ``P`` holds the polyline's prepared vertices.
     """
-    P = family.prepare(pl.points)
     h = P.height
     nseg = pl.n_segments
     per = owner.size // nseg
@@ -496,7 +548,10 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
     polyline has length zero. Otherwise ``d`` refines by chord bisection
     until the partition sums settle, and the rate kinds (``g`` and the
     interior estimate) refine a midpoint quadrature of their infinitesimal
-    form. Failure to settle within the depth budget raises with the last
+    form. The rate kinds read the vertices' feet and depths once, before
+    refining: from ``polyline.prepared`` where the construction attached
+    them (then no vertex is projected), otherwise from one ``prepare``
+    call. Failure to settle within the depth budget raises with the last
     two estimates attached.
     """
     kind = functional.kind
@@ -510,6 +565,9 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
     family = functional.family
     rate = kind != "d"
     if rate:
+        P = polyline.prepared
+        if P is None:
+            P = family.prepare(polyline.points)
         frame_nodes = polyline.frame_nodes
         if frame_nodes is None:
             mids = 0.5 * (polyline.points[:-1] + polyline.points[1:])
@@ -519,7 +577,8 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
     for depth in range(max_depth + 1):
         pts, owner = _refined_points(polyline, depth)
         if rate:
-            cur = _rate_sum(family, polyline, pts, owner, frame_nodes, kind)
+            cur = _rate_sum(family, polyline, P, pts, owner, frame_nodes,
+                            kind)
         else:
             A, B = family.prepare(pts[:-1]), family.prepare(pts[1:])
             cur = float(family.d_pairs(A, B, w_mode="local").sum())

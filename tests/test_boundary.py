@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from hypkob import (BoundaryGraph, BoundaryMap, ConfigError, Domain,
-                    ImageOffBoundary, lipschitz_details)
+                    GraphDisconnected, ImageOffBoundary, lipschitz_details)
+from hypkob import boundary
 from hypkob.boundary import _farthest_point_subset
 
 
@@ -148,6 +150,73 @@ def test_batched_dijkstra_predecessors_equal_single_source(ball, structure):
                           return_predecessors=True)
         assert np.array_equal(pred[k], p1)
         assert np.array_equal(dist[k], d1)
+
+
+@pytest.mark.parametrize("which", ["ball", "ellipsoid"])
+def test_walk_back_equals_scipy_predecessor_paths(ball, structure, which):
+    # the 2,000-node ball graph of the collar benchmark and a 1,200-node
+    # (1, 1, 0.7, 0.7) ellipsoid graph; 50 sources x 20 targets each
+    if which == "ball":
+        g = BoundaryGraph.build(ball, structure, n_nodes=2000,
+                                k_neighbors=12, anisotropy=8.0, seed=2)
+    else:
+        g = BoundaryGraph.build(_ellipsoid_0707(), structure, n_nodes=1200,
+                                k_neighbors=12, anisotropy=8.0, seed=4)
+    m = g.nodes.shape[0]
+    rng = np.random.default_rng(17)
+    sources = rng.choice(m, size=50, replace=False)
+    _, pred = dijkstra(g.adjacency, directed=True, indices=sources,
+                       return_predecessors=True)
+    n_pairs = 0
+    for k, i in enumerate(sources):
+        for j in rng.choice(m, size=20, replace=False):
+            ref = [int(j)]
+            while ref[-1] != i:
+                ref.append(int(pred[k, ref[-1]]))
+            assert np.array_equal(g.geodesic_nodes(i, j), ref[::-1])
+            n_pairs += 1
+    assert n_pairs >= 1000
+
+
+def test_geodesic_after_rows_from_runs_no_dijkstra(graph, monkeypatch):
+    g = BoundaryGraph(graph.domain, graph.structure, graph.nodes,
+                      graph.adjacency, graph.params)
+    g.rows_from([5, 77])
+    calls = []
+    real = boundary.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "dijkstra", counted)
+    nodes, total = g.geodesic(g.nodes[5], g.nodes[300])
+    path = g.geodesic_nodes(77, 12)
+    assert calls == []
+    assert total == g.rows_from([5])[0, 300]
+    assert np.array_equal(nodes, g.nodes[g.geodesic_nodes(5, 300)])
+    assert path[0] == 77 and path[-1] == 12
+    # a source without a cached row computes it once, then reuses it
+    g.geodesic_nodes(40, 12)
+    g.geodesic_nodes(40, 300)
+    assert calls == [[40]]
+
+
+def test_geodesic_across_components_raises(ball, structure):
+    # two chains of four nodes, symmetric and passed in directly
+    nodes = ball.sample_boundary(8, seed=0)
+    ii = np.array([0, 1, 2, 4, 5, 6])
+    jj = ii + 1
+    w = np.ones(ii.size)
+    A = csr_matrix((np.concatenate([w, w]),
+                    (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+                   shape=(8, 8))
+    g = BoundaryGraph(ball, structure, nodes, A, {"anisotropy": 8.0})
+    assert np.array_equal(g.geodesic_nodes(0, 3), [0, 1, 2, 3])
+    with pytest.raises(GraphDisconnected):
+        g.geodesic_nodes(1, 5)
+    with pytest.raises(GraphDisconnected):
+        g.geodesic(nodes[0], nodes[6])
 
 
 def test_distance_dominates_straight_chord(graph):

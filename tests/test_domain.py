@@ -207,6 +207,26 @@ def test_unimprovable_point_stops_after_one_sweep(monkeypatch):
     assert calls == [1]
 
 
+def test_deep_feet_do_not_depend_on_the_batch(projection):
+    # endpoints like those of a deep ``dist``: 24 pairs with |x| in
+    # [0.05, 0.3], 24 same-ray pairs and 8 near-centre pairs (x, x/2);
+    # every point backtracks alone, so its foot and depth are bit-identical
+    # whether it is projected with the others or by itself
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((72, 4))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    r = rng.uniform(0.05, 0.3, (48, 2))
+    deep = np.vstack([r[:24, :1] * u[:24], r[:24, 1:] * u[24:48],
+                      r[24:, :1] * u[48:72], r[24:, 1:] * u[48:72]])
+    near = 3e-4 * u[:8]
+    X = np.vstack([deep, near, 0.5 * near])
+    P, dist = projection.project_batch(X)
+    for i, x in enumerate(X):
+        Pi, di = projection.project_batch(x[None])
+        assert np.array_equal(P[i], Pi[0])
+        assert dist[i] == di[0]
+
+
 def test_fallback_trigger_compares_squared_distance(ball, monkeypatch):
     # the depth test is dist**2 > 1.25 eps, i.e. depth > sqrt(1.25 eps):
     # a ball point at depth 1.25 eps + 0.05 stays on the one-candidate

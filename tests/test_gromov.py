@@ -54,6 +54,33 @@ def test_four_point_formula_matches_direct_evaluation():
         assert abs(val - max(0.0, 0.5 * (sums[2] - sums[1]))) < 1e-12
 
 
+def _sorted_defects(D, quads):
+    """The four-point defects by sorting the three pair sums."""
+    i, j, k, l = quads.T
+    sums = np.sort(np.stack([D[i, j] + D[k, l], D[i, k] + D[j, l],
+                             D[i, l] + D[j, k]], axis=-1), axis=-1)
+    return np.maximum(0.5 * (sums[:, 2] - sums[:, 1]), 0.0)
+
+
+def test_four_point_equals_sorted_form_on_non_finite_tables():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(60, 4))
+    D = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    quads = rng.integers(0, 60, size=(20000, 4))
+    assert np.array_equal(four_point_from_matrix(D, quads),
+                          _sorted_defects(D, quads))
+    flat = D.reshape(-1)
+    flat[rng.choice(D.size, 120, replace=False)] = np.inf
+    flat[rng.choice(D.size, 120, replace=False)] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = four_point_from_matrix(D, quads)
+        want = _sorted_defects(D, quads)
+    assert np.array_equal(got, want, equal_nan=True)
+    bad = ~np.isfinite(got)
+    assert np.count_nonzero(bad) == np.count_nonzero(~np.isfinite(want))
+    assert np.any(np.isnan(got)) and np.any(np.isinf(got))
+
+
 def test_four_point_delta_is_deterministic(family, gfn):
     sampler = BoundaryBiasedSampler(family, seed=3)
     r1 = four_point_delta(gfn, sampler, n_quadruples=4000, seed=3)
