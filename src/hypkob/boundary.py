@@ -215,18 +215,32 @@ class BoundaryGraph:
         _, idx = self.tree.query(pts, k=1)
         return idx
 
-    def rows_from(self, indices) -> np.ndarray:
-        """Dijkstra distance rows from the given node indices, cached."""
+    def rows_from(self, indices, columns=None) -> np.ndarray:
+        """Dijkstra distance rows from the given node indices, cached.
+
+        The missing rows run in one Dijkstra call. With ``columns``, only
+        those entries are gathered, row by row, and no full row is
+        stacked: a 1-D ``columns`` takes the same columns from every row
+        (a table), and ``columns[:, None]`` one column per row (the
+        entries of aligned pairs).
+        """
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         missing = [int(i) for i in np.unique(indices) if int(i) not in self._rows]
         if missing:
             rows = dijkstra(self.adjacency, directed=True, indices=missing)
             for pos, i in enumerate(missing):
                 self._rows[i] = rows[pos]
-        return np.stack([self._rows[int(i)] for i in indices])
+        if columns is None:
+            return np.stack([self._rows[int(i)] for i in indices])
+        cols = np.atleast_1d(np.asarray(columns, dtype=int))
+        cols = np.broadcast_to(cols, (indices.size, cols.shape[-1]))
+        out = np.empty(cols.shape)
+        for r, i in enumerate(indices.tolist()):
+            out[r] = self._rows[i][cols[r]]
+        return out
 
     def distance_nodes(self, i: int, j: int) -> float:
-        return float(self.rows_from([i])[0, j])
+        return float(self.rows_from([i], columns=[j])[0, 0])
 
     def distance(self, p, q) -> float:
         """Snapped geodesic distance between boundary points."""
@@ -419,7 +433,7 @@ def lipschitz_details(graph: BoundaryGraph, graph_target: BoundaryGraph,
         rng = np.random.default_rng(seed)
         src = np.sort(rng.choice(m, size=n_src, replace=False))
     Dsrc = graph.rows_from(src)
-    Dimg = graph_target.rows_from(si[src])[:, si]
+    Dimg = graph_target.rows_from(si[src], columns=si)
     mask = Dsrc >= floor
     mask[np.arange(src.size), src] = False
     ratios = np.where(mask, Dimg / np.where(Dsrc > 0, Dsrc, np.inf), 0.0)

@@ -178,6 +178,9 @@ def polynomial_field(dim: int, terms) -> ScalarField:
 # boundary points in the cached cloud that seeds every projection
 _CLOUD_SIZE = 4096
 
+# rows of the pairwise difference block in the diameter estimate
+_DIAMETER_BLOCK = 64
+
 # feet closer than this fraction of the domain diameter share one normal ray
 _FOOT_TOL = 1e-8
 
@@ -341,8 +344,10 @@ class Domain:
         if self._diameter is None:
             cloud = self.boundary_cloud()
             sub = cloud[:: max(1, cloud.shape[0] // 1024)]
-            d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
-            self._diameter = float(np.sqrt(d2.max()))
+            d2 = max(float(np.sum((sub[s:s + _DIAMETER_BLOCK, None, :]
+                                   - sub[None, :, :]) ** 2, axis=-1).max())
+                     for s in range(0, sub.shape[0], _DIAMETER_BLOCK))
+            self._diameter = float(np.sqrt(d2))
         return self._diameter
 
     def same_foot(self, fa, fb) -> np.ndarray:

@@ -80,28 +80,53 @@ class BoundaryBiasedSampler:
 # pairwise matrices
 # ---------------------------------------------------------------------------
 
+# rows of the pairwise table evaluated at once; the kernel temporaries and
+# the euclidean difference block stay this many rows tall
+_BLOCK_ROWS = 64
+
+# quadruples drawn and evaluated at once
+_QUAD_CHUNK = 1 << 16
+
+
 def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     """Full pairwise table under the functional's kind.
 
-    The two collar metrics evaluate through the boundary-graph row cache;
-    euclidean broadcasts.
+    The two collar metrics evaluate through the boundary-graph row cache:
+    the missing rows run in one Dijkstra call, their entries are gathered
+    into the table, and the kernel then overwrites the table in blocks of
+    ``_BLOCK_ROWS`` rows, which are symmetrized in place; euclidean fills
+    the same row blocks. Every entry is computed by the same elementwise
+    operations as on the whole table at once, so the values are identical;
+    the memory held is the table plus one block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
     kind = functional.kind
+    blocks = [(s, min(s + _BLOCK_ROWS, m)) for s in range(0, m, _BLOCK_ROWS)]
     if kind == "euclidean":
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
+        D = np.empty((m, m))
+        for s, e in blocks:
+            D[s:e] = np.linalg.norm(pts[s:e, None, :] - pts[None, :, :],
+                                    axis=-1)
+        return D
     if kind not in ("g", "d"):
         raise ConfigError(
             "matrix evaluation is limited to the closed-form kinds")
     fam = functional.family
     P = fam.prepare(pts)
-    W = fam.graph.rows_from(P.node)[:, P.node]
+    D = fam.graph.rows_from(P.node, columns=P.node)
     idx = np.arange(m)
-    D = fam.kernel(kind, W, P.take(idx[:, None]), P.take(idx[None, :]))
+    B = P.take(idx[None, :])
+    for s, e in blocks:
+        D[s:e] = fam.kernel(kind, D[s:e], P.take(idx[s:e, None]), B)
     np.fill_diagonal(D, 0.0)
-    return np.maximum(D, D.T)
+    # max(D, D.T) a row block at a time: block s:e settles its pairs with
+    # every later row, in both triangles
+    for s, e in blocks:
+        top = np.maximum(D[s:e, s:], D[s:, s:e].T)
+        D[s:e, s:] = top
+        D[s:, s:e] = top.T
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +174,13 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
     pool draw, and both are deterministic. Quadruples whose defect is not
     finite are counted as failures, and the constant, its witness and its
     quantile are taken over the rest.
+
+    Quadruples are drawn and evaluated in chunks of ``_QUAD_CHUNK``; the
+    generator continues across chunks exactly as one draw of all of them,
+    and the witness is the first quadruple of largest finite defect, so
+    the report is the one of a single draw. Beside the table, only the
+    defects, which the quantile then partitions in place, and one chunk
+    are held.
     """
     if n_quadruples < 1:
         raise ConfigError("need at least one quadruple")
@@ -157,23 +189,31 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
                                    dtype=float))
     D = distance_matrix(functional, pts)
     rng = np.random.default_rng(seed + 1)
-    quads = rng.integers(0, pts.shape[0], size=(n_quadruples, 4))
-    defects = four_point_from_matrix(D, quads)
+    defects = np.empty(n_quadruples)
+    worst, worst_quad = -1.0, None
+    for s in range(0, n_quadruples, _QUAD_CHUNK):
+        quads = rng.integers(0, pts.shape[0],
+                             size=(min(_QUAD_CHUNK, n_quadruples - s), 4))
+        chunk = defects[s:s + quads.shape[0]]
+        chunk[:] = four_point_from_matrix(D, quads)
+        # finite defects are at least 0, so -1 marks the others
+        k = int(np.argmax(np.where(np.isfinite(chunk), chunk, -1.0)))
+        if np.isfinite(chunk[k]) and chunk[k] > worst:
+            worst, worst_quad = float(chunk[k]), quads[k]
     finite = np.isfinite(defects)
     failures = int(defects.size - np.count_nonzero(finite))
     if failures == defects.size:
         raise HypkobError(f"none of {failures} quadruples has a finite defect")
     if failures:
-        quads, defects = quads[finite], defects[finite]
-    worst = int(np.argmax(defects))
+        defects = defects[finite]
     return HyperbolicityReport(
-        delta=float(defects[worst]),
+        delta=worst,
         n_quadruples=int(n_quadruples),
-        worst_points=pts[quads[worst]],
-        worst_defect=float(defects[worst]),
+        worst_points=pts[worst_quad],
+        worst_defect=worst,
         kind=functional.kind,
         seed=int(seed),
-        defect_q99=float(np.quantile(defects, 0.99)),
+        defect_q99=float(np.quantile(defects, 0.99, overwrite_input=True)),
         failures=failures,
     )
 

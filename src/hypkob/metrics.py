@@ -258,9 +258,13 @@ class MetricFamily:
 
     def separations(self, A: PreparedPoints, B: PreparedPoints,
                     w_mode: str = "snap") -> np.ndarray:
-        """Boundary separations of aligned batches: snapped or local."""
+        """Boundary separations of aligned batches: snapped or local.
+
+        Snapped separations read row ``A.node`` of the cached distance
+        rows at column ``B.node``, one entry per pair.
+        """
         if w_mode == "snap":
-            return self.graph.rows_from(A.node)[np.arange(len(A)), B.node]
+            return self.graph.rows_from(A.node, columns=B.node[:, None])[:, 0]
         return self.graph.distance_local_batch(A.feet, B.feet)
 
     def _aligned(self, kind: str, A: PreparedPoints, B: PreparedPoints,

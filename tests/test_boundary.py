@@ -111,6 +111,18 @@ def test_farthest_point_subset_equals_greedy_loop_on_ties():
             assert _farthest_point_subset(cand, n, 0) is cand
 
 
+def test_rows_from_columns_gathers_the_stacked_entries(graph):
+    rng = np.random.default_rng(12)
+    m = graph.nodes.shape[0]
+    src = rng.integers(0, m, size=40)
+    dst = rng.integers(0, m, size=40)
+    full = graph.rows_from(src)
+    assert np.array_equal(graph.rows_from(src, columns=dst), full[:, dst])
+    assert np.array_equal(graph.rows_from(src, columns=dst[:, None])[:, 0],
+                          full[np.arange(40), dst])
+    assert graph.distance_nodes(src[3], dst[5]) == full[3, dst[5]]
+
+
 @pytest.mark.parametrize("which", ["ball", "ellipsoid"])
 def test_rows_and_geodesics_equal_undirected_dijkstra(graph, structure, which):
     if which == "ball":

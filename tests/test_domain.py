@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +127,20 @@ def test_exterior_tolerance_does_not_depend_on_the_batch(projection, ball):
     alone = projection.project_batch(edge[None])
     paired = projection.project_batch(np.stack([deep, edge]))
     assert np.allclose(alone[0][0], paired[0][1], atol=1e-10)
+
+
+def test_diameter_estimate_memory_is_blocked():
+    # the one-shot (1024, 1024, 4) difference tensor peaked at 42 MB
+    dom = Domain.from_spec({"dimension": 4,
+                            "defining_function": {"type": "ball"}})
+    tracemalloc.start()
+    try:
+        diam = dom.diameter_estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+    assert 1.99 < diam <= 2.0
 
 
 def test_reach_estimate_ball(ball):

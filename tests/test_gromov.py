@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypkob import (BoundaryBiasedSampler, BoxSampler, HypkobError,
-                    MetricFamily, NotStabilized, PrefixTooShort,
+from hypkob import (BoundaryBiasedSampler, BoundaryGraph, BoxSampler,
+                    HeightProjection, HypkobError, MetricFamily,
+                    NotStabilized, PrefixTooShort,
                     boundary_identification, boundary_product,
                     converges_at_infinity, distance_matrix, four_point_delta,
                     four_point_from_matrix, gromov_product, normal_record,
                     triangle_thinness)
+from hypkob import gromov
 
 from conftest import EPS
 
@@ -135,6 +138,94 @@ def test_four_point_delta_counts_non_finite_defects(family):
     with pytest.raises(HypkobError):
         four_point_delta(fn, FixedSampler(np.full((12, 4), np.nan)),
                          n_quadruples=100, seed=0)
+
+
+def _one_shot_report(D, n_pool, n_quadruples, seed):
+    """Delta, witness indices, q99 and failures of one draw of everything."""
+    quads = np.random.default_rng(seed + 1).integers(
+        0, n_pool, size=(n_quadruples, 4))
+    with np.errstate(invalid="ignore"):
+        defects = four_point_from_matrix(D, quads)
+    finite = np.isfinite(defects)
+    quads, defects = quads[finite], defects[finite]
+    worst = int(np.argmax(defects))
+    return (defects[worst], quads[worst], np.quantile(defects, 0.99),
+            int(np.count_nonzero(~finite)))
+
+
+def test_chunked_four_point_delta_equals_one_shot(family, gfn, dfn):
+    # enough quadruples for the full 1,600-point pool
+    n = 3 * gromov._QUAD_CHUNK + 12345
+    for fn in (gfn, dfn):
+        sampler = BoundaryBiasedSampler(family, seed=7)
+        rep = four_point_delta(fn, sampler, n_quadruples=n, seed=7)
+        pool = sampler.sample(1600, seed=7)
+        delta, quad, q99, failures = _one_shot_report(
+            distance_matrix(fn, pool), 1600, n, 7)
+        assert rep.delta == rep.worst_defect == delta
+        assert np.array_equal(rep.worst_points, pool[quad])
+        assert rep.defect_q99 == q99
+        assert rep.failures == failures == 0
+    # a pool with a nan point: failures spread over every chunk
+    pool = np.random.default_rng(4).normal(size=(12, 4)) * 0.3
+    pool[5] = np.nan
+
+    class FixedSampler:
+        def sample(self, n, seed=None):
+            return pool
+
+    efn = family.functional("euclidean")
+    rep = four_point_delta(efn, FixedSampler(), n_quadruples=n, seed=0)
+    delta, quad, q99, failures = _one_shot_report(
+        distance_matrix(efn, pool), 12, n, 0)
+    assert rep.delta == delta
+    assert np.array_equal(rep.worst_points, pool[quad])
+    assert rep.defect_q99 == q99
+    assert rep.failures == failures > 0
+
+
+def test_blocked_distance_matrix_equals_whole_table(family, graph):
+    assert 300 % gromov._BLOCK_ROWS != 0
+    rng = np.random.default_rng(8)
+    node = rng.integers(0, graph.nodes.shape[0], size=300)
+    t = rng.uniform(0.005, 0.95, size=300)
+    # deep pairs on one ray, split over different blocks
+    node[[2, 140, 299]] = 17
+    t[[2, 140, 299]] = [0.6, 0.75, 0.9]
+    pts = graph.nodes[node] * (1.0 - t)[:, None]
+    # repeats of a collar and a deep point in other blocks
+    pts[[100, 250]] = pts[1]
+    pts[[70, 200]] = pts[140]
+    D = distance_matrix(family.functional("euclidean"), pts)
+    ref = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    assert np.array_equal(D, ref)
+    P = family.prepare(pts)
+    idx = np.arange(300)
+    W = graph.rows_from(P.node)[:, P.node]
+    for kind in ("g", "d"):
+        ref = family.kernel(kind, W, P.take(idx[:, None]), P.take(idx[None, :]))
+        np.fill_diagonal(ref, 0.0)
+        ref = np.maximum(ref, ref.T)
+        D = distance_matrix(family.functional(kind), pts)
+        assert np.array_equal(D, ref)
+        assert D[1, 100] == D[250, 100] == 0.0
+
+
+def test_four_point_delta_memory_is_one_table(ball, structure):
+    # 1,600-point pool, so the table is 20.5 MB; the one-shot form of the
+    # same run peaked at 104 MB (all 200k quadruples drawn at once, and
+    # whole-table kernel temporaries)
+    g = BoundaryGraph.build(ball, structure, n_nodes=300, seed=0)
+    fam = MetricFamily(HeightProjection(ball, EPS), g)
+    sampler = BoundaryBiasedSampler(fam, seed=3)
+    tracemalloc.start()
+    try:
+        four_point_delta(fam.functional("g"), sampler, n_quadruples=200_000,
+                         seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
 
 
 # ---------------------------------------------------------------------------
