@@ -7,7 +7,8 @@ distribution (along the frame ``structures.transverse_frame`` gives at
 each node) an ``anisotropy`` multiplier before taking the norm, with the
 frame pinned at the node nearest the edge midpoint. At anisotropy 1
 the weights collapse to plain Euclidean chord lengths. Distances are
-Dijkstra shortest paths; rows are cached.
+Dijkstra shortest paths; rows are cached, and a saved graph carries its
+cached rows, so a later load computes only the rows it lacks.
 
 Nodes are thinned from oversampled boundary candidates by the exact
 greedy farthest-point rule; a KD-tree over the candidates prunes each
@@ -26,6 +27,7 @@ costs so that scales below the node spacing remain visible.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,6 +67,9 @@ class BoundaryGraph:
         self.params = dict(params)
         self.tree = cKDTree(self.nodes)
         self._rows: dict[int, np.ndarray] = {}
+        # distance rows taken from a cache file, run by Dijkstra in this
+        # process, and written by the last save
+        self.row_counts = {"loaded": 0, "computed": 0, "saved": 0}
         self._frames = transverse_frame(domain, structure, self.nodes)
 
     # -- construction --------------------------------------------------------
@@ -230,6 +235,7 @@ class BoundaryGraph:
             rows = dijkstra(self.adjacency, directed=True, indices=missing)
             for pos, i in enumerate(missing):
                 self._rows[i] = rows[pos]
+            self.row_counts["computed"] += len(missing)
         if columns is None:
             return np.stack([self._rows[int(i)] for i in indices])
         cols = np.atleast_1d(np.asarray(columns, dtype=int))
@@ -329,21 +335,82 @@ class BoundaryGraph:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str):
+        """Write the graph and its cached distance rows to an npz file.
+
+        The rows go in as ``row_index`` (sorted node indices) and ``rows``
+        (one float64 row each, exactly as Dijkstra returned it). The file
+        is uncompressed and replaced atomically: it is written to a
+        temporary file next to ``path`` (named after the process), then
+        renamed over it, so a failed write leaves the old file as it was.
+        ``.npz`` is appended to a path that lacks it.
+        """
+        if not path.endswith(".npz"):
+            path = path + ".npz"
         A = self.adjacency.tocsr()
         meta = json.dumps(self.params, sort_keys=True)
-        np.savez_compressed(path, nodes=self.nodes, data=A.data,
-                            indices=A.indices, indptr=A.indptr,
-                            shape=np.array(A.shape), meta=np.array(meta))
+        order = sorted(self._rows)
+        row_index = np.array(order, dtype=np.int64)
+        rows = np.array([self._rows[i] for i in order],
+                        dtype=float).reshape(len(order), self.nodes.shape[0])
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, nodes=self.nodes, data=A.data,
+                         indices=A.indices, indptr=A.indptr,
+                         shape=np.array(A.shape), meta=np.array(meta),
+                         row_index=row_index, rows=rows)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+        self.row_counts["saved"] = int(row_index.size)
 
     @classmethod
     def load(cls, path: str, domain: Domain,
              structure: StructureField) -> "BoundaryGraph":
+        """Read a saved graph; its stored distance rows fill the row cache.
+
+        A file without rows loads with none. A rows block that could not
+        have come from Dijkstra on this graph is refused (``ConfigError``).
+        """
         with np.load(path, allow_pickle=False) as z:
             nodes = z["nodes"]
             A = csr_matrix((z["data"], z["indices"], z["indptr"]),
                            shape=tuple(z["shape"]))
             params = json.loads(str(z["meta"]))
-        return cls(domain, structure, nodes, A, params)
+            stored = "rows" in z.files or "row_index" in z.files
+            if stored:
+                if not {"rows", "row_index"} <= set(z.files):
+                    raise ConfigError(f"graph cache {path} has only one of "
+                                      "'rows' and 'row_index'")
+                row_index, rows = z["row_index"], z["rows"]
+        graph = cls(domain, structure, nodes, A, params)
+        if stored:
+            _check_rows(path, row_index, rows, nodes.shape[0])
+            graph._rows = {int(i): rows[p] for p, i in enumerate(row_index)}
+            graph.row_counts["loaded"] = int(row_index.size)
+        return graph
+
+
+def _check_rows(path: str, row_index: np.ndarray, rows: np.ndarray, n: int):
+    """Refuse a stored rows block that Dijkstra on ``n`` nodes cannot give."""
+    k = row_index.size
+    if (row_index.ndim != 1 or rows.shape != (k, n)
+            or rows.dtype != np.float64
+            or not np.issubdtype(row_index.dtype, np.integer)):
+        problem = (f"shape {rows.shape} and type {rows.dtype} for {k} "
+                   f"indices and {n} nodes")
+    elif (np.unique(row_index).size != k or np.any(row_index < 0)
+          or np.any(row_index >= n)):
+        problem = "row indices that repeat or fall outside the nodes"
+    elif np.any(rows[np.arange(k), row_index] != 0):
+        problem = "a row whose own node is not at distance 0"
+    elif not np.all(rows >= 0):
+        problem = "negative or NaN distances"
+    else:
+        return
+    raise ConfigError(f"graph cache {path} holds distance rows with {problem}")
 
 
 def _farthest_point_subset(cand: np.ndarray, n: int, seed: int) -> np.ndarray:

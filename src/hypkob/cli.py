@@ -507,6 +507,9 @@ def main(argv=None) -> int:
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         report, code = handler(args, cfg, ws)
+        # rows this command computed join the cache for later commands
+        if ws.graph_cache and ws.graph.row_counts["computed"]:
+            ws.graph.save(ws.graph_cache)
     except ConfigError as exc:
         _err(exc)
         return 2
@@ -527,6 +530,8 @@ def main(argv=None) -> int:
         "seeds": cfg.seeds,
         "refine": int(args.refine),
         "graph": ws.graph.params if ws.graph is not None else None,
+        "graph_rows": (dict(ws.graph.row_counts) if ws.graph is not None
+                       else None),
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

@@ -136,6 +136,9 @@ class Workspace:
     graph: Optional[BoundaryGraph]
     family: Optional[MetricFamily]
     epsilon: float
+    # the cache file that holds ``graph`` (``.npz`` appended); None without
+    # a cache, and for a refined graph, whose rows belong to no cache
+    graph_cache: Optional[str] = None
 
 
 def build_workspace(cfg: RunConfig, refine: int = 0,
@@ -147,8 +150,11 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
     build; refinement happens after loading, so a cache plus a refine
     count is a reproducible denser graph. The cache carries a hash of the
     domain spec, the structure spec and the graph block, and a cache
-    whose hash differs or is missing is refused. Pointwise commands that
-    never touch boundary distances skip the graph entirely.
+    whose hash differs or is missing is refused. It also holds the
+    graph's distance rows; the workspace names the cache only while
+    ``graph`` is the cached graph itself, so rows of a refined graph never
+    reach it. Pointwise commands that never touch boundary distances skip
+    the graph entirely.
     """
     domain = Domain.from_spec(cfg.domain_spec)
     structure = StructureField.from_spec(cfg.structure_spec, domain.dim)
@@ -188,4 +194,5 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
         graph = graph.refine()
     family = MetricFamily(projection, graph)
     return Workspace(domain=domain, structure=structure, projection=projection,
-                     graph=graph, family=family, epsilon=eps)
+                     graph=graph, family=family, epsilon=eps,
+                     graph_cache=None if int(refine) else graph_cache)

@@ -143,6 +143,30 @@ def test_diameter_estimate_memory_is_blocked():
     assert 1.99 < diam <= 2.0
 
 
+@pytest.mark.parametrize("semi_axes", [None, [1.0, 1.0, 0.7, 0.7]])
+def test_cloud_tree_queries_equal_brute_force(semi_axes):
+    field = ({"type": "ball"} if semi_axes is None
+             else {"type": "ellipsoid", "semi_axes": semi_axes})
+    dom = Domain.from_spec({"dimension": 4, "defining_function": field})
+    cloud = dom.boundary_cloud()
+    rng = np.random.default_rng(8)
+    u = rng.normal(size=(300, 4))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    if semi_axes is not None:
+        u *= np.asarray(semi_axes)
+    r = np.concatenate([rng.uniform(0.05, 0.3, 100),    # deep
+                        np.full(100, 3e-4),              # near the centre
+                        rng.uniform(0.6, 0.99, 100)])    # collar
+    X = r[:, None] * u
+    brute = np.linalg.norm(X[:, None, :] - cloud[None], axis=-1)
+    order = np.argsort(brute, axis=1, kind="stable")
+    for k in (1, 24):
+        dist, idx = dom.cloud_tree().query(X, k=k)
+        idx, dist = idx.reshape(300, k), dist.reshape(300, k)
+        assert np.array_equal(idx, order[:, :k])
+        assert np.array_equal(dist, np.take_along_axis(brute, order[:, :k], 1))
+
+
 def test_reach_estimate_ball(ball):
     est = reach_details(ball, n_samples=128, seed=2)
     assert abs(est.reach - 1.0) < 0.02
