@@ -532,6 +532,7 @@ def main(argv=None) -> int:
         "graph": ws.graph.params if ws.graph is not None else None,
         "graph_rows": (dict(ws.graph.row_counts) if ws.graph is not None
                        else None),
+        "counters": {"projection": dict(ws.projection.counts)},
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

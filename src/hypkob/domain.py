@@ -327,11 +327,14 @@ class Domain:
             v = self.rho(x + mid[:, None] * d)
             hi = np.where(v >= 0.0, mid, hi)
             lo = np.where(v >= 0.0, lo, mid)
-        p = x + hi[:, None] * d
-        # first-order polish onto the zero set
-        for _ in range(3):
-            g2 = self.grad(p)
-            p = p - (self.rho(p) / np.sum(g2 * g2, axis=-1))[:, None] * g2
+        return self.retract(x + hi[:, None] * d, steps=3)
+
+    def retract(self, p: np.ndarray, steps: int = 2) -> np.ndarray:
+        """First-order steps ``p - rho(p) grad(p) / |grad(p)|^2`` onto the zero set."""
+        for _ in range(steps):
+            g = self.grad(p)
+            gn2 = np.maximum(np.sum(g * g, axis=-1), 1e-300)
+            p = p - (self.rho(p) / gn2)[:, None] * g
         return p
 
     # -- cached cloud --------------------------------------------------------
@@ -434,7 +437,10 @@ class HeightProjection:
     """Nearest-boundary projection and the square-root height function.
 
     The solver runs a damped Newton iteration on the first-order
-    nearest-point conditions, seeded from the cached boundary cloud. Inside
+    nearest-point conditions, seeded from the cached boundary cloud. Each
+    trial step is retracted onto the zero set before it is measured, so
+    the solve converges also near the centre of a ball, where the nearest
+    feet nearly tie and an unretracted step improves nothing. Inside
     the collar the foot is unique; deeper points, and points whose solve
     fails, fall back to polishing their 24 nearest cloud candidates. The
     fallback is one batched Newton call over every (point, candidate) pair
@@ -442,10 +448,11 @@ class HeightProjection:
     which each point's candidates backtrack as a block of their own, so the
     feet a point's candidates reach do not depend on the other points in
     the call. Candidates that no backtrack improves stop early as stuck
-    instead of repeating the same sweep; only points left with no converged
-    candidate go on, together, to the normal-ray refinement. Each point
-    takes its nearest converged foot, with ties within 1e-9 broken by the
-    lexicographically smallest foot.
+    instead of repeating the same sweep. A foot is accepted only on the
+    Newton residual test, and a point none of whose candidates converges
+    raises ``ProjectionDiverged``. Each point takes its nearest converged
+    foot, with ties within 1e-9 broken by the lexicographically smallest
+    foot.
 
     A caller that already knows a near-foot for each point (an orbit's
     previous step, a ladder point's boundary node) passes it as
@@ -458,6 +465,11 @@ class HeightProjection:
     cloud's own resolution of the nearest one is taken as nearest. On the
     ball every deep point off the centre has a single nearest foot, and
     any farther critical point lies beyond the cloud distance.
+
+    ``counts`` sums what the solver did over every call: points
+    projected, Newton sweeps (one Hessian evaluation over the active rows
+    each), stuck rows, seeded feet accepted and rejected, and points sent
+    to the fallback.
     """
 
     def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10):
@@ -466,6 +478,9 @@ class HeightProjection:
         self.domain = domain
         self.epsilon = float(epsilon)
         self.newton_tol = float(newton_tol)
+        self.counts = dict.fromkeys(
+            ("points", "newton_sweeps", "stuck_rows", "seeded_accepted",
+             "seeded_rejected", "fallback_points"), 0)
 
     # -- batched solver ------------------------------------------------------
 
@@ -475,7 +490,9 @@ class HeightProjection:
 
         Returns (P, ok) where ok flags convergence per point. A point with
         a singular tangent system takes a zero step; its neighbours in the
-        batch are solved as usual. Rows backtrack in consecutive blocks of
+        batch are solved as usual. Each trial point is retracted onto
+        ``rho = 0`` by two gradient steps (``Domain.retract``) before its
+        residual is measured. Rows backtrack in consecutive blocks of
         ``block`` (default: the whole batch): a block's step lengths are
         halved together until every row of it has a lower residual, at most
         eight times, and each row keeps its best trial. A point that no
@@ -499,6 +516,7 @@ class HeightProjection:
             rows = np.flatnonzero(~(ok | stuck))
             if rows.size == 0:
                 break
+            self.counts["newton_sweeps"] += 1
             H = dom.hess(p[rows])
             ga = g[rows]
             J = np.zeros((rows.size, n + 1, n + 1))
@@ -514,7 +532,11 @@ class HeightProjection:
             r, pick = rows, slice(None)
             t = 1.0
             for _ in range(8):
-                p_try = p0[pick] + t * step[pick, :n]
+                # a step along the tangent plane leaves the zero set by about
+                # the square of its length; near the centre of a ball that
+                # is far more than the residual the step removes, so each
+                # trial is put back on rho = 0 before it is measured
+                p_try = dom.retract(p0[pick] + t * step[pick, :n])
                 lam_try = lam0[pick] + t * step[pick, n]
                 g_try, r1_try, r2_try, rn_try = residual_at(dom, X[r], p_try, lam_try)
                 better = rn_try < rn[r]
@@ -528,62 +550,8 @@ class HeightProjection:
                 r = rows[pick]
                 t *= 0.5
             stuck[rows[pending]] = True
+            self.counts["stuck_rows"] += int(np.count_nonzero(pending))
             ok = rn <= tol
-        return p, ok
-
-    def _normal_ray_polish(self, X: np.ndarray, P0: np.ndarray,
-                           iters: int = 24):
-        """Foot refinement by rays cast from ``x`` along the outward normal.
-
-        Shoot the ray from ``x`` through the normal direction at the
-        current boundary point, move to where it crosses the boundary,
-        and repeat. Every step lands exactly on the boundary and, on the
-        convex geometries this targets, does not worsen the seed
-        distance. That rescues the regime where the coupled Newton solve
-        turns singular: deeply interior points whose feet nearly tie, and
-        where first-order stationarity cannot be resolved because the
-        distance objective is flat there. A point is accepted when it
-        sits on the boundary and either meets the Newton residual test
-        or is at least as close as the seed it started from. Each point
-        stops once a ray moves it by less than a quarter of the tolerance.
-        """
-        dom = self.domain
-        X = np.atleast_2d(X)
-        p = np.array(P0, dtype=float, copy=True)
-        scale = 1.0 + np.linalg.norm(X, axis=-1)
-        tol = self.newton_tol * scale
-        span = 2.0 * dom.diameter_estimate()
-        rows = np.arange(X.shape[0])
-        for _ in range(iters):
-            if rows.size == 0:
-                break
-            Xr, pr = X[rows], p[rows]
-            g = dom.grad(pr)
-            gn = np.linalg.norm(g, axis=-1, keepdims=True)
-            d = g / np.maximum(gn, 1e-300)
-            hi = np.maximum(np.linalg.norm(pr - Xr, axis=-1), 1e-3 * span)
-            for _ in range(40):
-                bad = dom.rho(Xr + hi[:, None] * d) < 0.0
-                if not np.any(bad):
-                    break
-                hi = np.where(bad, np.minimum(hi * 1.5, 1.01 * span), hi)
-            lo = np.zeros_like(hi)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                inside = dom.rho(Xr + mid[:, None] * d) < 0.0
-                lo = np.where(inside, mid, lo)
-                hi = np.where(inside, hi, mid)
-            p[rows] = Xr + hi[:, None] * d
-            moved = np.abs(p[rows] - pr).max(axis=-1)
-            rows = rows[moved > 0.25 * tol[rows]]
-        g = dom.grad(p)
-        gn2 = np.sum(g * g, axis=-1)
-        lam = np.sum((p - X) * g, axis=-1) / np.maximum(gn2, 1e-300)
-        _, _, _, rn = residual_at(dom, X, p, lam)
-        d_new = np.linalg.norm(p - X, axis=-1)
-        d_seed = np.linalg.norm(np.atleast_2d(P0) - X, axis=-1)
-        on_boundary = np.abs(dom.rho(p)) <= tol
-        ok = on_boundary & ((rn <= tol) | (d_new <= d_seed + tol))
         return p, ok
 
     def _fallback_feet(self, X: np.ndarray):
@@ -596,15 +564,9 @@ class HeightProjection:
         cloud = dom.boundary_cloud()
         f, k, n = X.shape[0], min(24, cloud.shape[0]), dom.dim
         _, cand_idx = dom.cloud_tree().query(X, k=k)
-        xs = np.repeat(X, k, axis=0)
-        cands = cloud[np.reshape(cand_idx, -1)]
-        Pc, okc = self._newton_polish(xs, cands, block=k)
+        Pc, okc = self._newton_polish(np.repeat(X, k, axis=0),
+                                      cloud[np.reshape(cand_idx, -1)], block=k)
         Pc, okc = Pc.reshape(f, k, n), okc.reshape(f, k)
-        rescue = ~okc.any(axis=1)
-        if np.any(rescue):
-            sub = np.repeat(rescue, k)
-            Pr, okr = self._normal_ray_polish(xs[sub], cands[sub])
-            Pc[rescue], okc[rescue] = Pr.reshape(-1, k, n), okr.reshape(-1, k)
         # nearest converged foot; ties within 1e-9 go to the lexicographically
         # smallest, i.e. the first of its point's rows in a sort by
         # (point, not near, x_1, ..., x_n)
@@ -629,6 +591,7 @@ class HeightProjection:
         r = dom.rho(X)
         if np.any(r > 1e-12 * (1.0 + np.abs(r))):
             raise PointOutsideDomain("projection requested for a point outside the domain")
+        self.counts["points"] += X.shape[0]
         tree = dom.cloud_tree()
         cd, ci = tree.query(X, k=1)
         cloud = dom.boundary_cloud()
@@ -657,6 +620,9 @@ class HeightProjection:
             take = oks & (np.linalg.norm(Ps - X[idx], axis=-1) <= cd[idx] + 1e-9)
             accept(idx[take], Ps[take])
             idx = idx[~take]
+            self.counts["seeded_accepted"] += int(np.count_nonzero(take))
+            self.counts["seeded_rejected"] += idx.size
+        self.counts["fallback_points"] += idx.size
         for lo in range(0, idx.size, _FALLBACK_CHUNK):
             part = idx[lo:lo + _FALLBACK_CHUNK]
             feet, found = self._fallback_feet(X[part])
@@ -666,8 +632,6 @@ class HeightProjection:
                     f"no converged boundary foot for point index {int(part[lost][0])}"
                 )
             accept(part[found], feet[found])
-        if np.any(~ok):
-            raise ProjectionDiverged(f"{int(np.sum(~ok))} projections failed to converge")
         return P, dist
 
     def project(self, x) -> np.ndarray:

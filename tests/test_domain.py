@@ -59,9 +59,10 @@ def test_center_tie_break_deterministic(ball):
 
 
 def test_deep_interior_shell_projects(projection):
-    # near the center the feet nearly tie and the coupled Newton solve
-    # turns singular; the ray fallback must still return boundary feet
-    # with the right distance at every radius down to zero
+    # near the center the feet nearly tie and the tangent block of the
+    # Newton system, (1 - 2 lam) I = |x| I on the ball, nearly vanishes;
+    # the fallback's Newton solves must still return boundary feet with the
+    # right distance at every radius down to zero
     rng = np.random.default_rng(11)
     U = rng.normal(size=(12, 4))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -222,11 +223,14 @@ def _unit(v):
 
 
 def test_singular_tangent_system_spares_its_neighbours(projection):
-    # from an off-boundary seed at the origin lam is exactly 1/2, so the
-    # (I - lam H) block of that row is exactly zero and its system singular;
-    # the other row must still take its Newton steps and converge
+    # from the off-boundary seed p0 = (0.9, 0, 0, 0) of x = (0, 0.5, 0, 0),
+    # x is orthogonal to p0, so lam = (p0 - x).p0 / |p0|^2 is exactly 1/2,
+    # the (I - lam H) block of that row is exactly zero and its system
+    # singular; the zero step retracts to (1, 0, 0, 0), which is no foot of
+    # x and leaves its residual at 1/2. The other row must still take its
+    # Newton steps and converge
     u = _unit([0.2, -0.5, 0.7, 0.4])
-    X = np.stack([0.5 * u, np.zeros(4)])
+    X = np.stack([0.5 * u, [0.0, 0.5, 0.0, 0.0]])
     P0 = np.stack([_unit(u + [0.1, 0.1, 0.0, -0.1]), [0.9, 0.0, 0.0, 0.0]])
     P, ok = projection._newton_polish(X, P0)
     assert ok[0] and not ok[1]
@@ -235,16 +239,20 @@ def test_singular_tangent_system_spares_its_neighbours(projection):
 
 
 def test_unimprovable_point_stops_after_one_sweep(monkeypatch):
-    # a zero step improves nothing, and repeating the sweep would repeat
-    # it exactly, so the stuck row costs one Hessian evaluation, not 100
+    # a zero step improves nothing (the singular row of the test above),
+    # and repeating the sweep would repeat it exactly, so the stuck row
+    # costs one Hessian evaluation, not 100
     ball = Domain.from_spec({"dimension": 4, "defining_function": {"type": "ball"}})
     proj = HeightProjection(ball, EPS)
     calls = []
     hess = ball.hess
     monkeypatch.setattr(ball, "hess", lambda p: calls.append(len(p)) or hess(p))
-    P, ok = proj._newton_polish(np.zeros((1, 4)), [[0.9, 0.0, 0.0, 0.0]])
+    P, ok = proj._newton_polish(np.array([[0.0, 0.5, 0.0, 0.0]]),
+                                [[0.9, 0.0, 0.0, 0.0]])
     assert not ok[0]
     assert calls == [1]
+    assert proj.counts["newton_sweeps"] == 1
+    assert proj.counts["stuck_rows"] == 1
 
 
 def test_deep_feet_do_not_depend_on_the_batch(projection):
@@ -298,6 +306,14 @@ def complex_ellipsoid_projection():
     return HeightProjection(dom, 0.245)
 
 
+def _boundary_point(draw, axes):
+    """The boundary point on the ray through a drawn direction."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    u = np.array(draw(st.lists(coord, min_size=4, max_size=4)
+                      .filter(lambda v: np.linalg.norm(v) > 0.1)))
+    return u / np.sqrt(np.sum(u * u / axes**2))
+
+
 @st.composite
 def _mixed_batch(draw):
     """Collar points, deep points and the centre, on the ball or the ellipsoid.
@@ -307,16 +323,13 @@ def _mixed_batch(draw):
     """
     on_ellipsoid = draw(st.booleans())
     axes = _ELLIPSOID_AXES if on_ellipsoid else np.ones(4)
-    coord = st.floats(-1.0, 1.0, allow_nan=False)
     rows = []
     for kind in draw(st.lists(st.sampled_from(["collar", "deep", "centre"]),
                               min_size=1, max_size=6)):
         if kind == "centre":
             rows.append(np.zeros(4))
             continue
-        u = np.array(draw(st.lists(coord, min_size=4, max_size=4)
-                          .filter(lambda v: np.linalg.norm(v) > 0.1)))
-        b = u / np.sqrt(np.sum(u * u / axes**2))
+        b = _boundary_point(draw, axes)
         lo, hi = (0.75, 0.97) if kind == "collar" else (0.0, 0.4)
         rows.append(draw(st.floats(lo, hi)) * b)
     return on_ellipsoid, np.array(rows)
@@ -337,3 +350,69 @@ def test_batch_projection_equals_pointwise(projection,
         if not np.any(x):
             # every foot ties at the centre: the same lexicographic pick
             assert np.array_equal(P[i], Pi[0])
+
+
+def _near_centre_directions():
+    """The 8 directions of the benchmark's near-centre rows (seed 2008)."""
+    u = np.random.default_rng(2008).standard_normal((8, 4))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("r", [3e-4, 1e-3])
+def test_near_centre_feet_are_radial(projection, family, r):
+    # an accepted foot has a Newton residual of max norm at most
+    # tol = newton_tol (1 + |x|), so its tangential part is at most 2 tol
+    # long in R^4. On the ball that part is |x| sin(theta), theta the angle
+    # between the foot and x/|x|, and |rho| <= tol puts the foot within
+    # tol/2 of the sphere: the foot is within 2 tol/|x| + tol of x/|x|
+    U = _near_centre_directions()
+    X = r * U
+    P, dist = projection.project_batch(X)
+    tol = projection.newton_tol * (1.0 + r)
+    assert np.linalg.norm(P - U, axis=1).max() <= 2.0 * tol / r + tol
+    assert np.abs(dist - (1.0 - r)).max() <= tol
+    # both points of (x, x/2) share one foot, so d is their chord
+    for x in X:
+        assert family.d(x, 0.5 * x) == pytest.approx(0.5 * r, rel=1e-12)
+
+
+@st.composite
+def _interior_batch(draw):
+    """Points s b on rays from the centre, b the ray's boundary point.
+
+    On the ball s = 10^e with e in [-4, log10 0.97], so |x| reaches down
+    to 1e-4; on the (1, 1, 0.7, 0.7) ellipsoid s is in [0, 0.97].
+    """
+    on_ellipsoid = draw(st.booleans())
+    axes = _ELLIPSOID_AXES if on_ellipsoid else np.ones(4)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        b = _boundary_point(draw, axes)
+        s = (draw(st.floats(0.0, 0.97)) if on_ellipsoid
+             else 10.0 ** draw(st.floats(-4.0, np.log10(0.97))))
+        rows.append(s * b)
+    return on_ellipsoid, np.array(rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_interior_batch())
+def test_projected_feet_pass_the_newton_test(projection,
+                                             complex_ellipsoid_projection,
+                                             case):
+    # every returned foot p is on rho = 0 and stationary for |p - x| to the
+    # solver's tolerance, and the returned distance is |x - p|. The
+    # solver's lam is not returned; the least-squares lam minimises the
+    # 2-norm of p - x - lam grad(p), which is at most 2 tol in R^4 for the
+    # solver's lam, so its max norm is at most 2 tol
+    on_ellipsoid, X = case
+    proj = complex_ellipsoid_projection if on_ellipsoid else projection
+    dom = proj.domain
+    P, dist = proj.project_batch(X)
+    tol = proj.newton_tol * (1.0 + np.linalg.norm(X, axis=1))
+    assert np.all(np.abs(dom.rho(P)) <= tol)
+    g = dom.grad(P)
+    lam = np.sum((P - X) * g, axis=1) / np.sum(g * g, axis=1)
+    r1 = P - X - lam[:, None] * g
+    assert np.all(np.abs(r1).max(axis=1) <= 2.0 * tol)
+    chord = np.array([np.linalg.norm(x - p) for x, p in zip(X, P)])
+    assert np.all(np.abs(dist - chord) <= 2.0 * np.spacing(chord))

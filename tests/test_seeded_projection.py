@@ -5,11 +5,15 @@ foot is kept when its Newton solve converges and it is no farther than
 the nearest cloud point, and every other point goes on to the fallback.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypkob import Domain, HeightProjection, affine_contraction, iterate_many
+from hypkob import config
+from hypkob.cli import main
 from hypkob.domain import principal_curvatures
 
 from conftest import EPS
@@ -128,3 +132,40 @@ def test_contraction_orbit_reaches_fallback_only_at_step_zero(ball):
     assert all(r.n_steps == 200 for r in recs)
     assert all(abs(r.heights[-1] ** 2 - 0.9) < 1e-9 for r in recs)
     assert proj.fallback_points == step0
+
+
+def test_deep_orbit_manifest_records_the_fallback_points(tmp_path,
+                                                          monkeypatch):
+    # the deep benchmark's contraction toward (0.1, 0, 0, 0) at rate 0.5,
+    # through the command line, with the workspace's projection counting
+    # its fallback points by the override above; manifest.json carries the
+    # projection's own count, and report.json replays byte for byte
+    made = []
+
+    class Recorded(_CountingProjection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(config, "HeightProjection", Recorded)
+    cfg = tmp_path / "ball.json"
+    cfg.write_text(json.dumps({
+        "domain": {"dimension": 4, "defining_function": {"type": "ball"}},
+        "epsilon": EPS, "graph": {"n_nodes": 160, "k_neighbors": 8}}))
+    contraction = tmp_path / "contraction.json"
+    contraction.write_text(json.dumps({"type": "affine_contraction",
+                                       "p": [0.1, 0.0, 0.0, 0.0],
+                                       "rate": 0.5}))
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["orbit", "--config", str(cfg), "--map", str(contraction),
+                     "--out", str(out)]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counters"]
+        runs.append(((out / "report.json").read_bytes(), counts["projection"]))
+        assert counts["projection"] == made[-1].counts
+        assert counts["projection"]["fallback_points"] == made[-1].fallback_points
+    assert runs[0] == runs[1]
+    counts = runs[0][1]
+    assert 0 < counts["fallback_points"] < counts["points"]
+    assert counts["seeded_accepted"] > 0
