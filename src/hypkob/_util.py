@@ -1,4 +1,4 @@
-"""Small shared helpers: determinism and hashing."""
+"""Small shared helpers: deterministic JSON and configuration hashes."""
 
 from __future__ import annotations
 
@@ -6,14 +6,6 @@ import hashlib
 import json
 
 import numpy as np
-
-_QUANTUM = 1e-12
-
-
-def point_key(x: np.ndarray) -> bytes:
-    """Cache key for a point, quantized to a 1e-12 grid."""
-    return np.round(np.asarray(x, dtype=float) / _QUANTUM).astype(np.int64).tobytes()
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):

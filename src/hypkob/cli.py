@@ -32,7 +32,7 @@ from ._util import dump_json
 from .config import RunConfig, Workspace, load_config, build_workspace
 from .structures import check_structure, check_strict_convexity, contact_batch
 from .boundary import BoundaryMap, lipschitz_details
-from .metrics import path_length, estimate_C
+from .metrics import path_length
 from .kobayashi import KobayashiMetric, qi_check, quasi_isometry_fit
 from .gromov import BoxSampler, BoundaryBiasedSampler, four_point_delta
 from .dynamics import (map_from_spec, iterate_many, classify_orbit,
@@ -136,30 +136,22 @@ def _upper(fam, pl) -> float:
     return path_length(pl, fam.functional("g"), rel_tol=1e-4, max_depth=8)
 
 
-def _batch_values(fam, kind: str, rows: list) -> dict:
-    """Row index to ``[g]``, or ``[g, d, upper]`` for kind ``d``.
+def _batch_values(fam, kind: str, X, Y) -> list:
+    """``[g]``, or ``[g, d, upper]`` for kind ``d``, for each pair of rows.
 
-    Covers every parsed row. One ``prepare`` call projects the endpoints of all rows, one
-    ``g_pairs`` call evaluates them and, for kind ``d``, one
-    ``composite_upper_paths`` call builds every witness path with its
-    ``d``. Empty when the batch raises, so that the rows go one at a time
-    and a bad row marks only itself.
+    One ``prepare`` call projects every endpoint, one ``g_pairs`` call
+    evaluates them and, for kind ``d``, one ``composite_upper_paths``
+    call builds every witness path with its ``d``. The per-row fallback
+    of ``dist`` calls it on a single pair.
     """
-    idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
-    if kind not in ("g", "d") or not idx:
-        return {}
-    m = len(idx)
-    XY = np.array([rows[i][1] for i in idx] + [rows[i][2] for i in idx])
-    try:
-        P = fam.prepare(XY)
-        A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
-        cols = [fam.g_pairs(A, B)]
-        if kind == "d":
-            paths, dval = fam.composite_upper_paths(A, B)
-            cols += [dval, [_upper(fam, pl) for pl in paths]]
-    except HypkobError:
-        return {}
-    return {i: [float(c[k]) for c in cols] for k, i in enumerate(idx)}
+    m = len(X)
+    P = fam.prepare(np.concatenate([X, Y]))
+    A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
+    cols = [fam.g_pairs(A, B)]
+    if kind == "d":
+        paths, dval = fam.composite_upper_paths(A, B)
+        cols += [dval, [_upper(fam, pl) for pl in paths]]
+    return [[float(c[k]) for c in cols] for k in range(m)]
 
 
 def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
@@ -169,7 +161,16 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     kmetric = None
     if kind == "kobayashi_estimate":
         kmetric = KobayashiMetric(ws.projection, ws.graph)
-    batch = _batch_values(fam, kind, rows)
+    batch = {}
+    idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
+    if kind in ("g", "d") and idx:
+        try:
+            batch = dict(zip(idx, _batch_values(
+                fam, kind, [rows[i][1] for i in idx],
+                [rows[i][2] for i in idx])))
+        except HypkobError:
+            # the rows go one at a time, so a bad row marks only itself
+            pass
     dim = ws.domain.dim
     header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
     if kind == "d":
@@ -190,24 +191,16 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
                 continue
             coords = [_fmt(v) for v in x] + [_fmt(v) for v in y]
             try:
-                if kind == "g":
-                    val = batch[i][0] if i in batch else fam.g(x, y)
-                    row = [_fmt(val)]
-                elif kind == "d":
-                    if i in batch:
-                        lo, val, up = batch[i]
-                    else:
-                        pl, val = fam.composite_upper_path(x, y)
-                        lo, up = fam.g(x, y), _upper(fam, pl)
-                    row = [_fmt(lo), _fmt(val), _fmt(up)]
-                elif kind == "kobayashi_estimate":
-                    val = kmetric.distance(x, y)
-                    row = [_fmt(val)]
+                if kind == "kobayashi_estimate":
+                    vals = [kmetric.distance(x, y)]
+                elif kind == "euclidean":
+                    vals = [np.linalg.norm(x - y)]
                 else:
-                    val = np.linalg.norm(x - y)
-                    row = [_fmt(val)]
-                values.append(float(val))
-                wr.writerow(coords + row + [""])
+                    vals = (batch[i] if i in batch
+                            else _batch_values(fam, kind, [x], [y])[0])
+                # d's value column sits between its lower and upper columns
+                values.append(float(vals[1] if kind == "d" else vals[0]))
+                wr.writerow(coords + [_fmt(v) for v in vals] + [""])
             except HypkobError as exc:
                 n_err += 1
                 wr.writerow(coords + [""] * (len(header) - 2 * dim - 1)
@@ -254,30 +247,29 @@ def _cmd_delta(args, cfg: RunConfig, ws: Workspace):
 
 def _cmd_qi(args, cfg: RunConfig, ws: Workspace):
     fam = ws.family
+    # the sampler's points come prepared from their construction, so g
+    # and d project none of them
+    sampler = BoundaryBiasedSampler(fam, cfg.seeds["pairs"])
     if args.metric == "kob":
-        sampler = BoundaryBiasedSampler(fam, cfg.seeds["pairs"])
         pool = sampler.sample(46)
         kmetric = KobayashiMetric(ws.projection, ws.graph)
         rep = qi_check(fam, kmetric, pool)
         report = {
             "command": "qi",
             "comparison": ["g", "kob"],
-            "n_pool": int(pool.shape[0]),
+            "n_pool": len(pool),
         }
     elif args.metric == "d":
-        sampler = BoundaryBiasedSampler(fam, cfg.seeds["pairs"])
-        X = sampler.sample(1000)
+        P = sampler.sample(1000)
         rng = np.random.default_rng(cfg.seeds["pairs"] + 1)
-        Y = sampler.sample(1000, seed=int(rng.integers(1 << 31)))
-        P, Q = fam.prepare(X), fam.prepare(Y)
+        Q = sampler.sample(1000, seed=int(rng.integers(1 << 31)))
         G = fam.g_pairs(P, Q)
         D = fam.d_pairs(P, Q)
         rep = quasi_isometry_fit(G, D)
-        pairs = np.stack([X, Y], axis=1)
         report = {
             "command": "qi",
             "comparison": ["g", "d"],
-            "estimate_C": float(estimate_C(fam, pairs=pairs)),
+            "estimate_C": float(np.max(D - G)),
         }
     else:
         raise ConfigError("the sandwich fit compares d or kob against g")

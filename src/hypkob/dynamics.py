@@ -142,6 +142,8 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
     projection of the next, so a deep orbit point polishes its previous
     foot instead of the projection's 24 cloud candidates.
     """
+    if functional is not None and omega is None:
+        raise ConfigError("a basepoint is needed for distance traces")
     X0 = np.atleast_2d(np.asarray(starts, dtype=float))
     m = X0.shape[0]
     domain = projection.domain
@@ -168,16 +170,18 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
         heights.append(h)
     P = np.stack(traj, axis=1)  # (m, steps+1, dim)
     Hs = np.stack(heights, axis=1)  # (m, steps+1)
+    base = [None] * m
+    if functional is not None:
+        fam = functional.family
+        flat = fam.prepare(P.reshape(-1, P.shape[2]))
+        O = fam.prepare(np.asarray(omega, dtype=float)[None])
+        base = functional.pairs(flat, O.take(np.zeros(len(flat), dtype=int)))
+        base = base.reshape(m, -1)
     records = []
     for i in range(m):
         pts = P[i]
-        base = None
-        if functional is not None:
-            if omega is None:
-                raise ConfigError("a basepoint is needed for distance traces")
-            base = np.array([functional.pair(p, omega) for p in pts])
         records.append(OrbitRecord(
-            start=X0[i].copy(), points=pts, heights=Hs[i], base_trace=base,
+            start=X0[i].copy(), points=pts, heights=Hs[i], base_trace=base[i],
             stopped_early=bool(stopped[i]), n_steps=pts.shape[0] - 1))
     return records
 
@@ -267,7 +271,8 @@ def classify_orbit(family: MetricFamily,
     with projections settling, and all final projections within the
     ``_SPREAD_TOL`` of each other in the boundary metric; the returned
     point is the first orbit's final foot. Anything mixed is Inconclusive
-    with the per-orbit evidence attached.
+    with the per-orbit evidence attached. Only a verdict other than
+    Bounded projects the marked tail points.
     """
     if len(orbits) < 5:
         raise ConfigError("classification needs at least 5 starts")
@@ -276,21 +281,8 @@ def classify_orbit(family: MetricFamily,
             raise ConfigError("orbits must run 50 steps or stop at the floor")
     root = math.sqrt(family.eps)
     floor = 0.05 * root
-    tail_mins = []
-    tail_feet = []
-    marked = []
-    for rec in orbits:
-        half = rec.points.shape[0] // 2
-        tail_mins.append(float(rec.heights[half:].min()))
-        n = rec.points.shape[0]
-        marks = sorted(set([half, (3 * n) // 4, n - 1]))
-        Pm = family.prepare(rec.points[marks])
-        tail_feet.append(Pm.feet[-1])
-        # Cauchy pairs: the half and three-quarter feet against the last
-        # one; an orbit too short for three marks pairs its last foot
-        # with itself, at distance exactly zero
-        marked.append(Pm.feet[[0, 1]] if len(marks) >= 3 else Pm.feet[[-1, -1]])
-    tail_mins = np.asarray(tail_mins)
+    tail_mins = np.asarray([float(rec.heights[rec.points.shape[0] // 2:].min())
+                            for rec in orbits])
     evidence = {
         "tail_min_heights": [float(v) for v in tail_mins],
         "bounded_floor": floor,
@@ -302,9 +294,19 @@ def classify_orbit(family: MetricFamily,
         rec.stopped_early or tm < floor
         for rec, tm in zip(orbits, tail_mins)
     ])
-    feet = np.stack(tail_feet)
+    # Cauchy pairs: the half and three-quarter points against the last
+    # one; an orbit too short for three marks pairs its last point with
+    # itself, at distance exactly zero
+    marks = []
+    for rec in orbits:
+        n = rec.points.shape[0]
+        idx = [n // 2, (3 * n) // 4, n - 1]
+        marks.append(rec.points[idx if len(set(idx)) == 3 else [n - 1] * 3])
+    mfeet, _ = family.projection.project_batch(np.concatenate(marks))
+    mfeet = mfeet.reshape(len(orbits), 3, -1)
+    feet = mfeet[:, 2]
     graph = family.graph
-    cauchy = graph.distance_local_batch(np.concatenate(marked),
+    cauchy = graph.distance_local_batch(np.concatenate(mfeet[:, :2]),
                                         np.repeat(feet, 2, axis=0),
                                         k=8).reshape(-1, 2)
     settling = cauchy[:, 1] <= cauchy[:, 0] + _SPREAD_TOL

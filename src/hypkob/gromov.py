@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, HypkobError, NotStabilized, PrefixTooShort
 from .domain import Domain
-from .metrics import MetricFamily, MetricFunctional, Polyline
+from .metrics import MetricFamily, MetricFunctional, Polyline, PreparedPoints
 
 __all__ = [
     "HyperbolicityReport",
@@ -66,14 +66,15 @@ class BoundaryBiasedSampler:
         self.family = family
         self.seed = int(seed)
 
-    def sample(self, n: int, seed: Optional[int] = None) -> np.ndarray:
+    def sample(self, n: int, seed: Optional[int] = None) -> PreparedPoints:
+        """``n`` points, prepared from their construction: none is projected."""
         rng = np.random.default_rng(self.seed if seed is None else seed)
         m = self.family.graph.nodes.shape[0]
         idx = rng.integers(0, m, size=n)
         u = rng.random(n)
         floor = 1e-6
         depths = self.family.eps * np.maximum(u * u, floor)
-        return self.family.prepare_on_rays(idx, depths).points
+        return self.family.prepare_on_rays(idx, depths)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +89,17 @@ _BLOCK_ROWS = 64
 _QUAD_CHUNK = 1 << 16
 
 
+def _coords(points) -> np.ndarray:
+    if isinstance(points, PreparedPoints):
+        return points.points
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
 def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     """Full pairwise table under the functional's kind.
 
-    The two collar metrics evaluate through the boundary-graph row cache:
+    The collar metrics take prepared points as they are, or prepare
+    coordinates once, and evaluate through the boundary-graph row cache:
     the missing rows run in one Dijkstra call, their entries are gathered
     into the table, and the kernel then overwrites the table in blocks of
     ``_BLOCK_ROWS`` rows, which are symmetrized in place; euclidean fills
@@ -99,7 +107,7 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     operations as on the whole table at once, so the values are identical;
     the memory held is the table plus one block.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _coords(points)
     m = pts.shape[0]
     kind = functional.kind
     blocks = [(s, min(s + _BLOCK_ROWS, m)) for s in range(0, m, _BLOCK_ROWS)]
@@ -113,7 +121,7 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
         raise ConfigError(
             "matrix evaluation is limited to the closed-form kinds")
     fam = functional.family
-    P = fam.prepare(pts)
+    P = fam.as_prepared(points)
     D = fam.graph.rows_from(P.node, columns=P.node)
     idx = np.arange(m)
     B = P.take(idx[None, :])
@@ -170,8 +178,9 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
     """Sampled four-point constant of the functional.
 
     Points come from a shared pool so one pairwise table serves every
-    quadruple; the quadruple index draws are seeded separately from the
-    pool draw, and both are deterministic. Quadruples whose defect is not
+    quadruple, and a prepared pool goes to it as it is. The quadruple
+    index draws are seeded separately from the pool draw, and both are
+    deterministic. Quadruples whose defect is not
     finite are counted as failures, and the constant, its witness and its
     quantile are taken over the rest.
 
@@ -185,9 +194,9 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
     if n_quadruples < 1:
         raise ConfigError("need at least one quadruple")
     n_pool = int(min(max(64, 4 * math.isqrt(n_quadruples)), 1600))
-    pts = np.atleast_2d(np.asarray(sampler.sample(n_pool, seed=seed),
-                                   dtype=float))
-    D = distance_matrix(functional, pts)
+    pool = sampler.sample(n_pool, seed=seed)
+    pts = _coords(pool)
+    D = distance_matrix(functional, pool)
     rng = np.random.default_rng(seed + 1)
     defects = np.empty(n_quadruples)
     worst, worst_quad = -1.0, None
@@ -251,8 +260,11 @@ def converges_at_infinity(functional: MetricFunctional, sequence,
     m = pts.shape[0]
     if m < 8:
         raise PrefixTooShort(f"need at least 8 points, got {m}")
-    D = distance_matrix(functional, pts)
-    to_omega = np.array([functional.pair(p, omega) for p in pts])
+    fam = functional.family
+    P = fam.prepare(pts)
+    O = fam.prepare(np.asarray(omega, dtype=float)[None])
+    D = distance_matrix(functional, P)
+    to_omega = functional.pairs(P, O.take(np.zeros(m, dtype=int)))
     prod = 0.5 * (to_omega[:, None] + to_omega[None, :] - D)
     tail_mins = []
     for k in range(m - 1):
@@ -307,8 +319,8 @@ def boundary_product(functional: MetricFunctional, a, b, omega,
     ts = fam.eps * 0.5**np.arange(1, depth + 1)
     A = fam.prepare(a - ts[:, None] * fam.graph.domain.outward_normal(a))
     B = fam.prepare(b - ts[:, None] * fam.graph.domain.outward_normal(b))
-    O = fam.prepare(np.repeat(np.asarray(omega, dtype=float)[None, :],
-                              depth, axis=0))
+    O = fam.prepare(np.asarray(omega, dtype=float)[None]).take(
+        np.zeros(depth, dtype=int))
     pairs = functional.pairs
     p = 0.5 * (pairs(A, O) + pairs(B, O) - pairs(A, B))
     last = p[-3:]

@@ -209,13 +209,15 @@ def quasi_isometry_fit(g_values, k_values) -> QIReport:
 
 def qi_check(family: MetricFamily, kmetric: KobayashiMetric,
              points) -> QIReport:
-    """Fit the sandwich over all pairs from a pool of interior points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
+    """Fit the sandwich over all pairs from a pool of interior points.
+
+    A pool prepared by ``family`` (a sampler's) is used as it is.
+    """
+    P = family.as_prepared(points)
+    m = len(P)
     if m < 2:
         raise ConfigError("need at least two pool points")
-    K = kmetric.distance_matrix(pts)
-    P = family.prepare(pts)
+    K = kmetric.distance_matrix(P.points)
     iu, ju = np.triu_indices(m, k=1)
     G = family.g_pairs(P.take(iu), P.take(ju))
     return quasi_isometry_fit(G, K[iu, ju])

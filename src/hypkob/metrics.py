@@ -32,7 +32,6 @@ from .errors import (
     ProjectionsDiffer,
     RefinementStalled,
 )
-from ._util import point_key
 from .boundary import BoundaryGraph
 from .domain import HeightProjection
 
@@ -141,7 +140,8 @@ class Polyline:
 
 @dataclass
 class PreparedPoints:
-    """Batched projection data for metric evaluation."""
+    """Batched projection data of one ``owner`` family, whose graph the
+    nodes index and whose collar width clips the heights."""
 
     points: np.ndarray
     feet: np.ndarray
@@ -150,6 +150,7 @@ class PreparedPoints:
     node: np.ndarray      # snapped node index of the foot
     heff: np.ndarray      # height clipped to the collar ceiling
     extra: np.ndarray     # depth excess beyond the collar, zero inside
+    owner: Optional["MetricFamily"] = None
 
     def __len__(self):
         return self.points.shape[0]
@@ -158,7 +159,7 @@ class PreparedPoints:
         idx = np.asarray(idx)
         return PreparedPoints(self.points[idx], self.feet[idx], self.depth[idx],
                               self.height[idx], self.node[idx], self.heff[idx],
-                              self.extra[idx])
+                              self.extra[idx], self.owner)
 
 
 class MetricFamily:
@@ -170,25 +171,27 @@ class MetricFamily:
         self.projection = projection
         self.graph = graph
         self.eps = projection.epsilon
-        self._point_cache: dict[bytes, tuple] = {}
 
     # -- preparation ---------------------------------------------------------
 
     def prepare(self, X) -> PreparedPoints:
-        """Project a batch, snap the feet, cache per quantized point."""
+        """Project a batch and snap its feet; the result depends on ``X`` alone.
+
+        Points built with known feet (samplers, witness paths) are passed
+        along as the ``PreparedPoints`` of their construction instead.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = X.shape[0]
-        feet = np.empty_like(X)
-        depth = np.empty(m)
-        keys = [point_key(x) for x in X]
-        missing = [i for i, k in enumerate(keys) if k not in self._point_cache]
-        if missing:
-            P, dist = self.projection.project_batch(X[missing])
-            for pos, i in enumerate(missing):
-                self._point_cache[keys[i]] = (P[pos], float(dist[pos]))
-        for i, k in enumerate(keys):
-            feet[i], depth[i] = self._point_cache[k]
+        feet, depth = self.projection.project_batch(X)
         return self._prepare_known(X, feet, depth, self.graph.snap(feet))
+
+    def as_prepared(self, X) -> PreparedPoints:
+        """``X`` itself when this family prepared it, else ``prepare``
+        of its coordinates (another family's nodes index another graph)."""
+        if isinstance(X, PreparedPoints):
+            if X.owner is self:
+                return X
+            X = X.points
+        return self.prepare(X)
 
     def _prepare_known(self, X, feet, depth, node) -> PreparedPoints:
         """Points whose feet, depths and foot nodes are already known."""
@@ -198,7 +201,7 @@ class MetricFamily:
         extra = np.maximum(depth - self.eps, 0.0)
         return PreparedPoints(np.asarray(X, dtype=float),
                               np.asarray(feet, dtype=float), depth, height,
-                              np.asarray(node), heff, extra)
+                              np.asarray(node), heff, extra, self)
 
     def prepare_on_rays(self, node_idx, depths) -> PreparedPoints:
         """Points built at known depths on node normal rays, no solver pass.
@@ -357,9 +360,8 @@ class MetricFamily:
 
         The one-pair case of ``composite_upper_paths``.
         """
-        A = self.prepare(np.asarray(x, dtype=float)[None])
-        B = self.prepare(np.asarray(y, dtype=float)[None])
-        paths, dval = self.composite_upper_paths(A, B)
+        P = self.prepare(np.stack([x, y]))
+        paths, dval = self.composite_upper_paths(P.take([0]), P.take([1]))
         return paths[0], float(dval[0])
 
     def composite_upper_paths(self, A: PreparedPoints, B: PreparedPoints
@@ -455,15 +457,12 @@ class MetricFunctional:
             raise ConfigError(f"unknown length functional {self.kind!r}")
 
     def pair(self, x, y) -> float:
-        if self.kind == "g":
-            return self.family.g(x, y)
-        if self.kind == "d":
-            return self.family.d(x, y)
+        """``pairs`` on one pair, whose points are prepared together."""
         if self.kind == "euclidean":
             return float(np.linalg.norm(np.asarray(x, dtype=float)
                                         - np.asarray(y, dtype=float)))
-        raise ConfigError(
-            "pairwise values for the interior estimate come from its solver")
+        P = self.family.prepare(np.stack([x, y]))
+        return float(self.pairs(P.take([0]), P.take([1]))[0])
 
     def pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
         """Vectorized pair values for aligned prepared batches."""
@@ -584,7 +583,8 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
             cur = _rate_sum(family, polyline, P, pts, owner, frame_nodes,
                             kind)
         else:
-            A, B = family.prepare(pts[:-1]), family.prepare(pts[1:])
+            P = family.prepare(pts)
+            A, B = P.take(np.arange(len(P) - 1)), P.take(np.arange(1, len(P)))
             cur = float(family.d_pairs(A, B, w_mode="local").sum())
         if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
@@ -598,25 +598,20 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def estimate_C(family: MetricFamily, pairs=None, n_pairs: int = 2000,
+def estimate_C(family: MetricFamily, n_pairs: int = 2000,
                seed: int = 0) -> float:
-    """Largest observed additive gap between the two metrics.
+    """Largest observed additive gap ``d - g`` over sampled collar pairs.
 
-    Without an explicit pair sample, collar points on node rays are drawn
-    so the boundary separations span all three regimes relative to the
+    Collar points are drawn on node rays and prepared without projection;
+    their boundary separations span all three regimes relative to the
     common height: below it, between it and the collar roof, and beyond.
     """
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=float)
-        A = family.prepare(pairs[:, 0])
-        B = family.prepare(pairs[:, 1])
-    else:
-        rng = np.random.default_rng(seed)
-        m = family.graph.nodes.shape[0]
-        idx = rng.integers(0, m, size=(n_pairs, 2))
-        u = rng.random((n_pairs, 2))
-        depths = family.eps * u**2
-        A = family.prepare_on_rays(idx[:, 0], depths[:, 0])
-        B = family.prepare_on_rays(idx[:, 1], depths[:, 1])
+    rng = np.random.default_rng(seed)
+    m = family.graph.nodes.shape[0]
+    idx = rng.integers(0, m, size=(n_pairs, 2))
+    u = rng.random((n_pairs, 2))
+    depths = family.eps * u**2
+    A = family.prepare_on_rays(idx[:, 0], depths[:, 0])
+    B = family.prepare_on_rays(idx[:, 1], depths[:, 1])
     gap = family.d_pairs(A, B) - family.g_pairs(A, B)
     return float(np.max(gap))

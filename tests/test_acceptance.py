@@ -133,9 +133,8 @@ def test_criterion_04_rough_isometry_bracket(acc):
     fam = acc["fam8"]
     graph = acc["graph8"]
     samp = BoundaryBiasedSampler(fam, 14)
-    X = samp.sample(1000)
-    Y = samp.sample(1000, seed=1414)
-    A, B = fam.prepare(X), fam.prepare(Y)
+    A = samp.sample(1000)
+    B = samp.sample(1000, seed=1414)
     gap = fam.d_pairs(A, B) - fam.g_pairs(A, B)
     lower_ok = float(np.min(gap)) >= -BRACKET_EPS
     sup = float(np.max(gap))
@@ -339,8 +338,8 @@ def test_criterion_10_anisotropy_stability(acc):
              and float(ratio.max()) <= LAMBDA_RATIO + 1e-9)
 
     samp = BoundaryBiasedSampler(acc["fam8"], 22)
-    X = samp.sample(1000)
-    Y = samp.sample(1000, seed=2222)
+    X = samp.sample(1000).points
+    Y = samp.sample(1000, seed=2222).points
 
     def gap_sup(fa, fb):
         da = fa.d_pairs(fa.prepare(X), fa.prepare(Y))

@@ -88,8 +88,9 @@ def test_k_ball_closed_form():
 def test_g_minus_k_ball_stays_in_band(family):
     pool = BoundaryBiasedSampler(family, 5).sample(46)
     G = distance_matrix(family.functional("g"), pool)
-    K = k_ball(pool[:, None, :], pool[None, :, :])
-    iu = np.triu_indices(pool.shape[0], 1)
+    X = pool.points
+    K = k_ball(X[:, None, :], X[None, :, :])
+    iu = np.triu_indices(len(pool), 1)
     gap = (G - K)[iu]
     assert gap.size == 1035 and np.all(np.isfinite(gap))
     assert GAP_LOW <= gap.min() and gap.max() <= GAP_HIGH, (

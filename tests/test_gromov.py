@@ -163,7 +163,7 @@ def test_chunked_four_point_delta_equals_one_shot(family, gfn, dfn):
         delta, quad, q99, failures = _one_shot_report(
             distance_matrix(fn, pool), 1600, n, 7)
         assert rep.delta == rep.worst_defect == delta
-        assert np.array_equal(rep.worst_points, pool[quad])
+        assert np.array_equal(rep.worst_points, pool.points[quad])
         assert rep.defect_q99 == q99
         assert rep.failures == failures == 0
     # a pool with a nan point: failures spread over every chunk

@@ -139,7 +139,10 @@ def test_deep_orbit_manifest_records_the_fallback_points(tmp_path,
     # the deep benchmark's contraction toward (0.1, 0, 0, 0) at rate 0.5,
     # through the command line, with the workspace's projection counting
     # its fallback points by the override above; manifest.json carries the
-    # projection's own count, and report.json replays byte for byte
+    # projection's own count, and report.json replays byte for byte. Orbit
+    # seed 1 draws one start at |x| = 0.108, deeper than the fallback
+    # threshold, so step zero sends it to the fallback and the seeded
+    # steps after it do not
     made = []
 
     class Recorded(_CountingProjection):
@@ -151,7 +154,8 @@ def test_deep_orbit_manifest_records_the_fallback_points(tmp_path,
     cfg = tmp_path / "ball.json"
     cfg.write_text(json.dumps({
         "domain": {"dimension": 4, "defining_function": {"type": "ball"}},
-        "epsilon": EPS, "graph": {"n_nodes": 160, "k_neighbors": 8}}))
+        "epsilon": EPS, "graph": {"n_nodes": 160, "k_neighbors": 8},
+        "seeds": {"orbits": 1}}))
     contraction = tmp_path / "contraction.json"
     contraction.write_text(json.dumps({"type": "affine_contraction",
                                        "p": [0.1, 0.0, 0.0, 0.0],
