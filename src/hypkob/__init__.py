@@ -11,10 +11,10 @@ for domain self-maps.
 
 from .errors import (
     HypkobError, ConfigError, PointOutsideDomain, ProjectionDiverged,
-    CurvatureEstimateFailed, OutsideShellRange, DerivativeEvaluationFailed,
+    CurvatureEstimateFailed, DerivativeEvaluationFailed,
     DimensionTooSmall, DegenerateContact,
     GraphDisconnected, ImageOffBoundary, ProjectionsDiffer, HeightsDiffer,
-    RefinementStalled, PrefixTooShort, NotStabilized, ZeroVector,
+    RefinementStalled, PrefixTooShort, NotStabilized,
     PointOutsideShellRegion, MapEscapedDomain,
 )
 from .domain import (
@@ -35,9 +35,10 @@ from .metrics import (
     MetricFamily, MetricFunctional, Polyline, PreparedPoints,
     collar_profile_distance, path_length, estimate_C,
 )
+from .layered import LayeredSolver
 from .kobayashi import (
-    TangentSplit, split_vector, kobayashi_speed, kobayashi_speed_batch,
-    KobayashiMetric, QIReport, quasi_isometry_fit, qi_check,
+    TangentSplit, split_vector, kobayashi_speed_batch, QIReport,
+    quasi_isometry_fit, qi_check,
 )
 from .gromov import (
     BoxSampler, BoundaryBiasedSampler, distance_matrix, HyperbolicityReport,

@@ -33,7 +33,8 @@ from .config import RunConfig, Workspace, load_config, build_workspace
 from .structures import check_structure, check_strict_convexity, contact_batch
 from .boundary import BoundaryMap, lipschitz_details
 from .metrics import path_length
-from .kobayashi import KobayashiMetric, qi_check, quasi_isometry_fit
+from .layered import LayeredSolver
+from .kobayashi import qi_check, quasi_isometry_fit
 from .gromov import BoxSampler, BoundaryBiasedSampler, four_point_delta
 from .dynamics import (map_from_spec, iterate_many, classify_orbit,
                        check_semicontraction)
@@ -41,6 +42,10 @@ from .dynamics import (map_from_spec, iterate_many, classify_orbit,
 __all__ = ["main", "build_parser"]
 
 _KIND = {"g": "g", "d": "d", "kob": "kobayashi_estimate", "euclid": "euclidean"}
+
+# rows per ``LayeredSolver.distances`` call of ``dist --metric kob``: each
+# call's Dijkstra output holds two sources per row over the whole grid
+_KOB_BLOCK = 32
 
 
 def _err(msg) -> None:
@@ -69,22 +74,24 @@ def read_pair_rows(path: str, dim: int) -> list:
     """Rows of a pairs CSV as (ok, x, y) triples.
 
     Each data row holds the two endpoints flattened to ``2 * dim``
-    numbers. A leading non-numeric row is treated as a header; rows that
+    numbers. Comment (``#``) and blank rows are skipped, and the first
+    other row is treated as a header when it is not numeric; rows that
     fail to parse come back with ``ok`` false and are reported per row
     rather than aborting the run.
     """
     rows = []
+    first = True
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.reader(fh)):
+        for rec in csv.reader(fh):
             rec = [c.strip() for c in rec if c.strip() != ""]
             if not rec or rec[0].startswith("#"):
                 continue
+            header, first = first, False
             try:
                 vals = [float(c) for c in rec]
             except ValueError:
-                if lineno == 0:
-                    continue
-                rows.append((False, None, None))
+                if not header:
+                    rows.append((False, None, None))
                 continue
             if len(vals) != 2 * dim:
                 rows.append((False, None, None))
@@ -136,16 +143,29 @@ def _upper(fam, pl) -> float:
     return path_length(pl, fam.functional("g"), rel_tol=1e-4, max_depth=8)
 
 
-def _batch_values(fam, kind: str, X, Y) -> list:
-    """``[g]``, or ``[g, d, upper]`` for kind ``d``, for each pair of rows.
+def _batch_values(fam, kind: str, X, Y, solver=None) -> list:
+    """The value columns of ``dist`` for each pair of rows.
 
-    One ``prepare`` call projects every endpoint, one ``g_pairs`` call
-    evaluates them and, for kind ``d``, one ``composite_upper_paths``
-    call builds every witness path with its ``d``. The per-row fallback
-    of ``dist`` calls it on a single pair.
+    ``[g]`` for kind ``g``, ``[g, d, upper]`` for kind ``d``, ``[k]`` for
+    the estimate and ``[|x - y|]`` for ``euclidean``, which prepares
+    nothing. Otherwise one ``prepare`` call projects every endpoint. For
+    ``g`` and ``d``, one ``g_pairs`` call evaluates them and, for kind
+    ``d``, one ``composite_upper_paths`` call builds every witness path
+    with its ``d``. The estimate runs ``solver.distances`` over blocks of
+    at most ``_KOB_BLOCK`` rows and reads each row's (x, y) entry. The
+    per-row fallback of ``dist`` calls it on a single pair.
     """
     m = len(X)
+    if kind == "euclidean":
+        return [[float(np.linalg.norm(x - y))] for x, y in zip(X, Y)]
     P = fam.prepare(np.concatenate([X, Y]))
+    if kind == "kobayashi_estimate":
+        out = []
+        for lo in range(0, m, _KOB_BLOCK):
+            idx = np.arange(lo, min(lo + _KOB_BLOCK, m))
+            D = solver.distances(P.take(np.concatenate([idx, m + idx])))
+            out += [[float(D[i, idx.size + i])] for i in range(idx.size)]
+        return out
     A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
     cols = [fam.g_pairs(A, B)]
     if kind == "d":
@@ -158,16 +178,15 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     kind = _KIND[args.metric]
     rows = read_pair_rows(args.pairs, ws.domain.dim)
     fam = ws.family
-    kmetric = None
     if kind == "kobayashi_estimate":
-        kmetric = KobayashiMetric(ws.projection, ws.graph)
+        ws.layered = LayeredSolver(fam, "kobayashi")
     batch = {}
     idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
-    if kind in ("g", "d") and idx:
+    if idx:
         try:
             batch = dict(zip(idx, _batch_values(
                 fam, kind, [rows[i][1] for i in idx],
-                [rows[i][2] for i in idx])))
+                [rows[i][2] for i in idx], ws.layered)))
         except HypkobError:
             # the rows go one at a time, so a bad row marks only itself
             pass
@@ -191,13 +210,8 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
                 continue
             coords = [_fmt(v) for v in x] + [_fmt(v) for v in y]
             try:
-                if kind == "kobayashi_estimate":
-                    vals = [kmetric.distance(x, y)]
-                elif kind == "euclidean":
-                    vals = [np.linalg.norm(x - y)]
-                else:
-                    vals = (batch[i] if i in batch
-                            else _batch_values(fam, kind, [x], [y])[0])
+                vals = (batch[i] if i in batch else
+                        _batch_values(fam, kind, [x], [y], ws.layered)[0])
                 # d's value column sits between its lower and upper columns
                 values.append(float(vals[1] if kind == "d" else vals[0]))
                 wr.writerow(coords + [_fmt(v) for v in vals] + [""])
@@ -252,8 +266,8 @@ def _cmd_qi(args, cfg: RunConfig, ws: Workspace):
     sampler = BoundaryBiasedSampler(fam, cfg.seeds["pairs"])
     if args.metric == "kob":
         pool = sampler.sample(46)
-        kmetric = KobayashiMetric(ws.projection, ws.graph)
-        rep = qi_check(fam, kmetric, pool)
+        ws.layered = LayeredSolver(fam, "kobayashi")
+        rep = qi_check(ws.layered, pool)
         report = {
             "command": "qi",
             "comparison": ["g", "kob"],
@@ -516,6 +530,9 @@ def main(argv=None) -> int:
         _err(f"unexpected failure: {type(exc).__name__}")
         return 3
     dump_json(report, os.path.join(cfg.out_dir, "report.json"))
+    counters = {"projection": dict(ws.projection.counts)}
+    if ws.layered is not None:
+        counters["layered"] = dict(ws.layered.counts)
     manifest = {
         "command": args.command,
         "config_hash": cfg.hash(),
@@ -524,7 +541,7 @@ def main(argv=None) -> int:
         "graph": ws.graph.params if ws.graph is not None else None,
         "graph_rows": (dict(ws.graph.row_counts) if ws.graph is not None
                        else None),
-        "counters": {"projection": dict(ws.projection.counts)},
+        "counters": counters,
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

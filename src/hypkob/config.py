@@ -19,6 +19,7 @@ from .domain import Domain, HeightProjection, reach_details
 from .structures import StructureField
 from .boundary import BoundaryGraph
 from .metrics import MetricFamily
+from .layered import LayeredSolver
 
 __all__ = ["RunConfig", "Workspace", "load_config", "build_workspace"]
 
@@ -139,6 +140,9 @@ class Workspace:
     # the cache file that holds ``graph`` (``.npz`` appended); None without
     # a cache, and for a refined graph, whose rows belong to no cache
     graph_cache: Optional[str] = None
+    # the estimate's solver, set by the command that builds one; its
+    # ``counts`` go into the manifest
+    layered: Optional[LayeredSolver] = None
 
 
 def build_workspace(cfg: RunConfig, refine: int = 0,

@@ -3,8 +3,9 @@
 A domain is ``D = {rho < 0}`` for a C^2 scalar field ``rho`` with nonvanishing
 gradient on the zero set. This module provides the defining-function algebra
 (built-in balls, ellipsoids, superellipsoids and polynomial fields, each
-with its analytic derivatives), nearest-boundary projection, the
-square-root height function, inner shells, and a curvature-based collar
+with its analytic derivatives), batched nearest-boundary projection
+(``HeightProjection.project_batch``, which returns feet and depths; the
+height is the square root of the depth), and a curvature-based collar
 width estimate.
 
 All geometric quantities are Euclidean; heights are ``h(x) = sqrt(dist(x,
@@ -25,7 +26,6 @@ from .errors import (
     ConfigError,
     CurvatureEstimateFailed,
     DerivativeEvaluationFailed,
-    OutsideShellRange,
     PointOutsideDomain,
     ProjectionDiverged,
 )
@@ -633,30 +633,6 @@ class HeightProjection:
                 )
             accept(part[found], feet[found])
         return P, dist
-
-    def project(self, x) -> np.ndarray:
-        P, _ = self.project_batch(np.asarray(x, dtype=float)[None, :])
-        return P[0]
-
-    def height_batch(self, X) -> np.ndarray:
-        _, dist = self.project_batch(X)
-        return np.sqrt(dist)
-
-    def height(self, x) -> float:
-        return float(self.height_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-    def in_collar(self, x, slack: float = 0.0) -> bool:
-        return self.height(x) ** 2 <= self.epsilon + slack
-
-    def foot_on_shell(self, x, t: float) -> np.ndarray:
-        """The point at depth ``t`` on the inward normal ray through ``pi(x)``."""
-        if t < 0 or t > self.epsilon:
-            raise OutsideShellRange(
-                f"shell depth {t} outside [0, {self.epsilon}]"
-            )
-        p = self.project(x)
-        n = self.domain.outward_normal(p)
-        return p - t * n
 
 
 def _solve_regular(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:

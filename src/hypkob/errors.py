@@ -28,10 +28,6 @@ class CurvatureEstimateFailed(HypkobError):
     """Principal curvature estimation produced unusable values."""
 
 
-class OutsideShellRange(HypkobError):
-    """A requested inner-shell depth exceeds the collar width."""
-
-
 class DerivativeEvaluationFailed(HypkobError):
     """A gradient or Hessian evaluation returned non-finite values."""
 
@@ -85,10 +81,6 @@ class NotStabilized(HypkobError):
 
 
 # --- anisotropic estimate metric ---------------------------------------------
-
-class ZeroVector(HypkobError):
-    """A direction argument was the zero vector."""
-
 
 class PointOutsideShellRegion(HypkobError):
     """A tangent-splitting request lies outside the foliated collar."""

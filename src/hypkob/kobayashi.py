@@ -8,7 +8,8 @@ foot: the normal and ``J^T`` of it) one inverse height squared; past the collar 
 weights continue with inverse-depth decay so the norm stays continuous
 and the core carries a comparable fixed metric. Curve lengths are
 ``metrics.path_length`` under the ``kobayashi_estimate`` functional;
-distances come from the layered shell solver. A fit routine compares
+distances come from ``layered.LayeredSolver`` in its ``kobayashi`` mode,
+whose queries arrive prepared by its ``MetricFamily``. A fit routine compares
 the resulting distance with the boundary-anchored log metric and
 reports the smallest multiplicative-additive sandwich.
 
@@ -26,19 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PointOutsideShellRegion, ZeroVector
+from .errors import ConfigError, PointOutsideShellRegion
 from .domain import HeightProjection
 from .structures import StructureField, _nullspace_bases, transverse_frame
-from .boundary import BoundaryGraph
 from .layered import LayeredSolver
-from .metrics import MetricFamily
 
 __all__ = [
     "TangentSplit",
     "split_vector",
-    "kobayashi_speed",
     "kobayashi_speed_batch",
-    "KobayashiMetric",
     "QIReport",
     "quasi_isometry_fit",
     "qi_check",
@@ -138,31 +135,6 @@ def kobayashi_speed_batch(projection: HeightProjection,
     return out
 
 
-def kobayashi_speed(projection: HeightProjection, structure: StructureField,
-                    x, v) -> float:
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0.0:
-        raise ZeroVector("speed of the zero vector is not defined")
-    return float(kobayashi_speed_batch(projection, structure,
-                                       np.asarray(x, dtype=float)[None],
-                                       v[None])[0])
-
-
-class KobayashiMetric:
-    """Distances of the interior estimate via the layered shell solver."""
-
-    def __init__(self, projection: HeightProjection, graph: BoundaryGraph):
-        self.projection = projection
-        self.graph = graph
-        self.solver = LayeredSolver(graph, projection, mode="kobayashi")
-
-    def distance(self, x, y) -> float:
-        return self.solver.distance(x, y)
-
-    def distance_matrix(self, points) -> np.ndarray:
-        return self.solver.distances(points)
-
-
 # ---------------------------------------------------------------------------
 # sandwich fit against the log metric
 # ---------------------------------------------------------------------------
@@ -207,17 +179,19 @@ def quasi_isometry_fit(g_values, k_values) -> QIReport:
     )
 
 
-def qi_check(family: MetricFamily, kmetric: KobayashiMetric,
-             points) -> QIReport:
+def qi_check(solver: LayeredSolver, points) -> QIReport:
     """Fit the sandwich over all pairs from a pool of interior points.
 
-    A pool prepared by ``family`` (a sampler's) is used as it is.
+    ``g`` and the solver's distances share the solver's family, so the
+    ladder and ``g`` read one graph. A pool that family prepared (a
+    sampler's) is used as it is; any other is prepared once.
     """
+    family = solver.family
     P = family.as_prepared(points)
     m = len(P)
     if m < 2:
         raise ConfigError("need at least two pool points")
-    K = kmetric.distance_matrix(P.points)
+    K = solver.distances(P)
     iu, ju = np.triu_indices(m, k=1)
     G = family.g_pairs(P.take(iu), P.take(ju))
     return quasi_isometry_fit(G, K[iu, ju])

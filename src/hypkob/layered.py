@@ -6,11 +6,14 @@ level horizontally by depth-scaled chord costs. Dijkstra on this grid
 gives an upper bound for either the collar geodesic metric or the interior
 Finsler estimate, since every grid path is an admissible continuum path.
 
-Query points attach as virtual nodes: a vertical stub to the adjacent
-levels of their snapped column, plus exact direct edges for query pairs
+Queries arrive prepared: each point's foot, depth and snapped column come
+from ``MetricFamily.as_prepared``, so ``MetricFamily.prepare`` is the one
+place that projects and snaps a point, and a pool a sampler built is used
+as it is. Query points attach as virtual nodes: a vertical stub to the
+adjacent levels of their column, plus exact direct edges for query pairs
 sharing one column. The collar mode exists mainly as an independent check
 of the closed-form distance; the estimate mode is the production solver
-for the interior Finsler metric.
+for the interior Finsler metric and its only entry point for distances.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError
-from .boundary import BoundaryGraph
-from .domain import HeightProjection
+from .metrics import MetricFamily
 
 __all__ = ["LayeredSolver"]
 
@@ -45,16 +47,20 @@ class LayeredSolver:
     The collar mode charges the graph's stored edge weights. The estimate
     mode owns no weights of its own: its collar levels, its rungs and its
     query stubs read ``kobayashi.kobayashi_rate`` and ``kobayashi.A_N``.
+
+    ``counts`` records the ladder's levels, grid nodes and stored edges
+    (``nnz``), and the Dijkstra sources its queries ran.
     """
 
-    def __init__(self, graph: BoundaryGraph, projection: HeightProjection,
-                 mode: str = "collar"):
+    def __init__(self, family: MetricFamily, mode: str = "collar"):
         if mode not in ("collar", "kobayashi"):
             raise ConfigError(f"unknown layered mode {mode!r}")
+        graph = family.graph
+        self.family = family
         self.graph = graph
-        self.projection = projection
+        self.projection = family.projection
         self.mode = mode
-        self.eps = projection.epsilon
+        self.eps = family.eps
         t_min = self.eps / 1024.0
         if mode == "collar":
             t_max = self.eps
@@ -120,35 +126,50 @@ class LayeredSolver:
             rows.append(k * m + idx)
             cols.append((k + 1) * m + idx)
             data.append(np.full(m, vcost[k]))
-        # the raw COO parts; queries append their own edges to them
-        self._parts = (np.concatenate(rows), np.concatenate(cols),
-                       np.concatenate(data))
+        rows, cols, data = (np.concatenate(v) for v in (rows, cols, data))
+        # the COO parts with both directions of every edge; queries append
+        # their own one-way edges to them
+        self._parts = (np.concatenate([rows, cols]),
+                       np.concatenate([cols, rows]),
+                       np.concatenate([data, data]))
         self._n = L * m
+        self.counts = {"levels": int(L), "grid_nodes": int(self._n),
+                       "nnz": int(self._parts[2].size), "dijkstra_sources": 0}
 
     # -- queries -------------------------------------------------------------
 
-    def _query_stubs(self, depths: np.ndarray, cols: np.ndarray, offset: int):
-        """Edges from virtual query nodes to their column's adjacent levels."""
+    def _query_stubs(self, depths: np.ndarray, cols: np.ndarray):
+        """(query, grid node, cost) from each query to its column's
+        adjacent levels."""
         L = self.levels.size
         pos = np.searchsorted(self.levels, depths)
         q = np.concatenate([np.flatnonzero(pos > 0), np.flatnonzero(pos < L)])
         lvl = np.concatenate([pos[pos > 0] - 1, pos[pos < L]])
         s, t = depths[q], self.levels[lvl]
         cost = self._vertical_cost(np.minimum(s, t), np.maximum(s, t))
-        return offset + q, lvl * self._m + cols[q], cost
+        return q, lvl * self._m + cols[q], cost
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """Pairwise solver distances for a pool of interior points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        feet, depth = self.projection.project_batch(pts)
+    def distances(self, points) -> np.ndarray:
+        """Pairwise solver distances for a pool of interior points.
+
+        A pool prepared by the solver's family is used as it is; bare
+        coordinates, or another family's pool, are prepared once.
+
+        Each query is two virtual nodes, one that paths leave by and one
+        that they arrive at, so no path passes through a third query and a
+        pair's distance does not depend on the rest of the pool.
+        """
+        P = self.family.as_prepared(points)
+        feet, depth, cols = P.feet, P.depth, P.node
         if self.mode == "collar" and np.any(depth > self.eps * (1 + 1e-9)):
             raise ConfigError("collar mode queries must stay inside the collar")
         if np.any(depth <= 0):
             raise ConfigError("query points must be strictly interior")
-        cols = self.graph.snap(feet)
-        Q = pts.shape[0]
+        Q = len(P)
         n = self._n
-        sr, sc, sd = self._query_stubs(depth, cols, n)
+        # query q leaves by node n + q and arrives at node n + Q + q
+        out, into = n, n + Q
+        sq, sg, sd = self._query_stubs(depth, cols)
         # exact vertical edges between queries sharing a column
         a, b = np.triu_indices(Q, k=1)
         same = cols[a] == cols[b]
@@ -159,15 +180,13 @@ class LayeredSolver:
                                  np.maximum(depth[a], depth[b]))
         rows, colsout, data = self._parts
         aug = coo_matrix(
-            (np.concatenate([data, sd, vd]),
-             (np.concatenate([rows, sr, n + a]),
-              np.concatenate([colsout, sc, n + b]))),
-            shape=(n + Q, n + Q)).tocsr()
-        ids = np.arange(n, n + Q)
-        D = dijkstra(aug, directed=False, indices=ids)[:, ids]
-        return np.minimum(D, D.T)
-
-    def distance(self, x, y) -> float:
-        D = self.distances(np.stack([np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float)]))
-        return float(D[0, 1])
+            (np.concatenate([data, sd, sd, vd, vd]),
+             (np.concatenate([rows, out + sq, sg, out + a, out + b]),
+              np.concatenate([colsout, sg, into + sq, into + b, into + a]))),
+            shape=(n + 2 * Q, n + 2 * Q)).tocsr()
+        self.counts["dijkstra_sources"] += Q
+        D = dijkstra(aug, directed=True, indices=np.arange(out, out + Q))
+        D = D[:, into:into + Q]
+        D = np.minimum(D, D.T)
+        np.fill_diagonal(D, 0.0)
+        return D

@@ -16,7 +16,8 @@ from hypkob.domain import Domain, HeightProjection
 from hypkob.structures import standard_structure, contact_batch, levi_form
 from hypkob.boundary import BoundaryGraph
 from hypkob.metrics import MetricFamily, path_length, estimate_C
-from hypkob.kobayashi import KobayashiMetric, qi_check
+from hypkob.kobayashi import qi_check
+from hypkob.layered import LayeredSolver
 from hypkob.gromov import (BoundaryBiasedSampler, four_point_delta,
                            boundary_product)
 from hypkob.dynamics import (affine_contraction, rotation_map, iterate_many,
@@ -262,10 +263,8 @@ def test_criterion_06_boundary_identification_band(acc):
 
 def test_criterion_07_kobayashi_qi_fit(acc):
     pool = BoundaryBiasedSampler(acc["fam8"], 5).sample(46)
-    km = KobayashiMetric(acc["projection"], acc["graph8"])
-    base = qi_check(acc["fam8"], km, pool)
-    kmr = KobayashiMetric(acc["projection"], acc["ref8"])
-    refined = qi_check(acc["fam8r"], kmr, pool)
+    base = qi_check(LayeredSolver(acc["fam8"], "kobayashi"), pool)
+    refined = qi_check(LayeredSolver(acc["fam8r"], "kobayashi"), pool)
     n_pairs = base.n_pairs
     finite = (np.isfinite(base.C) and np.isfinite(base.Cprime)
               and np.isfinite(refined.C) and np.isfinite(refined.Cprime))

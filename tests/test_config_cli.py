@@ -16,7 +16,7 @@ from hypkob.boundary import BoundaryGraph
 from hypkob.config import load_config
 from hypkob.domain import Domain
 from hypkob.structures import standard_structure
-from hypkob.cli import main
+from hypkob.cli import main, read_pair_rows
 from hypkob.errors import ConfigError
 
 
@@ -260,6 +260,17 @@ def test_dist_d_brackets_the_value(rig):
     assert up - val < 1e-6
 
 
+def test_header_after_a_comment_is_not_a_parse_error(tmp_path):
+    path = tmp_path / "commented.csv"
+    path.write_text("# pairs\n\nx1,x2,x3,x4,y1,y2,y3,y4\n"
+                    "0.1,0,0,0,0,0.2,0,0\nx1,x2\n", encoding="utf-8")
+    rows = read_pair_rows(str(path), 4)
+    # only the first row that is neither a comment nor blank is a header
+    assert [ok for ok, _, _ in rows] == [True, False]
+    assert np.array_equal(rows[0][1], [0.1, 0, 0, 0])
+    assert np.array_equal(rows[0][2], [0, 0.2, 0, 0])
+
+
 def test_dist_euclid_is_plain_chord(rig):
     pairs = write_pairs(rig["root"] / "pairs_e.csv", [RADIAL])
     code, out = run(rig, "dist", "out_dist_e", "--metric", "euclid",
@@ -289,6 +300,31 @@ def test_delta_replay_is_byte_identical(rig):
     assert rep["failures"] == 0
     assert rep["seed"] == 7
     assert np.asarray(rep["worst_points"]).shape == (4, 4)
+
+
+def test_kob_replay_is_byte_identical_and_counts_the_ladder(rig):
+    pairs = write_pairs(rig["root"] / "pairs_k.csv", [RADIAL, SAME])
+    for cmd, extra, sources in (
+            ("qi", ("--metric", "kob"), 46),
+            ("dist", ("--metric", "kob", "--pairs", pairs), 4)):
+        blobs = []
+        for tag in "ab":
+            code, out = run(rig, cmd, f"out_{cmd}_kob_{tag}", *extra)
+            assert code == 0
+            with open(os.path.join(out, "report.json"), "rb") as fh:
+                blobs.append(fh.read())
+            lay = read_json(os.path.join(out, "manifest.json"))[
+                "counters"]["layered"]
+            assert lay["levels"] >= 2
+            assert lay["grid_nodes"] == lay["levels"] * 160
+            assert lay["nnz"] > lay["grid_nodes"]
+            assert lay["dijkstra_sources"] == sources
+        assert blobs[0] == blobs[1]
+        assert b"layered" not in blobs[0]
+    _, out = run(rig, "dist", "out_dist_g_counters", "--metric", "g",
+                 "--pairs", pairs)
+    man = read_json(os.path.join(out, "manifest.json"))
+    assert set(man["counters"]) == {"projection"}
 
 
 def test_seed_override_reaches_every_seed(rig):

@@ -1,10 +1,11 @@
-"""``hypkob dist`` evaluates ``g`` and ``d`` over all rows in one batch.
+"""``hypkob dist`` evaluates every metric over all rows in one batch.
 
 One ``prepare`` call projects every row endpoint and one ``g_pairs`` /
 ``d_pairs`` call evaluates them; the ``upper`` column stays per row. The
-values must be those of the per-row scalar calls, a row the batch cannot
-evaluate must mark only itself, and the deep fallback must run once per
-command instead of once per row.
+estimate runs ``LayeredSolver.distances`` over blocks of rows. The values
+must be those of the per-row calls, a row the batch cannot evaluate must
+mark only itself, and the deep fallback must run once per command instead
+of once per row.
 """
 
 import csv
@@ -15,8 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from hypkob import Domain
-from hypkob.cli import main
+from hypkob import Domain, LayeredSolver
+from hypkob.cli import _KOB_BLOCK, main
 from hypkob.config import build_workspace, load_config
 from hypkob.domain import HeightProjection
 from hypkob.metrics import path_length
@@ -141,7 +142,21 @@ def test_batched_deep_rows_agree_with_the_scalar_calls(rigs):
             assert math.isclose(got[1], np.linalg.norm(x - y), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("metric", ["g", "d"])
+def test_kob_rows_equal_the_solver_on_each_pair_alone(rigs):
+    rig = rigs["ball"]
+    rows = _deep_rows(40, seed=6)
+    assert len(rows) > _KOB_BLOCK
+    body, rep = _dist(rig, "deep_kob", rows, "kob")
+    ws = build_workspace(load_config(rig["config"]), graph_cache=rig["cache"])
+    solver = LayeredSolver(ws.family, "kobayashi")
+    for rec, (x, y) in zip(body, rows):
+        assert rec[9] == ""
+        alone = solver.distances(np.stack([x, y]))[0, 1]
+        assert rec[8] == repr(float(alone))
+    assert rep["n_errors"] == 0
+
+
+@pytest.mark.parametrize("metric", ["g", "d", "kob"])
 def test_bad_rows_mark_only_themselves(rigs, metric):
     rig = rigs["ball"]
     good = _collar_rows("ball", 8, seed=3)

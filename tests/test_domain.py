@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypkob import (Domain, HeightProjection, ConfigError, OutsideShellRange,
-                    PointOutsideDomain, ball_field, ellipsoid_field,
+from hypkob import (Domain, HeightProjection, ConfigError, PointOutsideDomain, ball_field, ellipsoid_field,
                     polynomial_field, reach_details, superellipsoid_field)
 
 from conftest import EPS
+
+
+def _project(proj, x):
+    """Foot and height of one point, from a batch of one."""
+    feet, dist = proj.project_batch(np.asarray(x, dtype=float)[None, :])
+    return feet[0], float(np.sqrt(dist[0]))
 
 
 def test_ball_height_closed_form(projection):
@@ -17,9 +22,9 @@ def test_ball_height_closed_form(projection):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     r = rng.uniform(0.3, 0.95, size=50)
     X = r[:, None] * u
-    h = projection.height_batch(X)
-    assert np.allclose(h * h, 1.0 - r, atol=1e-8)
     feet, dist = projection.project_batch(X)
+    h = np.sqrt(dist)
+    assert np.allclose(h * h, 1.0 - r, atol=1e-8)
     assert np.allclose(dist, 1.0 - r, atol=1e-8)
     assert np.allclose(feet, u, atol=1e-7)
 
@@ -32,7 +37,7 @@ def test_projection_residual_is_distance(projection):
     feet, dist = projection.project_batch(X)
     gap = np.linalg.norm(X - feet, axis=1)
     assert np.allclose(gap, dist, atol=1e-10)
-    h = projection.height_batch(X)
+    h = np.sqrt(dist)
     assert np.allclose(h * h, dist, atol=1e-10)
 
 
@@ -42,20 +47,20 @@ def test_ellipsoid_nearest_point_oracle(ellipsoid):
     # distance 2/3, strictly better than the axis intersection (2,0,0,0)
     proj = HeightProjection(ellipsoid, 1.0)
     x = np.array([1.0, 0.0, 0.0, 0.0])
-    foot = proj.project(x)
+    foot, h = _project(proj, x)
     assert abs(foot[0] - 4.0 / 3.0) < 1e-6
     assert abs(np.linalg.norm(x - foot) ** 2 - 2.0 / 3.0) < 1e-8
-    assert abs(proj.height(x) - (2.0 / 3.0) ** 0.25) < 1e-7
+    assert abs(h - (2.0 / 3.0) ** 0.25) < 1e-7
 
 
 def test_center_tie_break_deterministic(ball):
     proj = HeightProjection(ball, EPS)
     c = np.zeros(4)
-    f1 = proj.project(c)
-    f2 = proj.project(c)
+    f1, h = _project(proj, c)
+    f2, _ = _project(proj, c)
     assert np.array_equal(f1, f2)
     assert abs(np.linalg.norm(f1) - 1.0) < 1e-8
-    assert abs(proj.height(c) - 1.0) < 1e-8
+    assert abs(h - 1.0) < 1e-8
 
 
 def test_deep_interior_shell_projects(projection):
@@ -75,8 +80,8 @@ def test_deep_interior_shell_projects(projection):
 def test_segment_shares_projection(projection):
     u = np.array([0.2, -0.5, 0.7, 0.4])
     u /= np.linalg.norm(u)
-    f1 = projection.project(0.5 * u)
-    f2 = projection.project(0.8 * u)
+    f1, _ = _project(projection, 0.5 * u)
+    f2, _ = _project(projection, 0.8 * u)
     assert np.allclose(f1, f2, atol=1e-8)
     assert np.allclose(f1, u, atol=1e-8)
 
@@ -88,28 +93,21 @@ def test_squared_height_one_lipschitz(ellipsoid):
     Y = X + rng.normal(scale=0.02, size=X.shape)
     keep = ellipsoid.rho(Y) < -1e-9
     X, Y = X[keep], Y[keep]
-    dx = np.abs(proj.height_batch(X) ** 2 - proj.height_batch(Y) ** 2)
+    hx = np.sqrt(proj.project_batch(X)[1])
+    hy = np.sqrt(proj.project_batch(Y)[1])
+    dx = np.abs(hx ** 2 - hy ** 2)
     assert np.all(dx <= np.linalg.norm(X - Y, axis=1) + 1e-10)
-
-
-def test_foot_on_shell_height(projection):
-    x = np.array([0.3, 0.1, -0.2, 0.4])
-    for t in (0.05, 0.2, 0.45):
-        p = projection.foot_on_shell(x, t)
-        assert abs(projection.height(p) - np.sqrt(t)) < 1e-6
-    with pytest.raises(OutsideShellRange):
-        projection.foot_on_shell(x, 0.9)
 
 
 def test_collar_membership(projection):
     u = np.array([1.0, 0.0, 0.0, 0.0])
-    assert projection.in_collar(0.6 * u)
-    assert not projection.in_collar(0.05 * u)
+    assert _project(projection, 0.6 * u)[1] ** 2 <= projection.epsilon
+    assert not _project(projection, 0.05 * u)[1] ** 2 <= projection.epsilon
 
 
 def test_outside_point_rejected(projection):
     with pytest.raises(PointOutsideDomain):
-        projection.project(np.array([1.5, 0.0, 0.0, 0.0]))
+        _project(projection, np.array([1.5, 0.0, 0.0, 0.0]))
 
 
 def test_exterior_tolerance_does_not_depend_on_the_batch(projection, ball):

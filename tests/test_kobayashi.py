@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypkob import (ConfigError, KobayashiMetric, Polyline,
-                    PointOutsideShellRegion, ZeroVector, kobayashi_speed,
+from hypkob import (ConfigError, LayeredSolver, Polyline,
+                    PointOutsideShellRegion, kobayashi_speed_batch,
                     path_length, quasi_isometry_fit, qi_check, split_vector)
 from hypkob import kobayashi
-from hypkob.layered import LayeredSolver
 
 from conftest import EPS
 
@@ -17,8 +16,16 @@ def ray_point(foot, t):
 
 
 @pytest.fixture(scope="module")
-def kmetric(projection, graph):
-    return KobayashiMetric(projection, graph)
+def solver(family):
+    return LayeredSolver(family, "kobayashi")
+
+
+def pair_distance(solver, x, y):
+    return float(solver.distances(np.stack([x, y]))[0, 1])
+
+
+def speed(projection, structure, x, v):
+    return float(kobayashi_speed_batch(projection, structure, x, v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -82,25 +89,27 @@ def test_split_outside_collar_raises(projection, structure):
 
 def test_speed_rates_at_reference_height(projection, structure):
     x = np.array([0.99, 0.0, 0.0, 0.0])  # depth 0.01, height 0.1
-    assert abs(kobayashi_speed(projection, structure, x,
-                               np.array([0, 0, 1.0, 0])) - 10.0) < 1e-6
-    assert abs(kobayashi_speed(projection, structure, x,
-                               np.array([1.0, 0, 0, 0])) - 100.0) < 1e-4
+    assert abs(speed(projection, structure, x,
+                     np.array([0, 0, 1.0, 0])) - 10.0) < 1e-6
+    assert abs(speed(projection, structure, x,
+                     np.array([1.0, 0, 0, 0])) - 100.0) < 1e-4
 
 
 def test_speed_is_homogeneous(projection, structure, graph):
     rng = np.random.default_rng(9)
     x = ray_point(graph.nodes[33], 0.07)
     v = rng.normal(size=4)
-    s1 = kobayashi_speed(projection, structure, x, v)
-    s3 = kobayashi_speed(projection, structure, x, 3.0 * v)
+    s1 = speed(projection, structure, x, v)
+    s3 = speed(projection, structure, x, 3.0 * v)
     assert abs(s3 - 3.0 * s1) < 1e-12 * max(s1, 1.0)
 
 
-def test_zero_vector_raises(projection, structure):
-    with pytest.raises(ZeroVector):
-        kobayashi_speed(projection, structure,
-                        np.array([0.9, 0, 0, 0]), np.zeros(4))
+def test_zero_vector_has_zero_speed(projection, structure):
+    X = np.array([[0.9, 0, 0, 0], [0.9, 0, 0, 0]])
+    V = np.array([[0.0, 0, 0, 0], [0.0, 0, 1.0, 0]])
+    got = kobayashi_speed_batch(projection, structure, X, V)
+    assert got[0] == 0.0
+    assert got[1] == speed(projection, structure, X[1], V[1]) > 0.0
 
 
 def test_scaling_exponents_along_heights(projection, structure):
@@ -111,8 +120,8 @@ def test_scaling_exponents_along_heights(projection, structure):
     sn, sh = [], []
     for t in ts:
         x = np.array([1.0 - t, 0, 0, 0])
-        sn.append(kobayashi_speed(projection, structure, x, vn))
-        sh.append(kobayashi_speed(projection, structure, x, vh))
+        sn.append(speed(projection, structure, x, vn))
+        sh.append(speed(projection, structure, x, vh))
     slope_n = np.polyfit(np.log(hs), np.log(sn), 1)[0]
     slope_h = np.polyfit(np.log(hs), np.log(sh), 1)[0]
     assert abs(slope_n - (-2.0)) < 0.05
@@ -143,16 +152,16 @@ def test_length_is_reversal_invariant(family, graph):
     assert abs(fwd - bwd) < 1e-10 * max(fwd, 1.0)
 
 
-def test_solver_distance_realizes_radial_oracle(kmetric, graph):
+def test_solver_distance_realizes_radial_oracle(solver, graph):
     f = graph.nodes[21]
     x = ray_point(f, 0.4)
     y = ray_point(f, 0.04)
-    got = kmetric.distance(x, y)
+    got = pair_distance(solver, x, y)
     assert abs(got - math.log(10.0)) < 1e-9
-    assert abs(kmetric.distance(y, x) - got) < 1e-12
+    assert abs(pair_distance(solver, y, x) - got) < 1e-12
 
 
-def test_solver_distance_bounded_by_path_lengths(kmetric, family, graph):
+def test_solver_distance_bounded_by_path_lengths(solver, family, graph):
     # the grid solver must never beat differences of admissible paths by
     # much, and never exceed the straight-chord quadrature
     a = ray_point(graph.nodes[60], 0.09)
@@ -160,7 +169,7 @@ def test_solver_distance_bounded_by_path_lengths(kmetric, family, graph):
     direct = path_length(Polyline(np.stack([a, b])),
                          family.functional("kobayashi_estimate"),
                          rel_tol=1e-5, max_depth=14)
-    got = kmetric.distance(a, b)
+    got = pair_distance(solver, a, b)
     assert 0.0 < got <= direct * (1.0 + 1e-9)
 
 
@@ -170,28 +179,28 @@ def test_weights_have_one_owner(monkeypatch, projection, structure, graph,
     # the two constants of the kobayashi module
     x = np.array([0.99, 0.0, 0.0, 0.0])  # depth 0.01
     radial, horizontal = np.eye(4)[0], np.eye(4)[2]
-    before = [kobayashi_speed(projection, structure, x, v)
+    before = [speed(projection, structure, x, v)
               for v in (radial, horizontal)]
     scale_n, scale_h = 0.3 / kobayashi.A_N, 0.6 / kobayashi.A_H
     monkeypatch.setattr(kobayashi, "A_N", 0.3)
     monkeypatch.setattr(kobayashi, "A_H", 0.6)
-    s_n, s_h = [kobayashi_speed(projection, structure, x, v)
+    s_n, s_h = [speed(projection, structure, x, v)
                 for v in (radial, horizontal)]
     assert abs(s_n - scale_n * before[0]) < 1e-12 * before[0]
     assert abs(s_h - scale_h * before[1]) < 1e-12 * before[1]
     f = graph.nodes[21]
     a, b = ray_point(f, 0.4), ray_point(f, 0.04)
     want = 0.3 * math.log(10.0)
-    solver = LayeredSolver(graph, projection, mode="kobayashi")
-    assert abs(solver.distance(a, b) - want) < 1e-9
+    ladder = LayeredSolver(family, mode="kobayashi")
+    assert abs(pair_distance(ladder, a, b) - want) < 1e-9
     got = path_length(family.vertical_path(a, b),
                       family.functional("kobayashi_estimate"))
     assert abs(got - want) < 1e-9
 
 
-def test_layered_solver_mode_guards(graph, projection):
+def test_layered_solver_mode_guards(family):
     with pytest.raises(ConfigError):
-        LayeredSolver(graph, projection, mode="nope")
+        LayeredSolver(family, mode="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +232,13 @@ def test_fit_guards():
         quasi_isometry_fit([1.0, 2.0], [1.0])
 
 
-def test_qi_check_over_small_pool(family, kmetric, graph):
+def test_qi_check_over_small_pool(solver, graph):
     rng = np.random.default_rng(4)
     idx = rng.integers(0, graph.nodes.shape[0], size=8)
     ts = 0.02 + 0.3 * rng.random(8)
     pool = np.array([ray_point(graph.nodes[int(i)], float(t))
                      for i, t in zip(idx, ts)])
-    rep = qi_check(family, kmetric, pool)
+    rep = qi_check(solver, pool)
     assert rep.n_pairs == 28
     assert rep.violations == 0
     assert rep.C >= 1.0

@@ -3,15 +3,16 @@
 ``MetricFamily.prepare`` is one ``project_batch`` and one ``snap``, so its
 result depends on its input alone. Points built with known feet (the
 boundary-biased sampler's) are passed along prepared, so ``delta`` and
-``qi --metric d`` project none of them; a ``Bounded`` orbit verdict is
-read from the heights alone.
+``qi --metric d`` project none of them, and neither does the estimate's
+``LayeredSolver``; a ``Bounded`` orbit verdict is read from the heights
+alone.
 """
 
 import json
 
 import numpy as np
 
-from hypkob import MetricFamily, affine_contraction, iterate_many
+from hypkob import LayeredSolver, MetricFamily, affine_contraction, iterate_many
 from hypkob.cli import main
 from hypkob.dynamics import classify_orbit
 from hypkob.gromov import BoundaryBiasedSampler, four_point_delta
@@ -57,6 +58,27 @@ def test_prepared_pool_of_another_family_is_prepared_again(family, projection,
     again = other.as_prepared(pool)
     assert again is not pool and again.owner is other
     assert np.array_equal(again.points, pool.points)
+
+
+def test_solver_projects_only_a_foreign_pool(family, projection, graph,
+                                            monkeypatch):
+    solver = LayeredSolver(family, "kobayashi")
+    own = BoundaryBiasedSampler(family, seed=2).sample(30)
+    foreign = BoundaryBiasedSampler(MetricFamily(projection, graph),
+                                    seed=2).sample(30)
+    calls = []
+    real = projection.project_batch
+
+    def counted(X, seed_feet=None):
+        calls.append(np.atleast_2d(X).shape[0])
+        return real(X, seed_feet=seed_feet)
+
+    monkeypatch.setattr(projection, "project_batch", counted)
+    D = solver.distances(own)
+    assert calls == []
+    assert D.shape == (30, 30) and np.all(np.isfinite(D))
+    solver.distances(foreign)
+    assert calls == [30]
 
 
 def test_qi_d_projects_nothing(tmp_path):
