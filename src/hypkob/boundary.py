@@ -22,12 +22,21 @@ Two evaluation modes coexist deliberately. Snapping to nodes gives an
 exact pseudometric on the node set (used for tables and long-range
 queries); the local mode corrects short-range queries with direct chord
 costs so that scales below the node spacing remain visible.
+
+Every Dijkstra row, the graph's and the layered solver's, runs through
+``shortest_rows``. A batch large enough to pay for a fork is cut into
+contiguous slices, one per CPU in the process's affinity mask: forked
+children run the extra slices into a shared anonymous buffer while the
+parent runs the first, and the rows come back exactly as one serial call
+returns them. There is nothing to configure.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import signal
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,7 +58,102 @@ __all__ = [
     "BoundaryMap",
     "LipschitzReport",
     "lipschitz_details",
+    "shortest_rows",
 ]
+
+# Dijkstra work (source rows times stored edges) a batch must exceed before
+# it gets a second slice; each further slice needs as much work again.
+# Measured on a 2-core VM, min of 7 calls on the 2,000-node collar graph
+# (nnz 25,744): two slices break even at 24-40 rows (0.6-1.0 M) and take
+# 48 rows from 22.6 to 18.9 ms and 64 rows from 30.5 to 23.3 ms. The floor
+# sits above that because after a fork the parent's first write to each of
+# its pages is a page fault, about 1 us each and some thousands per command.
+_FORK_WORK = 2_000_000
+
+
+def dijkstra_counts() -> dict:
+    """Empty counters for ``shortest_rows``: calls, source rows, and the
+    rows forked children computed."""
+    return {"calls": 0, "rows": 0, "child_rows": 0}
+
+
+def shortest_rows(A: csr_matrix, sources, counts: Optional[dict] = None
+                  ) -> np.ndarray:
+    """``dijkstra(A, directed=True, indices=sources)``, bit for bit.
+
+    A batch whose ``len(sources) * A.nnz`` passes ``_FORK_WORK`` is cut into
+    contiguous slices, at most one per CPU in the affinity mask. One forked
+    child per extra slice runs the module-level ``dijkstra`` on it and
+    writes the rows into a shared anonymous buffer; the parent runs the
+    first slice meanwhile, then reaps every child. A slice whose child
+    failed, died or could not be forked is computed by the parent, so the
+    rows never depend on how the batch was cut, and no child outlives the
+    call. Every row of a source is computed independently of the others,
+    which is why slices give the serial call's rows. Without ``os.fork`` or
+    ``os.sched_getaffinity`` (Linux has both), or on one CPU, the batch is
+    one serial call. ``counts`` (see ``dijkstra_counts``) is updated in
+    place.
+    """
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
+    k = sources.size
+    n_slices = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_slices = min(len(os.sched_getaffinity(0)), k,
+                       1 + k * A.nnz // _FORK_WORK)
+    if counts is not None:
+        counts["calls"] += 1
+        counts["rows"] += k
+    if n_slices < 2:
+        return dijkstra(A, directed=True, indices=sources)
+    bounds = [k * s // n_slices for s in range(n_slices + 1)]
+    head, n = bounds[1], A.shape[0]
+    out = np.empty((k, n))
+    # children write rows head: onwards
+    with mmap.mmap(-1, (k - head) * n * 8) as buf:
+        children, undone = {}, []
+        done = False
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    undone.append((lo, hi))
+                    continue
+                if pid == 0:
+                    code = 1
+                    try:
+                        shared = np.frombuffer(buf, dtype=np.float64)
+                        shared.reshape(k - head, n)[lo - head:hi - head] = \
+                            dijkstra(A, directed=True, indices=sources[lo:hi])
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[pid] = (lo, hi)
+            # the parent's rows go straight into ``out``, so they are not
+            # held twice while the children's are copied
+            out[:head] = dijkstra(A, directed=True, indices=sources[:head])
+            done = True
+        finally:
+            for pid, span in children.items():
+                if not done:
+                    os.kill(pid, signal.SIGKILL)
+                if os.waitpid(pid, 0)[1] != 0:
+                    undone.append(span)
+        # copied out a megabyte (whole pages) at a time, each piece freed
+        # once copied, so the parent never holds the buffer and its copy at
+        # once; the buffer is unmapped before the call returns
+        flat, dest = np.frombuffer(buf, dtype=np.float64), out[head:].reshape(-1)
+        step = 1 << 17
+        for lo in range(0, flat.size, step):
+            hi = min(lo + step, flat.size)
+            dest[lo:hi] = flat[lo:hi]
+            buf.madvise(mmap.MADV_REMOVE, 8 * lo, 8 * (hi - lo))
+        del flat
+    for lo, hi in undone:
+        out[lo:hi] = dijkstra(A, directed=True, indices=sources[lo:hi])
+    if counts is not None:
+        counts["child_rows"] += k - head - sum(hi - lo for lo, hi in undone)
+    return out
 
 
 class BoundaryGraph:
@@ -70,6 +174,7 @@ class BoundaryGraph:
         # distance rows taken from a cache file, run by Dijkstra in this
         # process, and written by the last save
         self.row_counts = {"loaded": 0, "computed": 0, "saved": 0}
+        self.dijkstra_counts = dijkstra_counts()
         self._frames = transverse_frame(domain, structure, self.nodes)
 
     # -- construction --------------------------------------------------------
@@ -223,16 +328,18 @@ class BoundaryGraph:
     def rows_from(self, indices, columns=None) -> np.ndarray:
         """Dijkstra distance rows from the given node indices, cached.
 
-        The missing rows run in one Dijkstra call. With ``columns``, only
-        those entries are gathered, row by row, and no full row is
-        stacked: a 1-D ``columns`` takes the same columns from every row
-        (a table), and ``columns[:, None]`` one column per row (the
-        entries of aligned pairs).
+        The missing rows run in one ``shortest_rows`` call, which spreads a
+        large batch over the CPUs; ``dijkstra_counts`` records its work.
+        With ``columns``, only those entries are gathered, row by row, and
+        no full row is stacked: a 1-D ``columns`` takes the same columns
+        from every row (a table), and ``columns[:, None]`` one column per
+        row (the entries of aligned pairs).
         """
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         missing = [int(i) for i in np.unique(indices) if int(i) not in self._rows]
         if missing:
-            rows = dijkstra(self.adjacency, directed=True, indices=missing)
+            rows = shortest_rows(self.adjacency, missing,
+                                 self.dijkstra_counts)
             for pos, i in enumerate(missing):
                 self._rows[i] = rows[pos]
             self.row_counts["computed"] += len(missing)

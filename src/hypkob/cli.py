@@ -500,6 +500,7 @@ def main(argv=None) -> int:
         _err(exc)
         return 2
     handler, needs_graph = _HANDLERS[args.command]
+    clock = time.perf_counter()
     try:
         ws = build_workspace(cfg, refine=args.refine,
                              graph_cache=args.graph_cache,
@@ -510,12 +511,20 @@ def main(argv=None) -> int:
     except HypkobError as exc:
         _err(exc)
         return 3
+    # wall seconds of the command's stages; the graph's build or load is
+    # part of the workspace's
+    timings = {"workspace_s": time.perf_counter() - clock,
+               "graph_s": ws.graph_s}
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
+        clock = time.perf_counter()
         report, code = handler(args, cfg, ws)
+        timings["handler_s"] = time.perf_counter() - clock
         # rows this command computed join the cache for later commands
+        clock = time.perf_counter()
         if ws.graph_cache and ws.graph.row_counts["computed"]:
             ws.graph.save(ws.graph_cache)
+        timings["save_s"] = time.perf_counter() - clock
     except ConfigError as exc:
         _err(exc)
         return 2
@@ -531,8 +540,14 @@ def main(argv=None) -> int:
         return 3
     dump_json(report, os.path.join(cfg.out_dir, "report.json"))
     counters = {"projection": dict(ws.projection.counts)}
+    dijkstra = {}
+    if ws.graph is not None:
+        dijkstra["graph"] = dict(ws.graph.dijkstra_counts)
     if ws.layered is not None:
         counters["layered"] = dict(ws.layered.counts)
+        dijkstra["ladder"] = dict(ws.layered.dijkstra_counts)
+    if dijkstra:
+        counters["dijkstra"] = dijkstra
     manifest = {
         "command": args.command,
         "config_hash": cfg.hash(),
@@ -542,6 +557,7 @@ def main(argv=None) -> int:
         "graph_rows": (dict(ws.graph.row_counts) if ws.graph is not None
                        else None),
         "counters": counters,
+        "timings": timings,
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -143,6 +144,9 @@ class Workspace:
     # the estimate's solver, set by the command that builds one; its
     # ``counts`` go into the manifest
     layered: Optional[LayeredSolver] = None
+    # wall seconds spent loading or building (and first saving) the graph,
+    # refinement included
+    graph_s: float = 0.0
 
 
 def build_workspace(cfg: RunConfig, refine: int = 0,
@@ -172,6 +176,7 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
         return Workspace(domain=domain, structure=structure,
                          projection=projection, graph=None, family=None,
                          epsilon=eps)
+    clock = time.perf_counter()
     graph = None
     if graph_cache and not graph_cache.endswith(".npz"):
         graph_cache = graph_cache + ".npz"
@@ -196,7 +201,9 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
             graph.save(graph_cache)
     for _ in range(int(refine)):
         graph = graph.refine()
+    graph_s = time.perf_counter() - clock
     family = MetricFamily(projection, graph)
     return Workspace(domain=domain, structure=structure, projection=projection,
                      graph=graph, family=family, epsilon=eps,
-                     graph_cache=None if int(refine) else graph_cache)
+                     graph_cache=None if int(refine) else graph_cache,
+                     graph_s=graph_s)

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 from scipy.stats import qmc
 
 from .errors import (
@@ -185,9 +186,6 @@ _CLOUD_SIZE = 4096
 # points take about half the time; collar queries barely change.
 _CLOUD_LEAFSIZE = 64
 
-# rows of the pairwise difference block in the diameter estimate
-_DIAMETER_BLOCK = 64
-
 # feet closer than this fraction of the domain diameter share one normal ray
 _FOOT_TOL = 1e-8
 
@@ -352,13 +350,12 @@ class Domain:
         return self._cloud_tree
 
     def diameter_estimate(self) -> float:
+        """Largest distance between points of a 1,024-point subsample of
+        the boundary cloud, computed once per domain."""
         if self._diameter is None:
             cloud = self.boundary_cloud()
             sub = cloud[:: max(1, cloud.shape[0] // 1024)]
-            d2 = max(float(np.sum((sub[s:s + _DIAMETER_BLOCK, None, :]
-                                   - sub[None, :, :]) ** 2, axis=-1).max())
-                     for s in range(0, sub.shape[0], _DIAMETER_BLOCK))
-            self._diameter = float(np.sqrt(d2))
+            self._diameter = float(np.sqrt(pdist(sub, "sqeuclidean").max()))
         return self._diameter
 
     def same_foot(self, fa, fb) -> np.ndarray:

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
+from .boundary import dijkstra_counts, shortest_rows
 from .errors import ConfigError
 from .metrics import MetricFamily
 
@@ -49,7 +49,9 @@ class LayeredSolver:
     query stubs read ``kobayashi.kobayashi_rate`` and ``kobayashi.A_N``.
 
     ``counts`` records the ladder's levels, grid nodes and stored edges
-    (``nnz``), and the Dijkstra sources its queries ran.
+    (``nnz``), and the Dijkstra sources its queries ran;
+    ``dijkstra_counts`` the calls, rows and child rows of
+    ``boundary.shortest_rows``.
     """
 
     def __init__(self, family: MetricFamily, mode: str = "collar"):
@@ -135,6 +137,7 @@ class LayeredSolver:
         self._n = L * m
         self.counts = {"levels": int(L), "grid_nodes": int(self._n),
                        "nnz": int(self._parts[2].size), "dijkstra_sources": 0}
+        self.dijkstra_counts = dijkstra_counts()
 
     # -- queries -------------------------------------------------------------
 
@@ -157,7 +160,9 @@ class LayeredSolver:
 
         Each query is two virtual nodes, one that paths leave by and one
         that they arrive at, so no path passes through a third query and a
-        pair's distance does not depend on the rest of the pool.
+        pair's distance does not depend on the rest of the pool. The
+        sources run in one ``boundary.shortest_rows`` call, so a large pool
+        is spread over the CPUs.
         """
         P = self.family.as_prepared(points)
         feet, depth, cols = P.feet, P.depth, P.node
@@ -185,7 +190,7 @@ class LayeredSolver:
               np.concatenate([colsout, sg, into + sq, into + b, into + a]))),
             shape=(n + 2 * Q, n + 2 * Q)).tocsr()
         self.counts["dijkstra_sources"] += Q
-        D = dijkstra(aug, directed=True, indices=np.arange(out, out + Q))
+        D = shortest_rows(aug, np.arange(out, out + Q), self.dijkstra_counts)
         D = D[:, into:into + Q]
         D = np.minimum(D, D.T)
         np.fill_diagonal(D, 0.0)

@@ -313,18 +313,21 @@ def test_kob_replay_is_byte_identical_and_counts_the_ladder(rig):
             assert code == 0
             with open(os.path.join(out, "report.json"), "rb") as fh:
                 blobs.append(fh.read())
-            lay = read_json(os.path.join(out, "manifest.json"))[
-                "counters"]["layered"]
+            counters = read_json(os.path.join(out, "manifest.json"))[
+                "counters"]
+            lay = counters["layered"]
             assert lay["levels"] >= 2
             assert lay["grid_nodes"] == lay["levels"] * 160
             assert lay["nnz"] > lay["grid_nodes"]
             assert lay["dijkstra_sources"] == sources
+            assert counters["dijkstra"]["ladder"]["rows"] == sources
         assert blobs[0] == blobs[1]
         assert b"layered" not in blobs[0]
     _, out = run(rig, "dist", "out_dist_g_counters", "--metric", "g",
                  "--pairs", pairs)
     man = read_json(os.path.join(out, "manifest.json"))
-    assert set(man["counters"]) == {"projection"}
+    assert set(man["counters"]) == {"projection", "dijkstra"}
+    assert set(man["counters"]["dijkstra"]) == {"graph"}
 
 
 def test_seed_override_reaches_every_seed(rig):

@@ -142,6 +142,24 @@ def test_diameter_estimate_memory_is_blocked():
     assert 1.99 < diam <= 2.0
 
 
+@pytest.mark.parametrize("field", [
+    {"type": "ball"},
+    {"type": "ellipsoid", "semi_axes": [1.0, 1.0, 0.7, 0.7]},
+    {"type": "superellipsoid", "semi_axes": [1.0, 1.2, 0.7, 0.9],
+     "exponent": 4.0}])
+def test_diameter_estimate_equals_the_blockwise_maximum(field):
+    dom = Domain.from_spec({"dimension": 4, "defining_function": field})
+    cloud = dom.boundary_cloud()
+    sub = cloud[:: max(1, cloud.shape[0] // 1024)]
+    assert sub.shape[0] == 1024
+    # the estimate as it was first written: squared differences summed in
+    # blocks of 64 rows, the largest kept
+    d2 = max(float(np.sum((sub[s:s + 64, None, :] - sub[None, :, :]) ** 2,
+                          axis=-1).max())
+             for s in range(0, sub.shape[0], 64))
+    assert dom.diameter_estimate() == float(np.sqrt(d2))
+
+
 @pytest.mark.parametrize("semi_axes", [None, [1.0, 1.0, 0.7, 0.7]])
 def test_cloud_tree_queries_equal_brute_force(semi_axes):
     field = ({"type": "ball"} if semi_axes is None
