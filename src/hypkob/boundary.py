@@ -10,6 +10,14 @@ the weights collapse to plain Euclidean chord lengths. Distances are
 Dijkstra shortest paths; rows are cached, and a saved graph carries its
 cached rows, so a later load computes only the rows it lacks.
 
+A saved graph is a cache of two files. The graph file (``.npz``) holds
+the nodes, the adjacency, the parameters and the domain's boundary cloud,
+and is written once, after a fresh build. The row store next to it
+(``.rows``) is append-only: a save appends the rows computed since the
+load as raw records, and a load reads them back without decompression or
+checksums. A header binds the store to its graph file, so a store left
+beside another graph is never read.
+
 Nodes are thinned from oversampled boundary candidates by the exact
 greedy farthest-point rule; a KD-tree over the candidates prunes each
 step's distance update to the candidates it can change, without changing
@@ -33,10 +41,12 @@ returns them. There is nothing to configure.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import mmap
 import os
 import signal
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -171,9 +181,15 @@ class BoundaryGraph:
         self.params = dict(params)
         self.tree = cKDTree(self.nodes)
         self._rows: dict[int, np.ndarray] = {}
-        # distance rows taken from a cache file, run by Dijkstra in this
-        # process, and written by the last save
-        self.row_counts = {"loaded": 0, "computed": 0, "saved": 0}
+        # distance rows taken from a cache, run by Dijkstra in this
+        # process, held by the row store after the last save, and written
+        # by this process's saves
+        self.row_counts = {"loaded": 0, "computed": 0, "saved": 0,
+                           "appended": 0}
+        # the graph file this graph was loaded from or saved to, and the
+        # rows its row store holds
+        self._cache: Optional[str] = None
+        self._stored: set[int] = set()
         self.dijkstra_counts = dijkstra_counts()
         self._frames = transverse_frame(domain, structure, self.nodes)
 
@@ -442,62 +458,204 @@ class BoundaryGraph:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str):
-        """Write the graph and its cached distance rows to an npz file.
+        """Write the graph once and append its new distance rows.
 
-        The rows go in as ``row_index`` (sorted node indices) and ``rows``
-        (one float64 row each, exactly as Dijkstra returned it). The file
-        is uncompressed and replaced atomically: it is written to a
-        temporary file next to ``path`` (named after the process), then
-        renamed over it, so a failed write leaves the old file as it was.
-        ``.npz`` is appended to a path that lacks it.
+        A cache is two files (``cache_files``). The graph file holds the
+        nodes, the adjacency, ``params`` and the domain's boundary cloud,
+        sampled here if the domain has none yet; it is written only when
+        this graph was neither loaded from nor saved to ``path`` before,
+        that is after a fresh build, and the row store is then replaced by
+        one holding every cached row. Every later save appends only the
+        rows cached since, as raw records: the int64 node index and the
+        float64 row exactly as Dijkstra returned it. A store that has gone
+        missing or that another graph's header now heads is replaced
+        instead of appended to. Replaced files are written to temporary
+        files next to them (named after the process) and renamed over
+        them, and a failed append is cut back to the store's old length,
+        so a failed save leaves the cache's bytes as they were.
         """
-        if not path.endswith(".npz"):
-            path = path + ".npz"
-        A = self.adjacency.tocsr()
-        meta = json.dumps(self.params, sort_keys=True)
-        order = sorted(self._rows)
-        row_index = np.array(order, dtype=np.int64)
-        rows = np.array([self._rows[i] for i in order],
-                        dtype=float).reshape(len(order), self.nodes.shape[0])
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, nodes=self.nodes, data=A.data,
-                         indices=A.indices, indptr=A.indptr,
-                         shape=np.array(A.shape), meta=np.array(meta),
-                         row_index=row_index, rows=rows)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-        self.row_counts["saved"] = int(row_index.size)
+        graph_path, store_path = cache_files(path)
+        header = self._store_header()
+        fresh = self._cache != graph_path
+        order = sorted(set(self._rows) - self._stored)
+        if fresh or not _append(store_path, header,
+                                self._records(order).tobytes()):
+            order = sorted(self._rows)
+            files = [(store_path, header + self._records(order).tobytes())]
+            if fresh:
+                A = self.adjacency.tocsr()
+                files.insert(0, (graph_path, {
+                    "nodes": self.nodes, "data": A.data,
+                    "indices": A.indices, "indptr": A.indptr,
+                    "shape": np.array(A.shape),
+                    "meta": np.array(json.dumps(self.params, sort_keys=True)),
+                    "cloud": self.domain.boundary_cloud()}))
+            _replace(files)
+        self._cache = graph_path
+        self._stored = set(self._rows)
+        self.row_counts["appended"] += len(order)
+        self.row_counts["saved"] = len(self._stored)
 
     @classmethod
-    def load(cls, path: str, domain: Domain,
-             structure: StructureField) -> "BoundaryGraph":
-        """Read a saved graph; its stored distance rows fill the row cache.
+    def load(cls, path: str, domain: Domain, structure: StructureField,
+             setup: Optional[str] = None) -> "BoundaryGraph":
+        """Read a cache written by ``save``.
 
-        A file without rows loads with none. A rows block that could not
-        have come from Dijkstra on this graph is refused (``ConfigError``).
+        The stored boundary cloud goes to ``domain`` (see
+        ``Domain.set_boundary_cloud``), and the rows of the row store fill
+        the row cache; they are read as raw records, with no decompression
+        or checksum pass. A store that is missing, or whose header binds it
+        to another graph file, gives no rows. With ``setup``, a graph file
+        whose ``params["setup"]`` differs is refused before anything else
+        is read. A graph file without a cloud (the old single-file layout),
+        a torn record, a repeated row that is not bit-identical to its
+        first copy, and rows that could not have come from Dijkstra on this
+        graph (``_check_rows``) are refused as well (``ConfigError``).
         """
-        with np.load(path, allow_pickle=False) as z:
+        graph_path, store_path = cache_files(path)
+        with np.load(graph_path, allow_pickle=False) as z:
+            if "cloud" not in z.files:
+                raise ConfigError(f"graph cache {graph_path} has the old "
+                                  "single-file layout; delete it and rerun")
+            params = json.loads(str(z["meta"]))
+            if setup is not None and params.get("setup") != setup:
+                raise ConfigError(f"graph cache {graph_path} was built for "
+                                  "another domain, structure or graph setup")
             nodes = z["nodes"]
             A = csr_matrix((z["data"], z["indices"], z["indptr"]),
                            shape=tuple(z["shape"]))
-            params = json.loads(str(z["meta"]))
-            stored = "rows" in z.files or "row_index" in z.files
-            if stored:
-                if not {"rows", "row_index"} <= set(z.files):
-                    raise ConfigError(f"graph cache {path} has only one of "
-                                      "'rows' and 'row_index'")
-                row_index, rows = z["row_index"], z["rows"]
+            cloud = z["cloud"]
         graph = cls(domain, structure, nodes, A, params)
-        if stored:
-            _check_rows(path, row_index, rows, nodes.shape[0])
-            graph._rows = {int(i): rows[p] for p, i in enumerate(row_index)}
-            graph.row_counts["loaded"] = int(row_index.size)
+        domain.set_boundary_cloud(cloud)
+        graph._cache = graph_path
+        n = nodes.shape[0]
+        records = _read_store(store_path, graph._store_header(), n)
+        if records is not None:
+            row_index, rows = _unique_rows(store_path, records["index"],
+                                           records["row"])
+            _check_rows(store_path, row_index, rows, n)
+            graph._rows = dict(zip(row_index.tolist(), rows))
+            graph._stored = set(graph._rows)
+            graph.row_counts["loaded"] = len(graph._rows)
         return graph
+
+    def _store_header(self) -> bytes:
+        """What heads a row store written for this graph: the setup hash,
+        the node count, and a SHA-256 digest of the nodes and adjacency."""
+        A = self.adjacency
+        digest = hashlib.sha256()
+        for arr in (self.nodes, A.data, A.indices.astype(np.int64),
+                    A.indptr.astype(np.int64)):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        return _HEADER.pack(_STORE_MAGIC,
+                            str(self.params.get("setup", "")).encode(),
+                            self.nodes.shape[0], digest.digest())
+
+    def _records(self, order: list) -> np.ndarray:
+        rec = np.empty(len(order), dtype=_record_dtype(self.nodes.shape[0]))
+        rec["index"] = order
+        for pos, i in enumerate(order):
+            rec["row"][pos] = self._rows[i]
+        return rec
+
+
+# a row store starts with ``_HEADER``: this magic, the setup hash (ASCII,
+# padded with zeros), the node count and the graph's digest
+_STORE_MAGIC = b"hkrows1\n"
+_HEADER = struct.Struct("<8s64sq32s")
+
+
+def cache_files(path: str) -> tuple[str, str]:
+    """The graph file and the row store of a cache path: ``.npz`` is
+    appended to a path that lacks it, and the store swaps it for ``.rows``."""
+    if not path.endswith(".npz"):
+        path = path + ".npz"
+    return path, path[:-len(".npz")] + ".rows"
+
+
+def _record_dtype(n: int) -> np.dtype:
+    return np.dtype([("index", "<i8"), ("row", "<f8", (n,))])
+
+
+def _replace(files: list):
+    """Write each ``(path, content)`` to a temporary file, then rename
+    them all over their paths; ``content`` is bytes or the arrays of an
+    npz file. Nothing is renamed unless every temporary file was written."""
+    tmps = [f"{path}.{os.getpid()}.tmp" for path, _ in files]
+    try:
+        for tmp, (_, content) in zip(tmps, files):
+            with open(tmp, "wb") as fh:
+                if isinstance(content, bytes):
+                    fh.write(content)
+                else:
+                    np.savez(fh, **content)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
+def _append(path: str, header: bytes, payload: bytes) -> bool:
+    """Append ``payload`` to the store at ``path`` if ``header`` heads it.
+
+    Returns False, writing nothing, when the store is missing or headed
+    by another graph. The payload goes in with ``O_APPEND``, so concurrent
+    appends do not overwrite each other; a failed write is cut back to the
+    store's old length.
+    """
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+    except FileNotFoundError:
+        return False
+    try:
+        if os.pread(fd, len(header), 0) != header:
+            return False
+        size = os.fstat(fd).st_size
+        try:
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            os.ftruncate(fd, size)
+            raise
+        return True
+    finally:
+        os.close(fd)
+
+
+def _read_store(path: str, header: bytes, n: int) -> Optional[np.ndarray]:
+    """The records of the store at ``path``, or None when it is missing or
+    ``header`` does not head it. A torn last record is refused."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
+        if fh.read(len(header)) != header:
+            return None
+        dtype = _record_dtype(n)
+        if (os.fstat(fh.fileno()).st_size - len(header)) % dtype.itemsize:
+            raise ConfigError(f"graph cache {path} holds distance rows with "
+                              "a torn last record")
+        return np.fromfile(fh, dtype=dtype)
+
+
+def _unique_rows(path: str, row_index: np.ndarray, rows: np.ndarray):
+    """One copy of each stored row. Writers that share a cache may append
+    the same row twice; the copies must be bit-identical."""
+    uniq, first, inv = np.unique(row_index, return_index=True,
+                                 return_inverse=True)
+    if uniq.size == row_index.size:
+        return row_index, rows
+    dup = np.setdiff1d(np.arange(row_index.size), first)
+    if np.any(rows[dup].view(np.uint64)
+              != rows[first[inv[dup]]].view(np.uint64)):
+        raise ConfigError(f"graph cache {path} holds distance rows with "
+                          "a repeated row that differs from its first copy")
+    return uniq, rows[first]
 
 
 def _check_rows(path: str, row_index: np.ndarray, rows: np.ndarray, n: int):

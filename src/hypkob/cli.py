@@ -441,7 +441,8 @@ def _add_common(sp) -> None:
                     help="override every configured seed")
     sp.add_argument("--out", default=None, help="output directory override")
     sp.add_argument("--graph-cache", default=None,
-                    help="boundary graph cache file (.npz)")
+                    help="boundary graph cache file (.npz); its distance "
+                    "rows go in a .rows file next to it")
     sp.add_argument("--refine", type=int, default=0,
                     help="graph refinement rounds after build or load")
 
@@ -556,6 +557,8 @@ def main(argv=None) -> int:
         "graph": ws.graph.params if ws.graph is not None else None,
         "graph_rows": (dict(ws.graph.row_counts) if ws.graph is not None
                        else None),
+        # "cache" or "sampled"; None when the command used no cloud
+        "boundary_cloud": ws.domain.cloud_source,
         "counters": counters,
         "timings": timings,
         "versions": _versions(),

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from ._util import config_hash
 from .domain import Domain, HeightProjection, reach_details
 from .structures import StructureField
-from .boundary import BoundaryGraph
+from .boundary import BoundaryGraph, cache_files
 from .metrics import MetricFamily
 from .layered import LayeredSolver
 
@@ -31,6 +31,9 @@ _GRAPH_DEFAULTS = {
     "seed": 0,
     "selection": "farthest",
 }
+
+# the graph parameters that take numbers
+_GRAPH_NUMBERS = ("n_nodes", "k_neighbors", "anisotropy", "seed")
 
 _TOLERANCE_DEFAULTS = {
     "newton_tol": 1e-10,
@@ -60,6 +63,12 @@ class RunConfig:
 
     def hash(self) -> str:
         return config_hash(self.raw)
+
+
+def _is_number(val) -> bool:
+    """A JSON number: ``true`` and ``false`` load as Python booleans, which
+    are integers, but are not numbers here."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _resolve_spec(value, base_dir: str, label: str) -> dict:
@@ -99,22 +108,24 @@ def load_config(path: str) -> RunConfig:
     unknown = set(graph) - set(_GRAPH_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown graph parameters: {sorted(unknown)}")
+    for key in _GRAPH_NUMBERS:
+        if not _is_number(graph[key]):
+            raise ConfigError(f"graph parameter {key!r} must be a number")
     tolerances = dict(_TOLERANCE_DEFAULTS)
     tolerances.update(raw.get("tolerances", {}))
     unknown = set(tolerances) - set(_TOLERANCE_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
     for key, val in tolerances.items():
-        if not (isinstance(val, (int, float)) and val > 0):
+        if not (_is_number(val) and val > 0):
             raise ConfigError(f"tolerance {key!r} must be positive")
     seeds = dict(_SEED_DEFAULTS)
     seeds.update(raw.get("seeds", {}))
     for key, val in seeds.items():
-        if not isinstance(val, int):
+        if not (isinstance(val, int) and not isinstance(val, bool)):
             raise ConfigError(f"seed {key!r} must be an integer")
     epsilon = raw.get("epsilon")
-    if epsilon is not None and not (isinstance(epsilon, (int, float))
-                                    and epsilon > 0):
+    if epsilon is not None and not (_is_number(epsilon) and epsilon > 0):
         raise ConfigError("epsilon must be positive when given")
     out_dir = raw.get("out_dir", "hypkob_out")
     if not os.path.isabs(out_dir):
@@ -138,8 +149,9 @@ class Workspace:
     graph: Optional[BoundaryGraph]
     family: Optional[MetricFamily]
     epsilon: float
-    # the cache file that holds ``graph`` (``.npz`` appended); None without
-    # a cache, and for a refined graph, whose rows belong to no cache
+    # the graph file of the cache that holds ``graph`` (``.npz`` appended);
+    # None without a cache, and for a refined graph, whose rows belong to
+    # no cache
     graph_cache: Optional[str] = None
     # the estimate's solver, set by the command that builds one; its
     # ``counts`` go into the manifest
@@ -154,18 +166,31 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
                     with_graph: bool = True) -> Workspace:
     """Assemble domain, structure, projection, and boundary graph.
 
-    A graph cache path is loaded when present and written after a fresh
-    build; refinement happens after loading, so a cache plus a refine
-    count is a reproducible denser graph. The cache carries a hash of the
-    domain spec, the structure spec and the graph block, and a cache
-    whose hash differs or is missing is refused. It also holds the
+    A graph cache (see ``BoundaryGraph.save``) is loaded when its graph
+    file is present, before the reach estimate, so the estimate and every
+    projection use the boundary cloud it stores; after a fresh build the
+    graph is saved to it. Refinement happens after loading, so a cache
+    plus a refine count is a reproducible denser graph. The cache carries
+    a hash of the domain spec, the structure spec and the graph block, and
+    a cache whose hash differs or is missing is refused. It also holds the
     graph's distance rows; the workspace names the cache only while
     ``graph`` is the cached graph itself, so rows of a refined graph never
     reach it. Pointwise commands that never touch boundary distances skip
-    the graph entirely.
+    the graph and its cache entirely.
     """
     domain = Domain.from_spec(cfg.domain_spec)
     structure = StructureField.from_spec(cfg.structure_spec, domain.dim)
+    graph = None
+    clock = time.perf_counter()
+    if with_graph and graph_cache:
+        graph_cache = cache_files(graph_cache)[0]
+        setup = config_hash({"domain": cfg.domain_spec,
+                             "structure": cfg.structure_spec,
+                             "graph": cfg.graph})
+        if os.path.exists(graph_cache):
+            graph = BoundaryGraph.load(graph_cache, domain, structure,
+                                       setup=setup)
+    graph_s = time.perf_counter() - clock
     if cfg.epsilon is not None:
         eps = float(cfg.epsilon)
     else:
@@ -177,16 +202,6 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
                          projection=projection, graph=None, family=None,
                          epsilon=eps)
     clock = time.perf_counter()
-    graph = None
-    if graph_cache and not graph_cache.endswith(".npz"):
-        graph_cache = graph_cache + ".npz"
-    setup = config_hash({"domain": cfg.domain_spec,
-                         "structure": cfg.structure_spec, "graph": cfg.graph})
-    if graph_cache and os.path.exists(graph_cache):
-        graph = BoundaryGraph.load(graph_cache, domain, structure)
-        if graph.params.get("setup") != setup:
-            raise ConfigError(f"graph cache {graph_cache} was built for another "
-                              "domain, structure or graph setup")
     if graph is None:
         graph = BoundaryGraph.build(
             domain, structure,
@@ -201,7 +216,7 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
             graph.save(graph_cache)
     for _ in range(int(refine)):
         graph = graph.refine()
-    graph_s = time.perf_counter() - clock
+    graph_s += time.perf_counter() - clock
     family = MetricFamily(projection, graph)
     return Workspace(domain=domain, structure=structure, projection=projection,
                      graph=graph, family=family, epsilon=eps,

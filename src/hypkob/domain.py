@@ -179,6 +179,10 @@ def polynomial_field(dim: int, terms) -> ScalarField:
 # boundary points in the cached cloud that seeds every projection
 _CLOUD_SIZE = 4096
 
+# a stored cloud point may lie this fraction of the box diagonal off the
+# boundary; sampled clouds lie within about 1e-16
+_CLOUD_TOL = 1e-9
+
 # leaf size of the cloud's KD-tree. Seen from a deep point the cloud points
 # are nearly equidistant, so a nearest query prunes little and visits most
 # leaves; larger leaves (the default is 16) cut the tree nodes it walks
@@ -204,7 +208,10 @@ class Domain:
         ``structures``; defaults to 1e-5 times the box diagonal.
     seed : int
         Seed for the cached dense boundary sample (``_CLOUD_SIZE`` points)
-        used as a projection fallback and for diameter estimation.
+        used as a projection fallback and for diameter estimation. A graph
+        cache stores that sample, and ``set_boundary_cloud`` puts it back;
+        ``cloud_source`` says which happened (``"sampled"``, ``"cache"``,
+        or None while no cloud is held).
     """
 
     def __init__(self, f: ScalarField, box, fd_step: Optional[float] = None,
@@ -220,6 +227,7 @@ class Domain:
         self._cloud = None
         self._cloud_tree = None
         self._diameter = None
+        self.cloud_source = None
 
     # -- defining function ---------------------------------------------------
 
@@ -338,10 +346,35 @@ class Domain:
     # -- cached cloud --------------------------------------------------------
 
     def boundary_cloud(self) -> np.ndarray:
+        """The cloud, sampled on first use unless a cache has set it."""
         if self._cloud is None:
             self._cloud = self.sample_boundary(_CLOUD_SIZE, seed=self.seed,
                                                quasi=True)
+            self.cloud_source = "sampled"
         return self._cloud
+
+    def set_boundary_cloud(self, cloud) -> None:
+        """Use a stored cloud instead of sampling one.
+
+        ``cloud`` must have the sampled cloud's shape and float64 type and
+        lie on the boundary (``|rho| / |grad rho|`` within
+        ``_CLOUD_TOL`` of the box diagonal), else ``ConfigError``. A domain
+        that already holds a cloud keeps it: both come from the same seed.
+        """
+        cloud = np.asarray(cloud)
+        if cloud.shape != (_CLOUD_SIZE, self.dim) or cloud.dtype != np.float64:
+            raise ConfigError(f"a boundary cloud needs shape ({_CLOUD_SIZE}, "
+                              f"{self.dim}) and type float64, not "
+                              f"{cloud.shape} and {cloud.dtype}")
+        scale = float(np.linalg.norm(self.box[1] - self.box[0]))
+        with np.errstate(all="ignore"):
+            off = (np.abs(self.field.value_fn(cloud))
+                   / np.linalg.norm(self.field.grad_fn(cloud), axis=-1))
+        if not np.all(off <= _CLOUD_TOL * scale):
+            raise ConfigError("a boundary cloud has points off the boundary")
+        if self._cloud is None:
+            self._cloud = cloud
+            self.cloud_source = "cache"
 
     def cloud_tree(self) -> cKDTree:
         if self._cloud_tree is None:

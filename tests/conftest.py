@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from hypkob import (Domain, HeightProjection, BoundaryGraph, MetricFamily,
                     standard_structure)
 
 EPS = 0.5
+
+# every property test replays the same examples: no deadline, derandomized,
+# no example database; each test sets only its own max_examples
+settings.register_profile("hypkob", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("hypkob")
 
 
 @pytest.fixture(scope="session")

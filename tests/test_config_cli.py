@@ -115,6 +115,26 @@ def test_load_config_rejects_bad_entries(tmp_path):
         load_config(listy)
 
 
+@pytest.mark.parametrize("block, key", [
+    ("seeds", "sampler"), ("seeds", "pairs"), ("seeds", "quadruples"),
+    ("seeds", "orbits"), ("tolerances", "newton_tol"), (None, "epsilon"),
+    ("graph", "n_nodes"), ("graph", "k_neighbors"), ("graph", "anisotropy"),
+    ("graph", "seed")])
+def test_booleans_are_not_numbers(tmp_path, capsys, block, key):
+    # JSON true loads as Python True, an int equal to 1
+    raw = {"domain": {"dimension": 4, "defining_function": {"type": "ball"}}}
+    if block is None:
+        raw[key] = True
+    else:
+        raw[block] = {key: True}
+    path = write_json(tmp_path / "bool.json", raw)
+    capsys.readouterr()
+    assert main(["check", "--config", path, "--out",
+                 str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_main_maps_config_errors_to_exit_2(tmp_path):
     assert main(["check", "--config", str(tmp_path / "none.json")]) == 2
     path = write_json(tmp_path / "bad.json", {"domain": {"dimension": 4}})

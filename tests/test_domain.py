@@ -351,7 +351,7 @@ def _mixed_batch(draw):
     return on_ellipsoid, np.array(rows)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(case=_mixed_batch())
 def test_batch_projection_equals_pointwise(projection,
                                            complex_ellipsoid_projection, case):
@@ -410,7 +410,7 @@ def _interior_batch(draw):
     return on_ellipsoid, np.array(rows)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(case=_interior_batch())
 def test_projected_feet_pass_the_newton_test(projection,
                                              complex_ellipsoid_projection,

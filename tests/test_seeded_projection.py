@@ -74,7 +74,7 @@ def _deep_points_and_noise(draw):
     return on_ellipsoid, np.array(rows), np.reshape(noise, (-1, 4))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(case=_deep_points_and_noise())
 def test_perturbed_seeds_give_the_unseeded_projection(counting_projections,
                                                       case):
