@@ -13,7 +13,7 @@ from .errors import (
     HypkobError, ConfigError, PointOutsideDomain, ProjectionDiverged,
     CurvatureEstimateFailed, DerivativeEvaluationFailed,
     DimensionTooSmall, DegenerateContact,
-    GraphDisconnected, ImageOffBoundary, ProjectionsDiffer, HeightsDiffer,
+    GraphDisconnected, ImageOffBoundary, HeightsDiffer,
     RefinementStalled, PrefixTooShort, NotStabilized,
     PointOutsideShellRegion, MapEscapedDomain,
 )
@@ -25,8 +25,7 @@ from .domain import (
 from .structures import (
     StructureField, standard_structure, check_structure, alpha_vec, eta_vec,
     dalpha_matrix, levi_form, levi_matrix, ConvexityReport,
-    check_strict_convexity, transverse_frame, ContactData, contact_at,
-    contact_batch,
+    check_strict_convexity, transverse_frame, ContactData, contact_batch,
 )
 from .boundary import (
     BoundaryGraph, BoundaryMap, LipschitzReport, lipschitz_details,
@@ -49,7 +48,7 @@ from .gromov import (
 )
 from .dynamics import (
     DomainMap, identity_map, affine_contraction, rotation_map, map_from_spec,
-    OrbitRecord, iterate, iterate_many, check_semicontraction, OrbitVerdict,
+    OrbitRecord, iterate_many, check_semicontraction, OrbitVerdict,
     classify_orbit,
 )
 from .config import RunConfig, Workspace, load_config, build_workspace

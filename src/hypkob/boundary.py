@@ -18,18 +18,19 @@ load as raw records, and a load reads them back without decompression or
 checksums. A header binds the store to its graph file, so a store left
 beside another graph is never read.
 
-Nodes are thinned from oversampled boundary candidates by the exact
-greedy farthest-point rule; a KD-tree over the candidates prunes each
-step's distance update to the candidates it can change, without changing
-the chosen nodes. The adjacency is symmetric by construction, so rows run
-one-direction Dijkstra on it and geodesics walk back over a cached row; a
-graph whose adjacency is not exactly symmetric, such as an edited cache, is
-refused.
+Nodes are thinned from ``_OVERSAMPLE`` times as many quasirandom boundary
+candidates by the exact greedy farthest-point rule; a KD-tree over the
+candidates prunes each step's distance update to the candidates it can
+change, without changing the chosen nodes. The adjacency is symmetric by
+construction, so rows run one-direction Dijkstra on it and geodesics walk
+back over a cached row; a graph whose adjacency is not exactly symmetric,
+such as an edited cache, is refused.
 
-Two evaluation modes coexist deliberately. Snapping to nodes gives an
-exact pseudometric on the node set (used for tables and long-range
-queries); the local mode corrects short-range queries with direct chord
-costs so that scales below the node spacing remain visible.
+Snapping to nodes gives an exact pseudometric on the node set, and it is
+the separation every metric reads. The local mode
+(``distance_local_batch``) corrects short-range queries with direct chord
+costs so that scales below the node spacing remain visible; it serves only
+the orbit tests' Cauchy criteria.
 
 Every Dijkstra row, the graph's and the layered solver's, runs through
 ``shortest_rows``. A batch large enough to pay for a fork is cut into
@@ -79,6 +80,9 @@ __all__ = [
 # sits above that because after a fork the parent's first write to each of
 # its pages is a page fault, about 1 us each and some thousands per command.
 _FORK_WORK = 2_000_000
+
+# boundary candidates drawn per graph node before farthest-point thinning
+_OVERSAMPLE = 4
 
 
 def dijkstra_counts() -> dict:
@@ -197,36 +201,21 @@ class BoundaryGraph:
 
     @classmethod
     def build(cls, domain: Domain, structure: StructureField, n_nodes: int = 600,
-              k_neighbors: int = 10, anisotropy: float = 8.0, seed: int = 0,
-              selection: str = "farthest", oversample: int = 4) -> "BoundaryGraph":
+              k_neighbors: int = 10, anisotropy: float = 8.0,
+              seed: int = 0) -> "BoundaryGraph":
         """Sample nodes, connect k nearest neighbors, weight the edges.
 
-        ``selection`` picks the thinning strategy for the oversampled
-        boundary candidates: ``farthest`` point sampling for even spacing,
-        ``halton`` to keep the quasirandom candidates in order (nested
-        under refinement), or ``curvature`` for curvature-weighted draws.
-        ``farthest`` is the exact greedy rule, with each step's update
-        pruned by a KD-tree. The k-NN adjacency is made symmetric
-        (``A.maximum(A.T)``), so distance rows use one-direction Dijkstra.
+        The nodes are the farthest-point thinning of ``_OVERSAMPLE`` times
+        as many quasirandom boundary candidates, by the exact greedy rule
+        with each step's update pruned by a KD-tree. The k-NN adjacency is
+        made symmetric (``A.maximum(A.T)``), so distance rows use
+        one-direction Dijkstra.
         """
         if n_nodes < 8:
             raise ConfigError("boundary graphs need at least 8 nodes")
-        cand = domain.sample_boundary(max(oversample * n_nodes, n_nodes + 8),
+        cand = domain.sample_boundary(max(_OVERSAMPLE * n_nodes, n_nodes + 8),
                                       seed=seed, quasi=True)
-        if selection == "halton":
-            nodes = cand[:n_nodes]
-        elif selection == "farthest":
-            nodes = _farthest_point_subset(cand, n_nodes, seed)
-        elif selection == "curvature":
-            from .domain import principal_curvatures
-            kappa = principal_curvatures(domain, cand)
-            w = np.clip(kappa.max(axis=-1), 1e-3, None)
-            w = w / w.sum()
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(cand.shape[0], size=n_nodes, replace=False, p=w)
-            nodes = cand[np.sort(idx)]
-        else:
-            raise ConfigError(f"unknown node selection {selection!r}")
+        nodes = _farthest_point_subset(cand, n_nodes, seed)
         if anisotropy < 1.0:
             raise ConfigError("anisotropy must be at least 1")
         params = {
@@ -234,8 +223,6 @@ class BoundaryGraph:
             "k_neighbors": int(k_neighbors),
             "anisotropy": float(anisotropy),
             "seed": int(seed),
-            "selection": selection,
-            "oversample": int(oversample),
             "refinement_level": 0,
         }
         graph = cls(domain, structure, nodes, csr_matrix((n_nodes, n_nodes)), params)
@@ -277,8 +264,7 @@ class BoundaryGraph:
             n_nodes=int(p["n_nodes"] * factor),
             k_neighbors=int(p["k_neighbors"]),
             anisotropy=p["anisotropy"],
-            seed=p["seed"], selection=p["selection"],
-            oversample=p["oversample"],
+            seed=p["seed"],
         )
         out.params["refinement_level"] = int(p.get("refinement_level", 0)) + 1
         return out

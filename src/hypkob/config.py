@@ -29,7 +29,6 @@ _GRAPH_DEFAULTS = {
     "k_neighbors": 10,
     "anisotropy": 8.0,
     "seed": 0,
-    "selection": "farthest",
 }
 
 # the graph parameters that take numbers
@@ -209,7 +208,6 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
             k_neighbors=int(cfg.graph["k_neighbors"]),
             anisotropy=float(cfg.graph["anisotropy"]),
             seed=int(cfg.graph["seed"]),
-            selection=str(cfg.graph["selection"]),
         )
         if graph_cache:
             graph.params["setup"] = setup

@@ -28,7 +28,6 @@ __all__ = [
     "affine_contraction",
     "rotation_map",
     "map_from_spec",
-    "iterate",
     "iterate_many",
     "check_semicontraction",
     "classify_orbit",
@@ -184,14 +183,6 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
             start=X0[i].copy(), points=pts, heights=Hs[i], base_trace=base[i],
             stopped_early=bool(stopped[i]), n_steps=pts.shape[0] - 1))
     return records
-
-
-def iterate(F: DomainMap, projection: HeightProjection, x0,
-            n_max: int = 200, functional: Optional[MetricFunctional] = None,
-            omega=None) -> OrbitRecord:
-    """Advance a single start; see iterate_many for the stopping rule."""
-    return iterate_many(F, projection, np.asarray(x0, dtype=float)[None],
-                        n_max=n_max, functional=functional, omega=omega)[0]
 
 
 # ---------------------------------------------------------------------------

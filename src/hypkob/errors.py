@@ -54,10 +54,6 @@ class ImageOffBoundary(HypkobError):
 
 # --- metric functionals ------------------------------------------------------
 
-class ProjectionsDiffer(HypkobError):
-    """An operation requiring a common boundary projection got distinct ones."""
-
-
 class HeightsDiffer(HypkobError):
     """An operation requiring equal heights got unequal ones."""
 

@@ -156,7 +156,8 @@ class LayeredSolver:
         """Pairwise solver distances for a pool of interior points.
 
         A pool prepared by the solver's family is used as it is; bare
-        coordinates, or another family's pool, are prepared once.
+        coordinates, or another family's pool, are prepared once, and a
+        point on the boundary is refused there (``PointOutsideDomain``).
 
         Each query is two virtual nodes, one that paths leave by and one
         that they arrive at, so no path passes through a third query and a
@@ -168,8 +169,6 @@ class LayeredSolver:
         feet, depth, cols = P.feet, P.depth, P.node
         if self.mode == "collar" and np.any(depth > self.eps * (1 + 1e-9)):
             raise ConfigError("collar mode queries must stay inside the collar")
-        if np.any(depth <= 0):
-            raise ConfigError("query points must be strictly interior")
         Q = len(P)
         n = self._n
         # query q leaves by node n + q and arrives at node n + Q + q

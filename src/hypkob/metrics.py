@@ -13,9 +13,10 @@ The closed collar form makes ``d`` an exact pseudometric over snapped
 feet: concatenation of optimal profiles is again an admissible profile, so
 the triangle inequality holds to rounding, not to mesh resolution.
 
-Path lengths are computed by dyadic refinement, either of metric sums (for
-distances) or of a first-order rate (for ``g`` and the interior Finsler
-estimate), with frames pinned per original segment.
+Path lengths are measured for ``g`` and the interior Finsler estimate only,
+by dyadic refinement of a first-order rate quadrature with frames pinned
+per original segment; ``d``'s value on a path is certified by its witness
+construction (``composite_upper_paths``), not measured.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     HeightsDiffer,
-    ProjectionsDiffer,
+    PointOutsideDomain,
     RefinementStalled,
 )
 from .boundary import BoundaryGraph
@@ -46,6 +47,8 @@ __all__ = [
 ]
 
 FUNCTIONAL_KINDS = ("g", "d", "kobayashi_estimate", "euclidean")
+# the kinds ``path_length`` measures
+_RATE_KINDS = ("g", "kobayashi_estimate")
 
 
 def _peak(w, ha, hb, eps):
@@ -75,28 +78,23 @@ class Polyline:
 
     ``frame_nodes`` pins the anisotropic frame used for the horizontal part
     of each original segment; ``vertical`` marks segments that run along a
-    single normal ray, whose collar length has a closed form. Exact
-    duplicate consecutive points are dropped on construction, so a fully
-    degenerate input collapses to a single-point path of length zero.
-
-    ``seg_lengths`` caches per-segment lengths under named functionals;
-    constructions with a closed form attach theirs so no quadrature runs.
-    ``prepared`` holds the vertices' feet and depths where the construction
-    knows them, so measuring the path projects none of its vertices.
+    single normal ray, which ``path_length`` measures by their exact log
+    form instead of the quadrature. Exact duplicate consecutive points are
+    dropped on construction, so a fully degenerate input collapses to a
+    single-point path of length zero. ``prepared`` holds the vertices' feet
+    and depths where the construction knows them, so measuring the path
+    projects none of its vertices.
     """
 
     points: np.ndarray
     frame_nodes: Optional[np.ndarray] = None
     vertical: Optional[np.ndarray] = None
-    seg_lengths: Optional[dict] = None
     prepared: Optional["PreparedPoints"] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.shape[0] < 1:
             raise ConfigError("a polyline needs at least one point")
-        if self.seg_lengths is None:
-            self.seg_lengths = {}
         if (self.prepared is not None
                 and len(self.prepared) != self.points.shape[0]):
             raise ConfigError("prepared vertices must match the points")
@@ -116,26 +114,10 @@ class Polyline:
     def n_segments(self) -> int:
         return self.points.shape[0] - 1
 
-    def chord_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
-
-    def euclidean_length(self) -> float:
-        return float(self.chord_lengths().sum())
-
     def params(self) -> np.ndarray:
         """Cumulative Euclidean parameter, starting at zero."""
-        return np.concatenate([[0.0], np.cumsum(self.chord_lengths())])
-
-    def set_segment_lengths(self, kind: str, values) -> None:
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        if vals.size != self.n_segments:
-            raise ConfigError("segment length cache must match segment count")
-        self.seg_lengths[kind] = vals
-
-    def cached_length(self, kind: str) -> Optional[float]:
-        if kind not in self.seg_lengths:
-            return None
-        return float(np.sum(self.seg_lengths[kind]))
+        chords = np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
+        return np.concatenate([[0.0], np.cumsum(chords)])
 
 
 @dataclass
@@ -194,8 +176,15 @@ class MetricFamily:
         return self.prepare(X)
 
     def _prepare_known(self, X, feet, depth, node) -> PreparedPoints:
-        """Points whose feet, depths and foot nodes are already known."""
+        """Points whose feet, depths and foot nodes are already known.
+
+        A point at depth 0 or less lies on the boundary, not inside, and is
+        refused: its height would be 0 and every distance to it infinite.
+        """
         depth = np.asarray(depth, dtype=float)
+        if np.any(depth <= 0):
+            raise PointOutsideDomain("a point at depth 0 lies on the boundary, "
+                                     "not in the open domain")
         height = np.sqrt(depth)
         heff = np.minimum(height, math.sqrt(self.eps))
         extra = np.maximum(depth - self.eps, 0.0)
@@ -259,32 +248,29 @@ class MetricFamily:
             raise ConfigError(f"no closed-form kernel for kind {kind!r}")
         return 2.0 / _peak(W, A.heff, B.heff, self.eps)
 
-    def separations(self, A: PreparedPoints, B: PreparedPoints,
-                    w_mode: str = "snap") -> np.ndarray:
-        """Boundary separations of aligned batches: snapped or local.
+    def separations(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
+        """Boundary separations of aligned batches: row ``A.node`` of the
+        cached distance rows at column ``B.node``, one entry per pair.
 
-        Snapped separations read row ``A.node`` of the cached distance
-        rows at column ``B.node``, one entry per pair.
+        The one separation rule of ``g``, ``d``, their slopes and the
+        witness paths; ``gromov.distance_matrix`` reads the same rows as a
+        table.
         """
-        if w_mode == "snap":
-            return self.graph.rows_from(A.node, columns=B.node[:, None])[:, 0]
-        return self.graph.distance_local_batch(A.feet, B.feet)
+        return self.graph.rows_from(A.node, columns=B.node[:, None])[:, 0]
 
-    def _aligned(self, kind: str, A: PreparedPoints, B: PreparedPoints,
-                 w_mode: str) -> np.ndarray:
-        val = self.kernel(kind, self.separations(A, B, w_mode), A, B)
+    def _aligned(self, kind: str, A: PreparedPoints,
+                 B: PreparedPoints) -> np.ndarray:
+        val = self.kernel(kind, self.separations(A, B), A, B)
         same = np.all(np.abs(A.points - B.points) < 1e-15, axis=-1)
         return np.where(same, 0.0, val)
 
-    def g_pairs(self, A: PreparedPoints, B: PreparedPoints,
-                w_mode: str = "snap") -> np.ndarray:
+    def g_pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
         """Boundary-anchored log distance for aligned point batches."""
-        return self._aligned("g", A, B, w_mode)
+        return self._aligned("g", A, B)
 
-    def d_pairs(self, A: PreparedPoints, B: PreparedPoints,
-                w_mode: str = "snap") -> np.ndarray:
+    def d_pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
         """Collar geodesic distance for aligned point batches."""
-        return self._aligned("d", A, B, w_mode)
+        return self._aligned("d", A, B)
 
     # -- scalar interface ------------------------------------------------------
 
@@ -295,29 +281,6 @@ class MetricFamily:
         return float(self.d_pairs(self.prepare(x), self.prepare(y))[0])
 
     # -- structured paths ------------------------------------------------------
-
-    def vertical_path(self, x, y) -> Polyline:
-        """Straight normal-ray path between two points over one foot.
-
-        Raises when the feet disagree beyond tolerance. The collar length
-        is the log ratio of the heights, exactly; it is attached to the
-        polyline so no quadrature is needed.
-        """
-        P = self.prepare(np.stack([np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float)]))
-        A, B = P.take([0]), P.take([1])
-        if not self.graph.domain.same_foot(A.feet[0], B.feet[0]):
-            gap = float(np.linalg.norm(A.feet[0] - B.feet[0]))
-            raise ProjectionsDiffer(
-                f"feet differ by {gap:.3e}; not a single-ray pair")
-        pl = Polyline(np.stack([A.points[0], B.points[0]]),
-                      frame_nodes=np.array([A.node[0]]),
-                      vertical=np.array([True]), prepared=P)
-        val = abs(math.log(A.height[0] / B.height[0]))
-        if pl.n_segments == 1:
-            pl.set_segment_lengths("g", [val])
-            pl.set_segment_lengths("d", [val])
-        return pl
 
     def horizontal_path(self, x, y) -> Polyline:
         """Constant-height path over the graph geodesic between the feet.
@@ -545,53 +508,42 @@ def _rate_sum(family: MetricFamily, pl: Polyline, P: PreparedPoints,
 
 def path_length(polyline: Polyline, functional: MetricFunctional,
                 rel_tol: float = 1e-6, max_depth: int = 10) -> float:
-    """Length of the polyline under the given functional.
+    """Length of the polyline under ``g`` or the interior estimate.
 
-    Cached closed-form segment lengths are honored first; a single-point
-    polyline has length zero. Otherwise ``d`` refines by chord bisection
-    until the partition sums settle, and the rate kinds (``g`` and the
-    interior estimate) refine a midpoint quadrature of their infinitesimal
-    form. The rate kinds read the vertices' feet and depths once, before
-    refining: from ``polyline.prepared`` where the construction attached
-    them (then no vertex is projected), otherwise from one ``prepare``
-    call. Failure to settle within the depth budget raises with the last
-    two estimates attached.
+    The rate kinds are the only ones measured; any other kind is refused
+    (``ConfigError``). A single-point polyline has length zero. Otherwise
+    a midpoint quadrature of the kind's infinitesimal form is refined
+    dyadically until it settles, with ray segments (``vertical``) taking
+    their exact log form. The vertices' feet and depths are read once,
+    before refining: from ``polyline.prepared`` where the construction
+    attached them (then no vertex is projected), otherwise from one
+    ``prepare`` call. Failure to settle within the depth budget raises
+    with the last two estimates attached.
     """
     kind = functional.kind
-    cached = polyline.cached_length(kind)
-    if cached is not None:
-        return cached
+    if kind not in _RATE_KINDS:
+        raise ConfigError(f"path lengths are measured under {_RATE_KINDS}, "
+                          f"not {kind!r}")
     if polyline.n_segments == 0:
         return 0.0
-    if kind == "euclidean":
-        return polyline.euclidean_length()
     family = functional.family
-    rate = kind != "d"
-    if rate:
-        P = polyline.prepared
-        if P is None:
-            P = family.prepare(polyline.points)
-        frame_nodes = polyline.frame_nodes
-        if frame_nodes is None:
-            mids = 0.5 * (polyline.points[:-1] + polyline.points[1:])
-            feet, _ = family.projection.project_batch(mids)
-            frame_nodes = family.graph.snap(feet)
+    P = polyline.prepared
+    if P is None:
+        P = family.prepare(polyline.points)
+    frame_nodes = polyline.frame_nodes
+    if frame_nodes is None:
+        mids = 0.5 * (polyline.points[:-1] + polyline.points[1:])
+        feet, _ = family.projection.project_batch(mids)
+        frame_nodes = family.graph.snap(feet)
     prev = None
     for depth in range(max_depth + 1):
         pts, owner = _refined_points(polyline, depth)
-        if rate:
-            cur = _rate_sum(family, polyline, P, pts, owner, frame_nodes,
-                            kind)
-        else:
-            P = family.prepare(pts)
-            A, B = P.take(np.arange(len(P) - 1)), P.take(np.arange(1, len(P)))
-            cur = float(family.d_pairs(A, B, w_mode="local").sum())
+        cur = _rate_sum(family, polyline, P, pts, owner, frame_nodes, kind)
         if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
-    what = "rate quadrature" if rate else "partition sums"
-    raise RefinementStalled(f"{what} did not settle at depth {max_depth}",
-                            (prev, cur))
+    raise RefinementStalled(f"rate quadrature did not settle at depth "
+                            f"{max_depth}", (prev, cur))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     ConfigError,
@@ -40,7 +39,6 @@ __all__ = [
     "transverse_frame",
     "ContactData",
     "contact_batch",
-    "contact_at",
 ]
 
 
@@ -90,18 +88,6 @@ class StructureField:
                     return base + np.einsum("ijk,...k->...ij", linear, x)
 
                 return cls(dim, fn, name="matrix_polynomial")
-            if kind == "grid":
-                axes = [np.asarray(a, dtype=float) for a in spec["axes"]]
-                values = np.asarray(spec["values"], dtype=float)
-                interp = RegularGridInterpolator(axes, values, bounds_error=False,
-                                                 fill_value=None)
-
-                def fn(x):
-                    flat = np.atleast_2d(x.reshape(-1, dim))
-                    out = interp(flat).reshape(x.shape[:-1] + (dim, dim))
-                    return out
-
-                return cls(dim, fn, name="grid")
             raise ConfigError(f"unknown structure type {kind!r}")
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"malformed structure spec: {exc}") from exc
@@ -318,7 +304,3 @@ def contact_batch(domain: Domain, structure: StructureField,
     return [ContactData(point=P[i], eta=eta[i], basis=basis[i], omega=omega[i],
                         normal=normal[i], jnormal=u[i])
             for i in range(P.shape[0])]
-
-
-def contact_at(domain: Domain, structure: StructureField, p) -> ContactData:
-    return contact_batch(domain, structure, np.asarray(p, dtype=float)[None, :])[0]

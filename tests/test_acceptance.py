@@ -236,8 +236,8 @@ def _band_ratios(fam, pairs):
     omega = np.zeros(4)
     ratios = []
     for a, b in pairs:
-        na = int(fam.prepare(a[None]).node[0])
-        nb = int(fam.prepare(b[None]).node[0])
+        # the endpoints lie on the boundary, where prepare refuses them
+        na, nb = (int(v) for v in fam.graph.snap(np.stack([a, b])))
         w = float(fam.graph.rows_from([na])[0][nb])
         prod = boundary_product(gfn, a, b, omega, depth=30)
         ratios.append(math.exp(-prod) / w)

@@ -305,16 +305,6 @@ def test_antipodal_distance_stabilizes(ball, structure):
     assert abs(d2 - d1) / d1 < 0.25
 
 
-def test_selection_strategies_build(ball, structure):
-    for sel in ("halton", "curvature"):
-        g = BoundaryGraph.build(ball, structure, n_nodes=80, k_neighbors=8,
-                                anisotropy=4.0, seed=0, selection=sel)
-        assert g.nodes.shape == (80, 4)
-    with pytest.raises(ConfigError):
-        BoundaryGraph.build(ball, structure, n_nodes=80, k_neighbors=8,
-                            anisotropy=4.0, seed=0, selection="nope")
-
-
 def test_lipschitz_identity_is_one(graph):
     ident = BoundaryMap(lambda X: X, name="identity")
     rep = lipschitz_details(graph, graph, ident, n_pairs=512, seed=0)

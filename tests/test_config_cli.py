@@ -74,7 +74,6 @@ def test_load_config_defaults_and_resolution(tmp_path):
     assert cfg.domain_spec["defining_function"]["type"] == "ball"
     assert cfg.structure_spec == {"type": "standard"}
     assert cfg.graph["n_nodes"] == 600
-    assert cfg.graph["selection"] == "farthest"
     assert cfg.tolerances["newton_tol"] == 1e-10
     assert cfg.seeds == {"sampler": 0, "pairs": 0, "quadruples": 0,
                          "orbits": 0}
@@ -155,6 +154,12 @@ def test_main_maps_config_errors_to_exit_2(tmp_path):
          "structure": {"type": "matrix_polynomial", "constant": np.eye(4).tolist(),
                        "linear": [{"variable": 7,
                                    "matrix": np.eye(4).tolist()}]}},
+        # structure types and graph keys that no longer exist
+        {"domain": {"dimension": 4, "defining_function": {"type": "ball"}},
+         "structure": {"type": "grid", "axes": [[-1.0, 1.0]] * 4,
+                       "values": np.zeros((2,) * 4 + (4, 4)).tolist()}},
+        {"domain": {"dimension": 4, "defining_function": {"type": "ball"}},
+         "graph": {"selection": "farthest"}},
     ]
     for i, raw in enumerate(bad):
         path = write_json(tmp_path / f"bad_type{i}.json", raw)
@@ -320,6 +325,34 @@ def test_delta_replay_is_byte_identical(rig):
     assert rep["failures"] == 0
     assert rep["seed"] == 7
     assert np.asarray(rep["worst_points"]).shape == (4, 4)
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("check", ()),
+    ("dist", ("--metric", "d", "--pairs", "PAIRS")),
+    ("lipschitz", ("--map", "ROTATION")),
+    ("delta", ("--metric", "euclid", "--n-quadruples", "1500")),
+], ids=["check", "dist-d", "lipschitz", "delta-euclid"])
+def test_report_replay_is_byte_identical(rig, cmd, extra):
+    inputs = {
+        "PAIRS": write_pairs(rig["root"] / "pairs_replay.csv",
+                             [RADIAL, SAME, "0.3,0.1,0.2,0,-0.4,0.5,0,0.1"]),
+        "ROTATION": write_json(rig["root"] / "rot_replay.json",
+                               {"type": "rotation", "angles": [0.9, 0.4]}),
+    }
+    extra = [inputs.get(a, a) for a in extra]
+    blobs = []
+    for tag in "ab":
+        code, out = run(rig, cmd, f"out_replay_{cmd}_{tag}", *extra)
+        assert code == 0
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    if cmd == "delta":
+        # the box sampler's pool: no other test or workload reaches it
+        rep = json.loads(blobs[0])
+        assert math.isfinite(rep["delta"]) and rep["delta"] >= 0
+        assert rep["failures"] == 0
 
 
 def test_kob_replay_is_byte_identical_and_counts_the_ladder(rig):

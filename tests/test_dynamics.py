@@ -3,7 +3,7 @@ import pytest
 
 from hypkob import (ConfigError, MapEscapedDomain, affine_contraction,
                     check_semicontraction, classify_orbit, identity_map,
-                    iterate, iterate_many, map_from_spec, rotation_map)
+                    iterate_many, map_from_spec, rotation_map)
 
 from conftest import EPS
 
@@ -40,8 +40,8 @@ def test_map_from_spec_round_trip():
 def test_identity_orbit_is_flat(projection, graph, family):
     x0 = ray_point(graph.nodes[17], 0.2)
     fn = family.functional("g")
-    rec = iterate(identity_map(), projection, x0, n_max=60,
-                  functional=fn, omega=np.zeros(4))
+    rec = iterate_many(identity_map(), projection, x0[None], n_max=60,
+                       functional=fn, omega=np.zeros(4))[0]
     assert rec.points.shape == (61, 4)
     assert rec.heights.shape == (61,)
     assert rec.base_trace.shape == (61,)
@@ -52,8 +52,9 @@ def test_identity_orbit_is_flat(projection, graph, family):
 
 def test_trace_requires_basepoint(projection, graph, family):
     with pytest.raises(ConfigError):
-        iterate(identity_map(), projection, ray_point(graph.nodes[0], 0.2),
-                n_max=60, functional=family.functional("g"))
+        iterate_many(identity_map(), projection,
+                     ray_point(graph.nodes[0], 0.2)[None], n_max=60,
+                     functional=family.functional("g"))
 
 
 def test_contraction_to_center_deepens_orbits(projection, graph):
@@ -70,7 +71,8 @@ def test_escaping_map_raises(projection, graph):
                        "p": [0.0, 0.0, 0.0, 0.0], "rate": 0.5})
     F.fn = lambda X: 1.5 * np.atleast_2d(X)
     with pytest.raises(MapEscapedDomain):
-        iterate(F, projection, ray_point(graph.nodes[4], 0.2), n_max=10)
+        iterate_many(F, projection, ray_point(graph.nodes[4], 0.2)[None],
+                     n_max=10)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_weights_have_one_owner(monkeypatch, projection, structure, graph,
     want = 0.3 * math.log(10.0)
     ladder = LayeredSolver(family, mode="kobayashi")
     assert abs(pair_distance(ladder, a, b) - want) < 1e-9
-    got = path_length(family.vertical_path(a, b),
+    got = path_length(Polyline(np.stack([a, b]), vertical=np.array([True])),
                       family.functional("kobayashi_estimate"))
     assert abs(got - want) < 1e-9
 

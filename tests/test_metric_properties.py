@@ -8,14 +8,20 @@ points, deep points and the centre all occur. Both properties hold to
 rounding only: a snapped separation reads Dijkstra's row of one endpoint
 at the other, and the two directions of a shortest path sum its edges in
 opposite orders.
+
+A radius fraction just below 1 can round onto the boundary, at depth 0.
+``prepare`` refuses such a point (``PointOutsideDomain``); the test then
+checks that its depth really is 0 or less and rejects the draw.
+``_ON_BOUNDARY`` pins one: the origin against a point whose radius
+rounds to 1 on the ball, where ``g`` and ``d`` would be infinite both ways.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from hypkob import (BoundaryGraph, Domain, HeightProjection, MetricFamily,
-                    reach_details, standard_structure)
+                    PointOutsideDomain, reach_details, standard_structure)
 
 _AXES = {"ball": [1.0, 1.0, 1.0, 1.0], "ellipsoid": [1.0, 1.0, 0.7, 0.7]}
 _FIELDS = {"ball": {"type": "ball"},
@@ -41,15 +47,27 @@ _direction = st.tuples(_unit, _unit, _unit, _unit).filter(
 _point = st.tuples(_direction, st.floats(0.0, 1.0, exclude_max=True))
 
 
+_ON_BOUNDARY = (((1.0, 0.0, 0.0, 0.0), 0.0),
+                ((0.0, 1.0, 1.0, 1.0), 0.9999999999999999))
+
+
 def _prepare(setup, points):
     axes, fam = setup
     X = np.array([r * axes * np.asarray(u) / np.linalg.norm(u)
                   for u, r in points])
-    return fam, [fam.prepare(x) for x in X]
+    prepared = []
+    for x in X:
+        try:
+            prepared.append(fam.prepare(x))
+        except PointOutsideDomain:
+            assert fam.projection.project_batch(x)[1][0] <= 0
+            reject()
+    return fam, prepared
 
 
 @settings(max_examples=60)
 @given(points=st.tuples(_point, _point))
+@example(points=_ON_BOUNDARY)
 def test_g_is_symmetric(setup, points):
     fam, (a, b) = _prepare(setup, points)
     ab, ba = fam.g_pairs(a, b)[0], fam.g_pairs(b, a)[0]
@@ -58,6 +76,7 @@ def test_g_is_symmetric(setup, points):
 
 @settings(max_examples=60)
 @given(points=st.tuples(_point, _point))
+@example(points=_ON_BOUNDARY)
 def test_d_is_symmetric(setup, points):
     fam, (a, b) = _prepare(setup, points)
     ab, ba = fam.d_pairs(a, b)[0], fam.d_pairs(b, a)[0]

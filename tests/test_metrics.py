@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hypkob import (ConfigError, HeightsDiffer, Polyline, ProjectionsDiffer,
-                    RefinementStalled, collar_profile_distance, estimate_C,
-                    path_length)
+from hypkob import (ConfigError, HeightsDiffer, Polyline, RefinementStalled,
+                    collar_profile_distance, estimate_C, path_length)
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS
@@ -170,20 +169,17 @@ def test_layered_collar_grid_dominates_profile(family, graph):
 # path constructors and length functionals
 # ---------------------------------------------------------------------------
 
-def test_vertical_path_cached_lengths(family, graph):
+def test_ray_segment_length_is_exact(family, graph):
+    # a segment marked vertical takes the exact log form under g; lengths
+    # are measured under the rate kinds only
     f = graph.nodes[11]
     x, y = ray_point(f, 0.36), ray_point(f, 0.04)
-    pl = family.vertical_path(x, y)
+    pl = Polyline(np.stack([x, y]), vertical=np.array([True]))
     want = abs(math.log(0.6 / 0.2))
-    for kind in ("g", "d"):
-        cached = pl.cached_length(kind)
-        assert cached is not None
-        assert abs(cached - want) < 1e-6
-        fn = family.functional(kind)
-        assert path_length(pl, fn) == cached
-    with pytest.raises(ProjectionsDiffer):
-        family.vertical_path(ray_point(graph.nodes[0], 0.1),
-                             ray_point(graph.nodes[250], 0.1))
+    assert abs(path_length(pl, family.functional("g")) - want) < 1e-12
+    for kind in ("d", "euclidean"):
+        with pytest.raises(ConfigError):
+            path_length(pl, family.functional(kind))
 
 
 def test_horizontal_path_matches_boundary_distance(family, graph):
