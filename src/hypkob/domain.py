@@ -496,10 +496,15 @@ class HeightProjection:
     ball every deep point off the centre has a single nearest foot, and
     any farther critical point lies beyond the cloud distance.
 
+    An orbit's steps can be projected as one stack ``(T, m, dim)``: each
+    step after the first is seeded by the feet of the step before, so a
+    stack gives the feet of ``T`` chained calls, one per step, while the
+    work that needs no seed runs once over all ``T * m`` points.
+
     ``counts`` sums what the solver did over every call: points
     projected, Newton sweeps (one Hessian evaluation over the active rows
-    each), stuck rows, seeded feet accepted and rejected, and points sent
-    to the fallback.
+    each, so one sweep of a stack counts once), stuck rows, seeded feet
+    accepted and rejected, and points sent to the fallback.
     """
 
     def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10):
@@ -610,58 +615,79 @@ class HeightProjection:
     def project_batch(self, X, seed_feet=None) -> tuple[np.ndarray, np.ndarray]:
         """Feet and Euclidean distances for a batch of interior points.
 
-        ``seed_feet`` (shape of ``X``) are known near-feet, such as the
-        previous orbit step's; they are tried only for the points that
-        would otherwise go to the fallback (see the class docstring).
+        ``X`` is one batch ``(m, dim)`` or a stack of steps ``(T, m, dim)``
+        in which row i of step t is orbit i's point t; feet and distances
+        come back in the shape of ``X``. ``seed_feet`` (shape ``(m, dim)``)
+        are known near-feet of the first step, such as the previous orbit
+        step's; each later step of a stack is seeded by its orbits' feet at
+        the step before (chained seeds). Seeds are tried only for the points
+        that would otherwise go to the fallback (see the class docstring).
+
+        The exterior test, the cloud query and the cloud-seeded Newton solve
+        run once over the whole stack; only the seeded solve and the
+        fallback run step by step, since a step's seeds are the previous
+        step's final feet. Every point thus gets the foot and distance that
+        one call per step, chained, gives it. A ``ProjectionDiverged``
+        names the point's row in the stack flattened to ``(T * m, dim)``.
         """
         dom = self.domain
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        stacked = X.ndim == 3
+        flat = X.reshape(-1, X.shape[-1]) if stacked else np.atleast_2d(X)
+        m = X.shape[1] if stacked else flat.shape[0]
         # the exterior test is per point, so a batch neither admits nor
         # refuses a point that it would not on its own
-        r = dom.rho(X)
+        r = dom.rho(flat)
         if np.any(r > 1e-12 * (1.0 + np.abs(r))):
             raise PointOutsideDomain("projection requested for a point outside the domain")
-        self.counts["points"] += X.shape[0]
-        tree = dom.cloud_tree()
-        cd, ci = tree.query(X, k=1)
-        cloud = dom.boundary_cloud()
+        self.counts["points"] += flat.shape[0]
+        cd, ci = dom.cloud_tree().query(flat, k=1)
         # each point backtracks alone, so its foot does not depend on the
         # batch it is projected in
-        P, ok = self._newton_polish(X, cloud[ci], block=1)
-        dist = np.linalg.norm(P - X, axis=-1)
+        P, ok = self._newton_polish(flat, dom.boundary_cloud()[ci], block=1)
+        dist = np.linalg.norm(P - flat, axis=-1)
         # a converged foot can never beat the cloud minimum by construction;
         # a foot *worse* than the cloud minimum means the local basin was wrong.
         # The depth test compares the squared distance with 1.25 eps, so it
         # sends points deeper than sqrt(1.25 eps) (not 1.25 eps) to the
         # fallback; the collar itself is dist <= eps.
         need_fallback = (~ok) | (dist > cd + 1e-9) | (dist**2 > self.epsilon * 1.25)
-        idx = np.flatnonzero(need_fallback)
 
         def accept(sel, feet):
             P[sel] = feet
             # the 1-D norm of each chosen offset: it can differ from the
             # row-wise norm in the last bit, and reported depths use it
-            dist[sel] = [np.linalg.norm(P[j] - X[j]) for j in sel]
+            dist[sel] = [np.linalg.norm(P[j] - flat[j]) for j in sel]
             ok[sel] = True
 
-        if seed_feet is not None and idx.size:
-            seeds = np.atleast_2d(np.asarray(seed_feet, dtype=float))[idx]
-            Ps, oks = self._newton_polish(X[idx], seeds, block=1)
-            take = oks & (np.linalg.norm(Ps - X[idx], axis=-1) <= cd[idx] + 1e-9)
-            accept(idx[take], Ps[take])
-            idx = idx[~take]
-            self.counts["seeded_accepted"] += int(np.count_nonzero(take))
-            self.counts["seeded_rejected"] += idx.size
-        self.counts["fallback_points"] += idx.size
-        for lo in range(0, idx.size, _FALLBACK_CHUNK):
-            part = idx[lo:lo + _FALLBACK_CHUNK]
-            feet, found = self._fallback_feet(X[part])
-            lost = ~found & ~ok[part]
-            if np.any(lost):
-                raise ProjectionDiverged(
-                    f"no converged boundary foot for point index {int(part[lost][0])}"
-                )
-            accept(part[found], feet[found])
+        # step by step: a step's seeds are the final feet of the step before
+        for lo in range(0, flat.shape[0], max(m, 1)):
+            idx = lo + np.flatnonzero(need_fallback[lo:lo + m])
+            if lo:
+                seeds = P[idx - m]
+            elif seed_feet is not None:
+                seeds = np.atleast_2d(np.asarray(seed_feet, dtype=float))[idx]
+            else:
+                seeds = None
+            if seeds is not None and idx.size:
+                Ps, oks = self._newton_polish(flat[idx], seeds, block=1)
+                take = oks & (np.linalg.norm(Ps - flat[idx], axis=-1) <= cd[idx] + 1e-9)
+                accept(idx[take], Ps[take])
+                idx = idx[~take]
+                self.counts["seeded_accepted"] += int(np.count_nonzero(take))
+                self.counts["seeded_rejected"] += idx.size
+            self.counts["fallback_points"] += idx.size
+            for c in range(0, idx.size, _FALLBACK_CHUNK):
+                part = idx[c:c + _FALLBACK_CHUNK]
+                feet, found = self._fallback_feet(flat[part])
+                lost = ~found & ~ok[part]
+                if np.any(lost):
+                    raise ProjectionDiverged(
+                        f"no converged boundary foot for point index {int(part[lost][0])}"
+                    )
+                accept(part[found], feet[found])
+        if stacked:
+            return P.reshape(X.shape), dist.reshape(X.shape[:-1])
         return P, dist
 
 

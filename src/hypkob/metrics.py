@@ -403,13 +403,19 @@ class MetricFamily:
         return MetricFunctional(kind=kind, family=self)
 
 
+# where the values of the kinds without pair values come from
+_PAIR_SOURCES = {
+    "kobayashi_estimate": "its solver, LayeredSolver",
+    "euclidean": "gromov.distance_matrix and, for dist, cli._batch_values",
+}
+
+
 @dataclass
 class MetricFunctional:
     """Length functional over polylines for one of the named kinds.
 
-    Also exposes the pairwise distance of the kind where one exists in
-    closed form; the interior Finsler estimate has no pairwise shortcut
-    here and refers callers to its own solver.
+    Also exposes the pairwise distance of ``g`` and ``d``; the other kinds
+    refuse it and name where their pair values come from.
     """
 
     kind: str
@@ -419,24 +425,23 @@ class MetricFunctional:
         if self.kind not in FUNCTIONAL_KINDS:
             raise ConfigError(f"unknown length functional {self.kind!r}")
 
+    def _require_pairs(self) -> None:
+        if self.kind in _PAIR_SOURCES:
+            raise ConfigError(f"pair values of {self.kind!r} come from "
+                              f"{_PAIR_SOURCES[self.kind]}")
+
     def pair(self, x, y) -> float:
         """``pairs`` on one pair, whose points are prepared together."""
-        if self.kind == "euclidean":
-            return float(np.linalg.norm(np.asarray(x, dtype=float)
-                                        - np.asarray(y, dtype=float)))
+        self._require_pairs()
         P = self.family.prepare(np.stack([x, y]))
         return float(self.pairs(P.take([0]), P.take([1]))[0])
 
     def pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
         """Vectorized pair values for aligned prepared batches."""
+        self._require_pairs()
         if self.kind == "g":
             return self.family.g_pairs(A, B)
-        if self.kind == "d":
-            return self.family.d_pairs(A, B)
-        if self.kind == "euclidean":
-            return np.linalg.norm(A.points - B.points, axis=-1)
-        raise ConfigError(
-            "pairwise values for the interior estimate come from its solver")
+        return self.family.d_pairs(A, B)
 
 
 # ---------------------------------------------------------------------------

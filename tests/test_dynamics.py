@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hypkob import (ConfigError, MapEscapedDomain, affine_contraction,
+from hypkob import (ConfigError, Domain, DomainMap, HeightProjection,
+                    MapEscapedDomain, PointOutsideDomain, affine_contraction,
                     check_semicontraction, classify_orbit, identity_map,
                     iterate_many, map_from_spec, rotation_map)
+from hypkob import dynamics
 
 from conftest import EPS
 
@@ -73,6 +75,114 @@ def test_escaping_map_raises(projection, graph):
     with pytest.raises(MapEscapedDomain):
         iterate_many(F, projection, ray_point(graph.nodes[4], 0.2)[None],
                      n_max=10)
+
+
+# ---------------------------------------------------------------------------
+# orbits stepped in blocks
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ellipsoid_projection():
+    dom = Domain.from_spec({"dimension": 4,
+                            "defining_function": {"type": "ellipsoid",
+                                                  "semi_axes": [1, 1, 0.7, 0.7]}})
+    return HeightProjection(dom, 0.245)
+
+
+def _one_step_at_a_time(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_STEPS", 1)
+        return iterate_many(*args, **kwargs)
+
+
+def _stop_steps(recs, projection):
+    floor = 1e-6 * projection.epsilon
+    return [int(np.argmax(r.heights**2 < floor)) if r.stopped_early else None
+            for r in recs]
+
+
+@pytest.mark.parametrize("case", ["ball_rotation", "ellipsoid_rotation",
+                                  "boundary_contraction", "deep_contraction",
+                                  "deep_contraction_77"])
+def test_blocks_give_the_one_step_records(monkeypatch, projection,
+                                          ellipsoid_projection, case):
+    proj = ellipsoid_projection if case.startswith("ellipsoid") else projection
+    F = {"ball_rotation": rotation_map([0.9, 0.4]),
+         "ellipsoid_rotation": rotation_map([0.9, 0.4]),
+         # the starts reach the floor at different steps, so blocks are cut
+         "boundary_contraction": affine_contraction([0.6, 0.0, 0.0, 0.8], 0.8),
+         # deep steps take chained seeds from the step before
+         "deep_contraction": affine_contraction([0.1, 0.0, 0.0, 0.0], 0.5),
+         "deep_contraction_77": affine_contraction([0.1, 0.0, 0.0, 0.0], 0.5),
+         }[case]
+    n_max = 77 if case.endswith("77") else 200
+    assert n_max % dynamics._BLOCK_STEPS != 0
+    starts = proj.domain.sample_interior(20, seed=0)
+    got = iterate_many(F, proj, starts, n_max=n_max)
+    want = _one_step_at_a_time(monkeypatch, F, proj, starts, n_max=n_max)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.heights, b.heights)
+        assert a.stopped_early == b.stopped_early
+        assert a.n_steps == b.n_steps
+    if case == "boundary_contraction":
+        stops = _stop_steps(got, proj)
+        assert None not in stops and len(set(stops)) > 1
+
+
+def _radial(cap):
+    # |x| grows by 2 % a step up to cap; from |x| = 0.5 the step that would
+    # pass |x| = 1 is step 36, the fourth of the second block of 32
+    def fn(X):
+        r = np.linalg.norm(X, axis=1, keepdims=True)
+        return X * (np.minimum(1.02 * r, cap) / r)
+    return DomainMap(fn=fn, name="radial")
+
+
+@pytest.mark.parametrize("cap, error", [
+    (np.inf, MapEscapedDomain),
+    # rho = 4e-11 passes the map's containment check but not the
+    # projection's exterior test
+    (1.0 + 2e-11, PointOutsideDomain),
+])
+def test_block_that_raises_gives_the_one_step_error(monkeypatch, projection,
+                                                    graph, cap, error):
+    starts = np.array([0.5 * graph.nodes[0], 0.4 * graph.nodes[9]])
+    with pytest.raises(error) as got:
+        iterate_many(_radial(cap), projection, starts, n_max=60)
+    with pytest.raises(error) as want:
+        _one_step_at_a_time(monkeypatch, _radial(cap), projection, starts,
+                            n_max=60)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("with_seeds", [False, True])
+def test_stacked_projection_equals_chained_calls(projection,
+                                                 ellipsoid_projection,
+                                                 with_seeds):
+    # deep ball orbit points use the seeds; ellipsoid rotation points the
+    # cloud-seeded solve alone
+    cases = [(projection, affine_contraction([0.1, 0.0, 0.0, 0.0], 0.5)),
+             (ellipsoid_projection, rotation_map([0.9, 0.4]))]
+    for shared, F in cases:
+        proj = HeightProjection(shared.domain, shared.epsilon)
+        starts = proj.domain.sample_interior(12, seed=3)
+        recs = iterate_many(F, proj, starts, n_max=20)
+        X = np.stack([r.points[1:] for r in recs], axis=1)  # (20, 12, 4)
+        seeds = proj.project_batch(starts)[0] if with_seeds else None
+        proj.counts = dict.fromkeys(proj.counts, 0)
+        feet, dist = proj.project_batch(X, seed_feet=seeds)
+        stacked = dict(proj.counts)
+        proj.counts = dict.fromkeys(proj.counts, 0)
+        assert feet.shape == X.shape and dist.shape == X.shape[:2]
+        prev = seeds
+        for t in range(X.shape[0]):
+            f, d = proj.project_batch(X[t], seed_feet=prev)
+            assert np.array_equal(f, feet[t]) and np.array_equal(d, dist[t])
+            prev = f
+        for key in ("points", "stuck_rows", "seeded_accepted",
+                    "seeded_rejected", "fallback_points"):
+            assert stacked[key] == proj.counts[key]
 
 
 # ---------------------------------------------------------------------------

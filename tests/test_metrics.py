@@ -290,6 +290,12 @@ def test_functional_kind_validation(family):
         family.functional("nope")
     with pytest.raises(ConfigError):
         family.functional("external")
-    fn = family.functional("kobayashi_estimate")
-    with pytest.raises(ConfigError):
-        fn.pair(np.zeros(4), np.ones(4) * 0.1)
+    # only g and d have pair values here; the others name their source
+    P = family.prepare(np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]]))
+    for kind, source in (("kobayashi_estimate", "LayeredSolver"),
+                         ("euclidean", "gromov.distance_matrix")):
+        fn = family.functional(kind)
+        for call in (lambda: fn.pair(np.zeros(4), np.ones(4) * 0.1),
+                     lambda: fn.pairs(P.take([0]), P.take([1]))):
+            with pytest.raises(ConfigError, match=f"'{kind}'.*{source}"):
+                call()
