@@ -9,13 +9,16 @@ four-point and boundary-at-infinity apparatus, and orbit classification
 for domain self-maps.
 """
 
+# set before the submodules load, so any of them may import it
+__version__ = "0.1.0"
+
 from .errors import (
     HypkobError, ConfigError, PointOutsideDomain, ProjectionDiverged,
     CurvatureEstimateFailed, DerivativeEvaluationFailed,
     DimensionTooSmall, DegenerateContact,
     GraphDisconnected, ImageOffBoundary, HeightsDiffer,
     RefinementStalled, PrefixTooShort, NotStabilized,
-    PointOutsideShellRegion, MapEscapedDomain,
+    MapEscapedDomain,
 )
 from .domain import (
     ScalarField, Domain, HeightProjection, ReachEstimate, reach_details,
@@ -23,8 +26,8 @@ from .domain import (
     polynomial_field,
 )
 from .structures import (
-    StructureField, standard_structure, check_structure, alpha_vec, eta_vec,
-    dalpha_matrix, levi_form, levi_matrix, ConvexityReport,
+    StructureField, standard_structure, check_structure, alpha_vec,
+    dalpha_matrix, levi_matrix, ConvexityReport,
     check_strict_convexity, transverse_frame, ContactData, contact_batch,
 )
 from .boundary import (
@@ -36,8 +39,7 @@ from .metrics import (
 )
 from .layered import LayeredSolver
 from .kobayashi import (
-    TangentSplit, split_vector, kobayashi_speed_batch, QIReport,
-    quasi_isometry_fit, qi_check,
+    kobayashi_speed_batch, QIReport, quasi_isometry_fit, qi_check,
 )
 from .gromov import (
     BoxSampler, BoundaryBiasedSampler, distance_matrix, HyperbolicityReport,
@@ -52,5 +54,3 @@ from .dynamics import (
     classify_orbit,
 )
 from .config import RunConfig, Workspace, load_config, build_workspace
-
-__version__ = "0.1.0"

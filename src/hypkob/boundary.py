@@ -357,12 +357,6 @@ class BoundaryGraph:
     def distance_nodes(self, i: int, j: int) -> float:
         return float(self.rows_from([i], columns=[j])[0, 0])
 
-    def distance(self, p, q) -> float:
-        """Snapped geodesic distance between boundary points."""
-        i, j = self.snap(np.stack([np.asarray(p, dtype=float),
-                                   np.asarray(q, dtype=float)]))
-        return self.distance_nodes(int(i), int(j))
-
     def distance_local(self, p, q, k: int = 8) -> float:
         """Short-range corrected distance.
 

@@ -26,13 +26,14 @@ import traceback
 import numpy as np
 import scipy
 
+from . import __version__
 from .errors import (HypkobError, ConfigError, DegenerateContact,
                      ImageOffBoundary, MapEscapedDomain)
 from ._util import dump_json
 from .config import RunConfig, Workspace, load_config, build_workspace
 from .structures import check_structure, check_strict_convexity, contact_batch
 from .boundary import BoundaryMap, lipschitz_details
-from .metrics import path_length
+from .metrics import PreparedPoints, path_length
 from .layered import LayeredSolver
 from .kobayashi import qi_check, quasi_isometry_fit
 from .gromov import BoxSampler, BoundaryBiasedSampler, four_point_delta
@@ -57,7 +58,6 @@ def _fmt(v: float) -> str:
 
 
 def _versions() -> dict:
-    from . import __version__
     return {
         "hypkob": __version__,
         "numpy": np.__version__,
@@ -143,21 +143,42 @@ def _upper(fam, pl) -> float:
     return path_length(pl, fam.functional("g"), rel_tol=1e-4, max_depth=8)
 
 
+def _witness_paths(fam, X, Y) -> tuple:
+    """Witness paths of row pairs, the one driver of ``dist --metric d``
+    and ``geodesic``.
+
+    One ``prepare`` call projects every endpoint, and one
+    ``composite_upper_paths`` call builds every path with its ``d``; each
+    path's g-length (``_upper``) is measured on its own. Returns the
+    prepared endpoints ``A`` and ``B``, the paths, their ``d`` values and
+    their g-lengths. Both commands call it once over all parsed rows and,
+    when that raises, once per row, so a bad row marks only itself.
+    """
+    m = len(X)
+    P = fam.prepare(np.concatenate([X, Y]))
+    A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
+    paths, dval = fam.composite_upper_paths(A, B)
+    return A, B, paths, dval, [_upper(fam, pl) for pl in paths]
+
+
 def _batch_values(fam, kind: str, X, Y, solver=None) -> list:
     """The value columns of ``dist`` for each pair of rows.
 
     ``[g]`` for kind ``g``, ``[g, d, upper]`` for kind ``d``, ``[k]`` for
     the estimate and ``[|x - y|]`` for ``euclidean``, which prepares
-    nothing. Otherwise one ``prepare`` call projects every endpoint. For
-    ``g`` and ``d``, one ``g_pairs`` call evaluates them and, for kind
-    ``d``, one ``composite_upper_paths`` call builds every witness path
-    with its ``d``. The estimate runs ``solver.distances`` over blocks of
-    at most ``_KOB_BLOCK`` rows and reads each row's (x, y) entry. The
-    per-row fallback of ``dist`` calls it on a single pair.
+    nothing. Otherwise one ``prepare`` call projects every endpoint: kind
+    ``d`` runs ``_witness_paths``, and one ``g_pairs`` call evaluates
+    ``g``. The estimate runs ``solver.distances`` over blocks of at most
+    ``_KOB_BLOCK`` rows and reads each row's (x, y) entry. The per-row
+    fallback of ``dist`` calls it on a single pair.
     """
     m = len(X)
     if kind == "euclidean":
         return [[float(np.linalg.norm(x - y))] for x, y in zip(X, Y)]
+    if kind == "d":
+        A, B, _, dval, upper = _witness_paths(fam, X, Y)
+        cols = [fam.g_pairs(A, B), dval, upper]
+        return [[float(c[k]) for c in cols] for k in range(m)]
     P = fam.prepare(np.concatenate([X, Y]))
     if kind == "kobayashi_estimate":
         out = []
@@ -166,12 +187,24 @@ def _batch_values(fam, kind: str, X, Y, solver=None) -> list:
             D = solver.distances(P.take(np.concatenate([idx, m + idx])))
             out += [[float(D[i, idx.size + i])] for i in range(idx.size)]
         return out
-    A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
-    cols = [fam.g_pairs(A, B)]
-    if kind == "d":
-        paths, dval = fam.composite_upper_paths(A, B)
-        cols += [dval, [_upper(fam, pl) for pl in paths]]
-    return [[float(c[k]) for c in cols] for k in range(m)]
+    g = fam.g_pairs(P.take(np.arange(m)), P.take(np.arange(m, 2 * m)))
+    return [[float(v)] for v in g]
+
+
+def _row_batch(rows, evaluate) -> dict:
+    """``evaluate(X, Y)`` over every parsed row at once, keyed by row index.
+
+    Empty when no row parsed or when the batch raises a toolkit error;
+    the caller then evaluates the rows one at a time.
+    """
+    idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
+    if not idx:
+        return {}
+    try:
+        return dict(zip(idx, evaluate([rows[i][1] for i in idx],
+                                      [rows[i][2] for i in idx])))
+    except HypkobError:
+        return {}
 
 
 def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
@@ -180,16 +213,8 @@ def _cmd_dist(args, cfg: RunConfig, ws: Workspace):
     fam = ws.family
     if kind == "kobayashi_estimate":
         ws.layered = LayeredSolver(fam, "kobayashi")
-    batch = {}
-    idx = [i for i, (ok, _, _) in enumerate(rows) if ok]
-    if idx:
-        try:
-            batch = dict(zip(idx, _batch_values(
-                fam, kind, [rows[i][1] for i in idx],
-                [rows[i][2] for i in idx], ws.layered)))
-        except HypkobError:
-            # the rows go one at a time, so a bad row marks only itself
-            pass
+    batch = _row_batch(rows, lambda X, Y: _batch_values(fam, kind, X, Y,
+                                                        ws.layered))
     dim = ws.domain.dim
     header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
     if kind == "d":
@@ -350,9 +375,26 @@ def _cmd_orbit(args, cfg: RunConfig, ws: Workspace):
     return report, 0
 
 
+def _geodesic_values(fam, X, Y) -> list:
+    """(path, d, g-length, segment g values) for each pair of rows.
+
+    The paths come from ``_witness_paths``, and one ``g_pairs`` call over
+    the consecutive vertices of every path gives the segment values.
+    """
+    _, _, paths, dval, upper = _witness_paths(fam, X, Y)
+    sizes = np.array([pl.points.shape[0] for pl in paths])
+    V = PreparedPoints.concat([pl.prepared for pl in paths])
+    # every vertex but a path's last starts one of its segments
+    lo = np.delete(np.arange(len(V)), np.cumsum(sizes) - 1)
+    seg = np.split(fam.g_pairs(V.take(lo), V.take(lo + 1)),
+                   np.cumsum(sizes - 1)[:-1])
+    return list(zip(paths, dval, upper, seg))
+
+
 def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
     rows = read_pair_rows(args.pairs, ws.domain.dim)
     fam = ws.family
+    batch = _row_batch(rows, lambda X, Y: _geodesic_values(fam, X, Y))
     dim = ws.domain.dim
     out_path = os.path.join(cfg.out_dir, "geodesic.csv")
     entries = []
@@ -367,29 +409,24 @@ def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
                 entries.append({"pair": i, "error": "parse"})
                 continue
             try:
-                pl, dval = fam.composite_upper_path(x, y)
-                glen = _upper(fam, pl)
-                seg = []
-                if pl.points.shape[0] > 1:
-                    n = pl.points.shape[0]
-                    seg = [float(v) for v in fam.g_pairs(
-                        pl.prepared.take(np.arange(n - 1)),
-                        pl.prepared.take(np.arange(1, n)))]
-                params = pl.params()
-                for j in range(pl.points.shape[0]):
-                    wr.writerow([i, j] + [_fmt(v) for v in pl.points[j]]
-                                + [_fmt(params[j])])
-                entries.append({
-                    "pair": i,
-                    "n_points": int(pl.points.shape[0]),
-                    "d_value": float(dval),
-                    "g_length": float(glen),
-                    "segment_g": seg,
-                    "points": pl.points,
-                })
+                pl, dval, glen, seg = (batch[i] if i in batch else
+                                       _geodesic_values(fam, [x], [y])[0])
             except HypkobError as exc:
                 n_err += 1
                 entries.append({"pair": i, "error": type(exc).__name__})
+                continue
+            params = pl.params()
+            for j in range(pl.points.shape[0]):
+                wr.writerow([i, j] + [_fmt(v) for v in pl.points[j]]
+                            + [_fmt(params[j])])
+            entries.append({
+                "pair": i,
+                "n_points": int(pl.points.shape[0]),
+                "d_value": float(dval),
+                "g_length": float(glen),
+                "segment_g": [float(v) for v in seg],
+                "points": pl.points,
+            })
     report = {
         "command": "geodesic",
         "n_pairs": len(rows),

@@ -2,8 +2,9 @@
 
 A run configuration is a JSON mapping with the domain and structure
 specs (inline or as paths relative to the configuration file), boundary
-graph parameters, solver tolerances, and the seeds for every sampler.
-Seeds are explicit; nothing draws entropy at run time.
+graph parameters, and the seeds for every sampler. Seeds are explicit;
+nothing draws entropy at run time. The solver tolerances are constants of
+their modules; a config that names a ``tolerances`` block is refused.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ _GRAPH_DEFAULTS = {
 # the graph parameters that take numbers
 _GRAPH_NUMBERS = ("n_nodes", "k_neighbors", "anisotropy", "seed")
 
-_TOLERANCE_DEFAULTS = {
-    "newton_tol": 1e-10,
-}
-
 _SEED_DEFAULTS = {
     "sampler": 0,
     "pairs": 0,
@@ -53,7 +50,6 @@ class RunConfig:
     domain_spec: dict
     structure_spec: dict
     graph: dict
-    tolerances: dict
     seeds: dict
     out_dir: str
     epsilon: Optional[float] = None
@@ -110,14 +106,9 @@ def load_config(path: str) -> RunConfig:
     for key in _GRAPH_NUMBERS:
         if not _is_number(graph[key]):
             raise ConfigError(f"graph parameter {key!r} must be a number")
-    tolerances = dict(_TOLERANCE_DEFAULTS)
-    tolerances.update(raw.get("tolerances", {}))
-    unknown = set(tolerances) - set(_TOLERANCE_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
-    for key, val in tolerances.items():
-        if not (_is_number(val) and val > 0):
-            raise ConfigError(f"tolerance {key!r} must be positive")
+    if "tolerances" in raw:
+        raise ConfigError("the config takes no 'tolerances' block: newton_tol "
+                          "is fixed at 1e-10")
     seeds = dict(_SEED_DEFAULTS)
     seeds.update(raw.get("seeds", {}))
     for key, val in seeds.items():
@@ -133,7 +124,7 @@ def load_config(path: str) -> RunConfig:
     if map_spec is not None and not isinstance(map_spec, dict):
         raise ConfigError("the map entry must be a mapping")
     return RunConfig(domain_spec=domain_spec, structure_spec=structure_spec,
-                     graph=graph, tolerances=tolerances, seeds=seeds,
+                     graph=graph, seeds=seeds,
                      out_dir=out_dir, epsilon=float(epsilon) if epsilon else None,
                      map_spec=map_spec, raw=raw)
 
@@ -194,8 +185,7 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
         eps = float(cfg.epsilon)
     else:
         eps = reach_details(domain, seed=cfg.seeds["sampler"]).epsilon
-    projection = HeightProjection(domain, eps,
-                                  newton_tol=cfg.tolerances["newton_tol"])
+    projection = HeightProjection(domain, eps)
     if not with_graph:
         return Workspace(domain=domain, structure=structure,
                          projection=projection, graph=None, family=None,

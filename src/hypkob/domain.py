@@ -203,9 +203,6 @@ class Domain:
         Defining function.
     box : array (2, dim)
         Axis-aligned box containing the closure of the domain.
-    fd_step : float, optional
-        Finite difference step of the contact-form derivatives in
-        ``structures``; defaults to 1e-5 times the box diagonal.
     seed : int
         Seed for the cached dense boundary sample (``_CLOUD_SIZE`` points)
         used as a projection fallback and for diameter estimation. A graph
@@ -214,15 +211,16 @@ class Domain:
         or None while no cloud is held).
     """
 
-    def __init__(self, f: ScalarField, box, fd_step: Optional[float] = None,
-                 seed: int = 0):
+    def __init__(self, f: ScalarField, box, seed: int = 0):
         self.field = f
         self.dim = f.dim
         self.box = np.asarray(box, dtype=float).reshape(2, self.dim)
         if np.any(self.box[1] <= self.box[0]):
             raise ConfigError("bounding box upper corners must exceed lower corners")
         diag = float(np.linalg.norm(self.box[1] - self.box[0]))
-        self.fd_step = float(fd_step) if fd_step else 1e-5 * diag
+        # finite difference step of the contact-form derivatives in
+        # ``structures``
+        self.fd_step = 1e-5 * diag
         self.seed = int(seed)
         self._cloud = None
         self._cloud_tree = None
@@ -437,7 +435,10 @@ class Domain:
             else:
                 raise ConfigError(f"unknown defining function type {kind!r}")
             box = np.asarray(spec["box"], dtype=float) if "box" in spec else default_box
-            return cls(f, box, fd_step=spec.get("fd_step"), seed=spec.get("seed", 0))
+            if "fd_step" in spec:
+                raise ConfigError("the domain spec takes no 'fd_step': the "
+                                  "step is 1e-5 box diagonals")
+            return cls(f, box, seed=spec.get("seed", 0))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"malformed domain spec: {exc}") from exc
 
@@ -456,6 +457,10 @@ class ReachEstimate:
 
 # Newton sweeps before a point counts as unconverged
 _NEWTON_MAX_ITER = 100
+
+# a foot is accepted when its Newton residual is at most this times
+# (1 + |x|)
+_NEWTON_TOL = 1e-10
 
 # points per batched fallback call: with 24 candidate rows each, a call
 # holds about 10^5 Newton systems, about 100 MiB of workspace (25 KiB per
@@ -507,20 +512,18 @@ class HeightProjection:
     accepted and rejected, and points sent to the fallback.
     """
 
-    def __init__(self, domain: Domain, epsilon: float, newton_tol: float = 1e-10):
+    def __init__(self, domain: Domain, epsilon: float):
         if epsilon <= 0:
             raise ConfigError("collar width must be positive")
         self.domain = domain
         self.epsilon = float(epsilon)
-        self.newton_tol = float(newton_tol)
         self.counts = dict.fromkeys(
             ("points", "newton_sweeps", "stuck_rows", "seeded_accepted",
              "seeded_rejected", "fallback_points"), 0)
 
     # -- batched solver ------------------------------------------------------
 
-    def _newton_polish(self, X: np.ndarray, P0: np.ndarray,
-                       block: Optional[int] = None):
+    def _newton_polish(self, X: np.ndarray, P0: np.ndarray, block: int):
         """Damped Newton on (p, lam) for p - x - lam grad(p) = 0, rho(p) = 0.
 
         Returns (P, ok) where ok flags convergence per point. A point with
@@ -528,7 +531,7 @@ class HeightProjection:
         batch are solved as usual. Each trial point is retracted onto
         ``rho = 0`` by two gradient steps (``Domain.retract``) before its
         residual is measured. Rows backtrack in consecutive blocks of
-        ``block`` (default: the whole batch): a block's step lengths are
+        ``block`` rows: a block's step lengths are
         halved together until every row of it has a lower residual, at most
         eight times, and each row keeps its best trial. A point that no
         backtrack improves keeps its (p, lam), so every later sweep would
@@ -543,7 +546,7 @@ class HeightProjection:
         gn2 = np.sum(g * g, axis=-1)
         lam = np.sum((p - X) * g, axis=-1) / np.maximum(gn2, 1e-300)
         scale = 1.0 + np.linalg.norm(X, axis=-1)
-        tol = self.newton_tol * scale
+        tol = _NEWTON_TOL * scale
         g, r1, r2, rn = residual_at(dom, X, p, lam)
         ok = rn <= tol
         stuck = np.zeros_like(ok)
@@ -562,7 +565,7 @@ class HeightProjection:
             step = _solve_regular(J, rhs)
             # backtracking on the residual norm: halve the steps of a block
             # until every row of it has improved, at most eight times
-            owner = rows // (block or X.shape[0])
+            owner = rows // block
             p0, lam0, base = p[rows], lam[rows], rn[rows]
             r, pick = rows, slice(None)
             t = 1.0

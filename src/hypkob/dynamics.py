@@ -1,11 +1,16 @@
 """Iteration of interior self-maps and the orbit dichotomy audit.
 
-Orbits are advanced with a per-step containment check, recorded with
-height and basepoint-distance traces, and classified into the two
-qualitative behaviours: staying a definite fraction of the shell depth
-away from the boundary, or collapsing onto one boundary point common to
-all starts. A semicontraction audit compares pair distances before and
-after one application of the map against a discretization-aware slack.
+Orbits are advanced together by ``iterate_many``, with a per-step
+containment check, in blocks of steps projected by one call each. Each
+``OrbitRecord`` holds an orbit's points and heights and, when a metric
+and a basepoint ``omega`` are given, its distance trace to ``omega``
+(``g`` or ``d``), from one ``pairs`` call over every step of every orbit.
+Records carry no verdict: ``classify_orbit`` sorts a family of orbits
+into the two qualitative behaviours, staying a definite fraction of the
+shell depth away from the boundary or collapsing onto one boundary point
+common to all starts, and returns an ``OrbitVerdict``. A semicontraction
+audit compares pair distances before and after one application of the
+map against a discretization-aware slack.
 """
 
 from __future__ import annotations
@@ -115,7 +120,6 @@ class OrbitRecord:
     base_trace: Optional[np.ndarray]
     stopped_early: bool
     n_steps: int
-    verdict: str = ""
 
 
 def _step(F: DomainMap, domain: Domain, X: np.ndarray) -> np.ndarray:

@@ -76,12 +76,6 @@ class NotStabilized(HypkobError):
     """A limit estimate failed its stabilization (Cauchy) criterion."""
 
 
-# --- anisotropic estimate metric ---------------------------------------------
-
-class PointOutsideShellRegion(HypkobError):
-    """A tangent-splitting request lies outside the foliated collar."""
-
-
 # --- dynamics ----------------------------------------------------------------
 
 class MapEscapedDomain(HypkobError):

@@ -232,11 +232,14 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
 # ---------------------------------------------------------------------------
 
 def gromov_product(functional: MetricFunctional, x, y, omega) -> float:
-    """Half-sum product (x, y) anchored at the basepoint."""
-    dxo = functional.pair(x, omega)
-    dyo = functional.pair(y, omega)
-    dxy = functional.pair(x, y)
-    return 0.5 * (dxo + dyo - dxy)
+    """Half-sum product (x, y) anchored at the basepoint.
+
+    The three points are prepared together, and one ``pairs`` call gives
+    the three distances.
+    """
+    P = functional.family.prepare(np.stack([x, y, omega]))
+    dxo, dyo, dxy = functional.pairs(P.take([0, 1, 0]), P.take([2, 2, 1]))
+    return float(0.5 * (dxo + dyo - dxy))
 
 
 @dataclass
@@ -342,12 +345,14 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
         raise ConfigError("pairs must be an array of point pairs")
-    fam = functional.family
+    # the snapped boundary distance of each pair
+    graph = functional.family.graph
+    ends = graph.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
+    W = graph.rows_from(ends[:, 0], columns=ends[:, 1:])[:, 0]
     ratios = []
     seps = []
     prods = []
-    for a, b in pairs:
-        w = fam.graph.distance(a, b)
+    for (a, b), w in zip(pairs, W.tolist()):
         if w <= 0:
             raise ConfigError("pair distance vanished; pick distinct nodes")
         prod = boundary_product(functional, a, b, omega, depth=depth)

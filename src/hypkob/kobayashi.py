@@ -4,9 +4,11 @@ The pointwise norm charges the component of a tangent vector inside the
 maximal complex tangent distribution at the nearest boundary point one
 inverse height, and the transverse component (the orthogonal projection
 onto the span of the frame ``structures.transverse_frame`` gives at the
-foot: the normal and ``J^T`` of it) one inverse height squared; past the collar roof both
-weights continue with inverse-depth decay so the norm stays continuous
-and the core carries a comparable fixed metric. Curve lengths are
+foot: the normal and ``J^T`` of it) one inverse height squared; past the
+collar roof both weights continue with inverse-depth decay so the norm
+stays continuous and the core carries a comparable fixed metric. The
+split runs on batches only (``_split_arrays``), and
+``kobayashi_speed_batch`` is the norm's one entry point. Curve lengths are
 ``metrics.path_length`` under the ``kobayashi_estimate`` functional;
 distances come from ``layered.LayeredSolver`` in its ``kobayashi`` mode,
 whose queries arrive prepared by its ``MetricFamily``. A fit routine compares
@@ -27,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PointOutsideShellRegion
+from .errors import ConfigError
 from .domain import HeightProjection
-from .structures import StructureField, _nullspace_bases, transverse_frame
-from .layered import LayeredSolver
+from .structures import StructureField, transverse_frame
 
 __all__ = [
-    "TangentSplit",
-    "split_vector",
     "kobayashi_speed_batch",
     "QIReport",
     "quasi_isometry_fit",
@@ -42,49 +41,20 @@ __all__ = [
 ]
 
 
-@dataclass
-class TangentSplit:
-    """Decomposition of a vector against the frame at the nearest foot.
-
-    ``normal_basis`` holds the frame ``(n, u)`` of
-    ``structures.transverse_frame`` as rows; ``horizontal_basis`` is an
-    orthonormal basis of its complement, the maximal complex tangent
-    distribution. ``v_N`` is the orthogonal projection onto the frame's
-    span and ``v_H = v - v_N``, so ``v_N + v_H`` reconstructs the queried
-    vector exactly.
-    """
-
-    point: np.ndarray
-    normal_basis: np.ndarray
-    horizontal_basis: np.ndarray
-    v_N: np.ndarray
-    v_H: np.ndarray
-
-
 def _split_arrays(projection: HeightProjection, structure: StructureField,
                   X: np.ndarray, V: np.ndarray, seed_feet=None):
-    """Batched split into horizontal and normal-plane components."""
+    """Split vectors ``V`` at points ``X`` against the frame at their feet.
+
+    Returns ``(v_H, v_N, depth, n, u)``: ``(n, u)`` is the frame of
+    ``structures.transverse_frame`` at each foot, ``v_N`` the orthogonal
+    projection of ``V`` onto its span, and ``v_H = V - v_N`` the part in
+    its complement, the maximal complex tangent distribution.
+    """
     feet, depth = projection.project_batch(X, seed_feet=seed_feet)
     n, u = transverse_frame(projection.domain, structure, feet)
     vn = (np.sum(V * n, axis=-1, keepdims=True) * n
           + np.sum(V * u, axis=-1, keepdims=True) * u)
     return V - vn, vn, depth, n, u
-
-
-def split_vector(projection: HeightProjection, structure: StructureField,
-                 x, v) -> TangentSplit:
-    """Split one vector at one collar point, with the full frame attached."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    vh, vn, depth, n, u = _split_arrays(projection, structure, x[None], v[None])
-    if depth[0] > projection.epsilon * (1 + 1e-9):
-        raise PointOutsideShellRegion(
-            f"split requested at depth {float(depth[0]):.6g}, collar ends at "
-            f"{projection.epsilon:.6g}")
-    frame = np.stack([n[0], u[0]])
-    return TangentSplit(point=x.copy(), normal_basis=frame,
-                        horizontal_basis=_nullspace_bases(frame[None])[0],
-                        v_N=vn[0], v_H=vh[0])
 
 
 # weights of the horizontal and transverse parts of the estimate
@@ -148,10 +118,6 @@ class QIReport:
     residual_q90: float
     violations: int
 
-    def ok(self, c_cap: float, cprime_cap: float) -> bool:
-        return (self.violations == 0 and self.C <= c_cap
-                and self.Cprime <= cprime_cap)
-
 
 def quasi_isometry_fit(g_values, k_values) -> QIReport:
     """Constants with ``k/C - C' <= g <= C k + C'`` over pairs.
@@ -179,11 +145,11 @@ def quasi_isometry_fit(g_values, k_values) -> QIReport:
     )
 
 
-def qi_check(solver: LayeredSolver, points) -> QIReport:
+def qi_check(solver, points) -> QIReport:
     """Fit the sandwich over all pairs from a pool of interior points.
 
-    ``g`` and the solver's distances share the solver's family, so the
-    ladder and ``g`` read one graph. A pool that family prepared (a
+    ``solver`` is a ``layered.LayeredSolver``; ``g`` and its distances
+    share the solver's family, so the ladder and ``g`` read one graph. A pool that family prepared (a
     sampler's) is used as it is; any other is prepared once.
     """
     family = solver.family

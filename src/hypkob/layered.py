@@ -23,6 +23,9 @@ import math
 import numpy as np
 from scipy.sparse import coo_matrix
 
+# the module, not its names, so a wrapper set on ``kobayashi`` (a traced
+# benchmark run) sees the calls from here
+from . import kobayashi
 from .boundary import dijkstra_counts, shortest_rows
 from .errors import ConfigError
 from .metrics import MetricFamily
@@ -89,25 +92,23 @@ class LayeredSolver:
         ratio = np.log(t_hi / t_lo)
         if self.mode == "collar":
             return 0.5 * ratio
-        from .kobayashi import A_N
-        return A_N * ratio
+        return kobayashi.A_N * ratio
 
     def _horizontal_costs(self, t: float) -> np.ndarray:
         """Per-edge costs at one depth level."""
         ii, jj, w, u, z = self._edges
         if self.mode == "collar":
             return 2.0 * w / math.sqrt(t)
-        from .kobayashi import kobayashi_rate, kobayashi_speed_batch
         if t <= self.eps * (1 + 1e-12):
-            return kobayashi_rate(u, z, t, self.eps)
+            return kobayashi.kobayashi_rate(u, z, t, self.eps)
         nodes = self.graph.nodes
         normals = self.graph.node_normals()
         pa = nodes[ii] - t * normals[ii]
         pb = nodes[jj] - t * normals[jj]
-        return kobayashi_speed_batch(self.projection,
-                                     self.graph.structure,
-                                     0.5 * (pa + pb), pb - pa,
-                                     seed_feet=nodes[ii])
+        return kobayashi.kobayashi_speed_batch(self.projection,
+                                               self.graph.structure,
+                                               0.5 * (pa + pb), pb - pa,
+                                               seed_feet=nodes[ii])
 
     def _assemble(self):
         m = self.graph.nodes.shape[0]

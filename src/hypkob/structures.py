@@ -4,11 +4,13 @@ A structure is a field of matrices ``J(x)`` with ``J(x)^2 = -Id``. This
 module is the only one that knows the contact geometry a domain and a
 structure induce: the rotated one-form ``alpha`` (through its coefficient
 vector), its exterior derivative ``dalpha_matrix`` (central differences
-along the coordinate axes), the Levi form, the transverse frame
-``(n, u)`` whose orthogonal complement is the maximal ``J``-invariant
-tangent distribution, and the restricted two-form, all through batched
-numpy evaluations. The boundary graph and the Kobayashi-type estimate
-take their frames from ``transverse_frame``.
+along the coordinate axes, with the domain's ``fd_step``), the matrix of
+the Levi form (``levi_matrix``, the one implementation of that form,
+which ``check_strict_convexity`` reads), the transverse frame ``(n, u)``
+whose orthogonal complement is the maximal ``J``-invariant tangent
+distribution, and the restricted two-form, all through batched numpy
+evaluations over points of shape (..., dim). The boundary graph and the
+Kobayashi-type estimate take their frames from ``transverse_frame``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ __all__ = [
     "standard_structure",
     "check_structure",
     "alpha_vec",
-    "eta_vec",
     "dalpha_matrix",
-    "levi_form",
     "levi_matrix",
     "check_strict_convexity",
     "ConvexityReport",
@@ -65,11 +65,6 @@ class StructureField:
         out = np.asarray(self.matrix_fn(x), dtype=float)
         want = x.shape[:-1] + (self.dim, self.dim)
         return np.broadcast_to(out, want).copy() if out.shape != want else out
-
-    def apply(self, x, v) -> np.ndarray:
-        """``J(x) v`` for batched points and vectors of matching shape."""
-        J = self.j(x)
-        return np.einsum("...ij,...j->...i", J, np.asarray(v, dtype=float))
 
     @classmethod
     def from_spec(cls, spec: dict, dim: int) -> "StructureField":
@@ -136,11 +131,6 @@ def alpha_vec(domain: Domain, structure: StructureField, x) -> np.ndarray:
     return -np.einsum("...ji,...j->...i", J, g)
 
 
-def eta_vec(domain: Domain, structure: StructureField, x) -> np.ndarray:
-    """Coefficient vector of the boundary contact form; minus ``alpha_vec``."""
-    return -alpha_vec(domain, structure, x)
-
-
 def dalpha_matrix(domain: Domain, structure: StructureField, x) -> np.ndarray:
     """Antisymmetric matrices ``A`` with ``d alpha (U, V) = U^T A V``.
 
@@ -158,22 +148,14 @@ def dalpha_matrix(domain: Domain, structure: StructureField, x) -> np.ndarray:
     return D - np.swapaxes(D, -1, -2)
 
 
-def levi_form(domain: Domain, structure: StructureField, x, X) -> np.ndarray:
-    """Quadratic form ``d(alpha)(X, JX)``.
-
-    Supports batched points (m, dim) with vectors of the same shape, or a
-    single point and vector. Zero vectors give exactly zero.
-    """
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    JX = structure.apply(x, X)
-    out = np.einsum("...i,...ij,...j->...", X,
-                    dalpha_matrix(domain, structure, x), JX)
-    return float(out) if x.ndim == 1 else out
-
-
 def levi_matrix(domain: Domain, structure: StructureField, x) -> np.ndarray:
-    """Symmetric matrix of the Levi quadratic form, ``sym(A J)``."""
+    """Symmetric matrices of the Levi form ``X -> d(alpha)(X, JX)``.
+
+    ``X^T A J X`` is that form, with ``A`` from ``dalpha_matrix``, so its
+    matrix is ``sym(A J)``. Points of shape (..., dim) give matrices of
+    shape (..., dim, dim); ``check_strict_convexity`` reads their
+    eigenvalues.
+    """
     x = np.asarray(x, dtype=float)
     AJ = dalpha_matrix(domain, structure, x) @ structure.j(x)
     return 0.5 * (AJ + np.swapaxes(AJ, -1, -2))
@@ -268,8 +250,9 @@ def _nullspace_bases(rows: np.ndarray) -> np.ndarray:
 class ContactData:
     """Contact frame at one boundary point.
 
-    ``basis`` holds an orthonormal basis of the maximal complex tangent
-    distribution as rows; ``omega`` is the restricted two-form in that
+    ``eta`` is the coefficient vector of the boundary contact form, minus
+    ``alpha_vec``; ``basis`` holds an orthonormal basis of the maximal
+    complex tangent distribution as rows; ``omega`` is the restricted two-form in that
     basis; ``normal`` and ``jnormal`` are the frame of ``transverse_frame``
     that spans the complement.
     """
@@ -295,7 +278,7 @@ def contact_batch(domain: Domain, structure: StructureField,
         raise DimensionTooSmall("contact data needs dimension at least 4")
     normal, u = transverse_frame(domain, structure, P)
     basis = _nullspace_bases(np.stack([normal, u], axis=1))
-    eta = eta_vec(domain, structure, P)
+    eta = -alpha_vec(domain, structure, P)
     omega = -basis @ dalpha_matrix(domain, structure, P) @ np.swapaxes(basis, 1, 2)
     sv_omega = np.linalg.svd(omega, compute_uv=False)
     floor = 1e-6 * np.maximum(sv_omega[:, 0], 1e-300)

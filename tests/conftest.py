@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -11,6 +12,14 @@ EPS = 0.5
 settings.register_profile("hypkob", deadline=None, derandomize=True,
                           database=None)
 settings.load_profile("hypkob")
+
+
+def pair_values(family, x, y):
+    """``(g, d)`` of one pair, from ``g_pairs`` and ``d_pairs`` on its two
+    points prepared in one call."""
+    P = family.prepare(np.stack([x, y]))
+    A, B = P.take([0]), P.take([1])
+    return float(family.g_pairs(A, B)[0]), float(family.d_pairs(A, B)[0])
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypkob.domain import Domain, HeightProjection
-from hypkob.structures import standard_structure, contact_batch, levi_form
+from hypkob.structures import standard_structure, contact_batch, levi_matrix
 from hypkob.boundary import BoundaryGraph
 from hypkob.metrics import MetricFamily, path_length, estimate_C
 from hypkob.kobayashi import qi_check
@@ -289,13 +289,13 @@ def test_criterion_08_contact_identity_and_distribution(acc):
         dim_ok &= cd.basis.shape == (2, 4)
         c = rng.normal(size=2)
         X = c @ cd.basis
-        JX = st.apply(cd.point, X)
+        JX = st.j(cd.point) @ X
         coeff = cd.basis @ JX
         inv_max = max(inv_max,
                       float(np.linalg.norm(JX - coeff @ cd.basis))
                       / float(np.linalg.norm(JX)))
         val = float(c @ cd.omega @ coeff)
-        L = float(levi_form(dom, st, cd.point, X))
+        L = float(X @ levi_matrix(dom, st, cd.point) @ X)
         rel_max = max(rel_max, abs(val + L) / max(abs(L), 1.0))
     ok = rel_max <= CONTACT_REL and inv_max <= 1e-8 and dim_ok
     _line(8, ok, f"form-vs-curvature rel err {rel_max:.2e} over 200 points, "

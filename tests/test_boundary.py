@@ -244,10 +244,10 @@ def test_geodesic_matches_distance(graph):
     p = np.array([1.0, 0.0, 0.0, 0.0])
     q = np.array([0.0, 0.0, 1.0, 0.0])
     nodes, total = graph.geodesic(p, q)
-    assert total == graph.distance(p, q)
+    i, j = graph.snap(np.stack([p, q]))
+    assert total == graph.distance_nodes(i, j)
     poly, _ = graph.geodesic(p, q)
     assert np.array_equal(poly, nodes)
-    i, j = graph.snap(np.stack([p, q]))
     assert np.array_equal(nodes[0], graph.nodes[int(i)])
     assert np.array_equal(nodes[-1], graph.nodes[int(j)])
     # summed edge weights reproduce the Dijkstra total
@@ -257,10 +257,9 @@ def test_geodesic_matches_distance(graph):
 
 
 def test_distance_symmetry_and_identity(graph):
-    p = graph.nodes[17]
-    q = graph.nodes[311]
-    assert graph.distance(p, p) == 0.0
-    assert abs(graph.distance(p, q) - graph.distance(q, p)) < 1e-9
+    assert graph.distance_nodes(17, 17) == 0.0
+    assert abs(graph.distance_nodes(17, 311)
+               - graph.distance_nodes(311, 17)) < 1e-9
 
 
 def test_local_distance_resolves_small_scales(graph):
@@ -299,8 +298,8 @@ def test_antipodal_distance_stabilizes(ball, structure):
     p = np.array([1.0, 0.0, 0.0, 0.0])
     g = BoundaryGraph.build(ball, structure, n_nodes=300, k_neighbors=10,
                             anisotropy=8.0, seed=2)
-    d1 = g.distance(p, -p)
-    d2 = g.refine().distance(p, -p)
+    d1, d2 = (h.distance_nodes(*h.snap(np.stack([p, -p])))
+              for h in (g, g.refine()))
     assert np.isfinite(d1) and d1 >= 2.0 - 1e-9
     assert abs(d2 - d1) / d1 < 0.25
 

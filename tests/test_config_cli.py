@@ -74,7 +74,6 @@ def test_load_config_defaults_and_resolution(tmp_path):
     assert cfg.domain_spec["defining_function"]["type"] == "ball"
     assert cfg.structure_spec == {"type": "standard"}
     assert cfg.graph["n_nodes"] == 600
-    assert cfg.tolerances["newton_tol"] == 1e-10
     assert cfg.seeds == {"sampler": 0, "pairs": 0, "quadruples": 0,
                          "orbits": 0}
     assert os.path.isabs(cfg.out_dir)
@@ -89,9 +88,9 @@ def test_load_config_rejects_bad_entries(tmp_path):
                        "defining_function": {"type": "ball"}}}
     bad = [
         dict(base, graph={"n_noodles": 3}),
-        dict(base, tolerances={"newton_tol": -1.0}),
-        dict(base, tolerances={"quad_rel_tol": 0}),
-        dict(base, tolerances={"newton_toll": 1e-8}),
+        # the Newton tolerance is a constant
+        dict(base, tolerances={"newton_tol": 1e-10}),
+        dict(base, tolerances={}),
         dict(base, seeds={"sampler": "zero"}),
         dict(base, epsilon=-0.5),
         dict(base, map=[1, 2]),
@@ -160,6 +159,12 @@ def test_main_maps_config_errors_to_exit_2(tmp_path):
                        "values": np.zeros((2,) * 4 + (4, 4)).tolist()}},
         {"domain": {"dimension": 4, "defining_function": {"type": "ball"}},
          "graph": {"selection": "farthest"}},
+        # knobs that are constants: the Newton tolerance, the domain's
+        # finite difference step
+        {"domain": {"dimension": 4, "defining_function": {"type": "ball"}},
+         "tolerances": {"newton_tol": 1e-10}},
+        {"domain": {"dimension": 4, "defining_function": {"type": "ball"},
+                    "fd_step": 1e-5}},
     ]
     for i, raw in enumerate(bad):
         path = write_json(tmp_path / f"bad_type{i}.json", raw)

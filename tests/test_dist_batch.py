@@ -1,11 +1,14 @@
 """``hypkob dist`` evaluates every metric over all rows in one batch.
 
-One ``prepare`` call projects every row endpoint and one ``g_pairs`` /
-``d_pairs`` call evaluates them; the ``upper`` column stays per row. The
+One ``prepare`` call projects every row endpoint, one ``g_pairs`` call
+evaluates ``g`` and, for ``d``, one ``composite_upper_paths`` call builds
+every witness path with its value; the ``upper`` column is measured per
+path. The
 estimate runs ``LayeredSolver.distances`` over blocks of rows. The values
 must be those of the per-row calls, a row the batch cannot evaluate must
 mark only itself, and the deep fallback must run once per command instead
-of once per row.
+of once per row. ``hypkob geodesic`` runs on the same witness-path batch,
+and its outputs must be those of a construction one pair at a time.
 """
 
 import csv
@@ -16,11 +19,14 @@ import os
 import numpy as np
 import pytest
 
-from hypkob import Domain, LayeredSolver
+from hypkob import Domain, HypkobError, LayeredSolver, MetricFamily
+from hypkob._util import dump_json
 from hypkob.cli import _KOB_BLOCK, main
 from hypkob.config import build_workspace, load_config
 from hypkob.domain import HeightProjection
 from hypkob.metrics import path_length
+
+from conftest import pair_values
 
 BALL = {"dimension": 4, "defining_function": {"type": "ball"}}
 ELLIPSOID = {"dimension": 4,
@@ -69,15 +75,15 @@ def _dist(rig, name, rows, metric="d"):
 
 
 def _per_row(rig, rows):
-    """(lower, value, upper) of each row from the scalar calls, in order."""
+    """(lower, value, upper) of each row from one-pair calls, in order."""
     ws = build_workspace(load_config(rig["config"]), graph_cache=rig["cache"])
     fam = ws.family
     gfun = fam.functional("g")
     out = []
     for x, y in rows:
         pl, _ = fam.composite_upper_path(x, y)
-        out.append((fam.g(x, y), fam.d(x, y),
-                    path_length(pl, gfun, rel_tol=1e-4, max_depth=8)))
+        out.append(pair_values(fam, x, y)
+                   + (path_length(pl, gfun, rel_tol=1e-4, max_depth=8),))
     return out
 
 
@@ -113,33 +119,26 @@ def _deep_rows(n, seed):
     return rows
 
 
-@pytest.mark.parametrize("name", ["ball", "ellipsoid"])
+@pytest.mark.parametrize("name", ["ball", "ellipsoid", "deep"])
 def test_batched_collar_rows_equal_the_scalar_calls(rigs, name):
-    rig = rigs[name]
-    rows = _collar_rows(name, 30, seed=11)
-    body, rep = _dist(rig, f"collar_{name}", rows)
+    # collar rows on each domain, and deep ball rows; every point
+    # backtracks alone in its Newton solve, so the batch gives each row
+    # the values of its one-pair calls exactly
+    if name == "deep":
+        rig, rows = rigs["ball"], _deep_rows(12, seed=4)
+    else:
+        rig, rows = rigs[name], _collar_rows(name, 30, seed=11)
+    body, rep = _dist(rig, f"rows_{name}", rows)
     ref = _per_row(rig, rows)
     for rec, vals in zip(body, ref):
         assert rec[11] == ""
         assert rec[8:11] == [repr(float(v)) for v in vals]
     assert rep["n_errors"] == 0
-
-
-def test_batched_deep_rows_agree_with_the_scalar_calls(rigs):
-    rig = rigs["ball"]
-    rows = _deep_rows(12, seed=4)
-    body, _ = _dist(rig, "deep", rows)
-    ref = _per_row(rig, rows)
-    for i, (rec, (lo, val, up)) in enumerate(zip(body, ref)):
-        assert rec[11] == ""
-        got = [float(v) for v in rec[8:11]]
-        # the batch shares one Newton solve, so the depths move by rounding
-        assert math.isclose(got[0], lo, rel_tol=1e-9)
-        assert math.isclose(got[1], val, rel_tol=1e-9)
-        assert math.isclose(got[2], up, rel_tol=1e-6)
-        if i % 2:
-            x, y = rows[i]
-            assert math.isclose(got[1], np.linalg.norm(x - y), rel_tol=1e-12)
+    if name == "deep":
+        # every other deep pair lies on one ray, where d is the chord
+        for rec, (x, y) in list(zip(body, rows))[1::2]:
+            assert math.isclose(float(rec[9]), np.linalg.norm(x - y),
+                                rel_tol=1e-12)
 
 
 def test_kob_rows_equal_the_solver_on_each_pair_alone(rigs):
@@ -203,3 +202,86 @@ def test_same_ray_witness_path_projects_nothing(family, graph, monkeypatch):
     length = path_length(pl, family.functional("g"), rel_tol=1e-4, max_depth=8)
     assert math.isfinite(length)
     assert calls == []
+
+
+def _per_pair_geodesic(rig, rows, out):
+    """``geodesic.csv`` and ``report.json`` of ``rows`` in ``out``, built one
+    pair at a time: each row's witness path, its g-length and its segments'
+    g values, a row that cannot be built marked with its error."""
+    os.makedirs(out)
+    ws = build_workspace(load_config(rig["config"]), graph_cache=rig["cache"])
+    fam = ws.family
+    entries = []
+    with open(os.path.join(out, "geodesic.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["pair", "vertex", "x1", "x2", "x3", "x4", "param"])
+        for i, row in enumerate(rows):
+            if isinstance(row, str):
+                entries.append({"pair": i, "error": "parse"})
+                continue
+            try:
+                pl, dval = fam.composite_upper_path(*row)
+                glen = path_length(pl, fam.functional("g"), rel_tol=1e-4,
+                                   max_depth=8)
+                n = pl.points.shape[0]
+                seg = fam.g_pairs(pl.prepared.take(np.arange(n - 1)),
+                                  pl.prepared.take(np.arange(1, n)))
+            except HypkobError as exc:
+                entries.append({"pair": i, "error": type(exc).__name__})
+                continue
+            for j, t in enumerate(pl.params()):
+                wr.writerow([i, j] + [repr(float(v)) for v in pl.points[j]]
+                            + [repr(float(t))])
+            entries.append({"pair": i, "n_points": n, "d_value": dval,
+                            "g_length": glen, "segment_g": seg,
+                            "points": pl.points})
+    dump_json({"command": "geodesic", "n_pairs": len(rows),
+               "n_errors": sum("error" in e for e in entries),
+               "geodesics": entries, "csv": "geodesic.csv"},
+              os.path.join(out, "report.json"))
+
+
+def _read(out, name):
+    with open(os.path.join(out, name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name, mixed", [("ball", False), ("ellipsoid", False),
+                                         ("ball", True)])
+def test_geodesic_batch_equals_per_pair_construction(rigs, monkeypatch,
+                                                     name, mixed):
+    rig = rigs[name]
+    rows = _collar_rows(name, 12, seed=8)
+    if name == "ball" and not mixed:
+        rows += _deep_rows(6, seed=2)
+    if mixed:
+        outside = (np.array([1.01, 0.0, 0.0, 0.0]), rows[0][1])
+        rows = rows[:3] + [outside] + rows[3:6] + ["0.1,bad,0,0,0,0,0,0.3"] \
+            + rows[6:]
+    tag = f"geo_{name}_{'mixed' if mixed else 'clean'}"
+    pairs = _write_pairs(rig["root"] / f"{tag}.csv", rows)
+    out = str(rig["root"] / f"out_{tag}")
+    calls = []
+    real = MetricFamily.composite_upper_paths
+
+    def counted(self, A, B):
+        calls.append(len(A))
+        return real(self, A, B)
+
+    monkeypatch.setattr(MetricFamily, "composite_upper_paths", counted)
+    assert main(["geodesic", "--pairs", pairs, "--config", rig["config"],
+                 "--out", out, "--graph-cache", rig["cache"]]) == 0
+    monkeypatch.undo()
+    # one batch over all rows; with the exterior row, the batch raises in
+    # ``prepare`` and every other parsed row goes alone
+    assert calls == ([1] * (len(rows) - 2) if mixed else [len(rows)])
+    ref = str(rig["root"] / f"ref_{tag}")
+    _per_pair_geodesic(rig, rows, ref)
+    for f in ("geodesic.csv", "report.json"):
+        assert _read(out, f) == _read(ref, f)
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        rep = json.load(fh)
+    errors = {e["pair"]: e["error"] for e in rep["geodesics"] if "error" in e}
+    assert errors == ({3: "PointOutsideDomain", 7: "parse"} if mixed else {})
+    assert rep["n_errors"] == len(errors)

@@ -7,7 +7,9 @@ an attribute chain, inside a quoted annotation, or in ``__all__``. The
 package ``__init__`` is exempt: its imports are the public re-exports.
 Every ``__all__`` entry must be bound in its module, and every name the
 package ``__init__`` re-exports from a module that defines ``__all__``
-must be listed there.
+must be listed there. No function imports from the package: every
+import of a package module sits at module level, where the import order
+is visible and an import cycle fails at once.
 """
 
 import ast
@@ -86,3 +88,20 @@ def test_reexports_are_listed_in_all():
             unlisted += [f"{node.module}.{a.name}" for a in node.names
                          if a.name not in mod.__all__]
     assert unlisted == [], f"re-exported but not in __all__: {unlisted}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("hypkob")):
+                found.append(f"{fn.name} (line {node.lineno})")
+            elif isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "hypkob" for a in node.names):
+                found.append(f"{fn.name} (line {node.lineno})")
+    assert found == [], f"{path.name} imports from the package in: {found}"

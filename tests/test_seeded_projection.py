@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypkob import Domain, HeightProjection, affine_contraction, iterate_many
 from hypkob import config
 from hypkob.cli import main
-from hypkob.domain import principal_curvatures
+from hypkob.domain import _NEWTON_TOL, principal_curvatures
 
 from conftest import EPS
 
@@ -86,7 +86,7 @@ def test_perturbed_seeds_give_the_unseeded_projection(counting_projections,
     proj.fallback_points = 0
     P, dist = proj.project_batch(X, seed_feet=P0 + noise)
     assert proj.fallback_points == 0
-    tol = proj.newton_tol * (1.0 + np.linalg.norm(X, axis=1))
+    tol = _NEWTON_TOL * (1.0 + np.linalg.norm(X, axis=1))
     assert np.all(np.abs(dist - d0) <= tol)
     # each solve stops once its residual is below tol, and the foot moves
     # by up to the residual over 1 - dist * kappa_max, the smallest
@@ -107,7 +107,7 @@ def test_seed_at_a_farther_critical_point_is_refused(counting_projections,
     # point: the point goes to the fallback as if no seed had been passed
     proj = counting_projections[on_ellipsoid]
     X = x[None]
-    P_seed, ok = proj._newton_polish(X, seed[None])
+    P_seed, ok = proj._newton_polish(X, seed[None], block=1)
     cd, _ = proj.domain.cloud_tree().query(X, k=1)
     assert ok[0] and np.linalg.norm(P_seed[0] - x) > cd[0] + 1e-9
     P0, d0 = proj.project_batch(X)
