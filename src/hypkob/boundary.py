@@ -84,6 +84,9 @@ _FORK_WORK = 2_000_000
 # boundary candidates drawn per graph node before farthest-point thinning
 _OVERSAMPLE = 4
 
+# nodes through which ``distance_local_batch`` enters and leaves the graph
+_LOCAL_K = 8
+
 
 def dijkstra_counts() -> dict:
     """Empty counters for ``shortest_rows``: calls, source rows, and the
@@ -229,11 +232,6 @@ class BoundaryGraph:
         graph._connect(k_neighbors)
         return graph
 
-    def _edge_weights(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (self.nodes[ii] + self.nodes[jj])
-        _, fidx = self.tree.query(mid, k=1)
-        return self.chord_cost(self.nodes[ii], self.nodes[jj], fidx)
-
     def _connect(self, k_neighbors: int):
         m = self.nodes.shape[0]
         k = k_neighbors
@@ -242,7 +240,7 @@ class BoundaryGraph:
             _, nbr = self.tree.query(self.nodes, k=kq)
             ii = np.repeat(np.arange(m), kq - 1)
             jj = nbr[:, 1:].reshape(-1)
-            w = self._edge_weights(ii, jj)
+            w = self.chord_cost(self.nodes[ii], self.nodes[jj])
             A = csr_matrix((w, (ii, jj)), shape=(m, m))
             A = A.maximum(A.T)
             ncomp, _ = connected_components(A, directed=False)
@@ -256,12 +254,12 @@ class BoundaryGraph:
             f"graph still has {ncomp} components after widening k to {k}"
         )
 
-    def refine(self, factor: int = 2) -> "BoundaryGraph":
-        """A denser graph with the same parameters, node count scaled up."""
+    def refine(self) -> "BoundaryGraph":
+        """A denser graph with the same parameters and twice the nodes."""
         p = dict(self.params)
         out = BoundaryGraph.build(
             self.domain, self.structure,
-            n_nodes=int(p["n_nodes"] * factor),
+            n_nodes=2 * int(p["n_nodes"]),
             k_neighbors=int(p["k_neighbors"]),
             anisotropy=p["anisotropy"],
             seed=p["seed"],
@@ -290,16 +288,17 @@ class BoundaryGraph:
         horiz = np.sqrt(np.maximum(np.sum(d * d, axis=-1) - trans**2, 0.0))
         return horiz, trans
 
-    def chord_cost(self, a: np.ndarray, b: np.ndarray,
-                   frame_idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Anisotropic cost of straight chords, frame pinned per chord.
+    def chord_cost(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Anisotropic cost of straight chords, each in the frame of the node
+        nearest its midpoint: the edge weights, and every segment
+        ``metrics.path_length`` measures, use this one rule.
 
         The transverse part of the chord (components along the normal and
         the rotated normal at the frame node) is scaled by the anisotropy
         before recombining with the in-distribution part in the Euclidean
         norm, so anisotropy 1 gives exactly the chord length.
         """
-        horiz, trans = self.chord_parts(a, b, frame_idx)
+        horiz, trans = self.chord_parts(a, b)
         lam = self.params["anisotropy"]
         return np.sqrt(horiz * horiz + (lam * trans) ** 2)
 
@@ -357,23 +356,24 @@ class BoundaryGraph:
     def distance_nodes(self, i: int, j: int) -> float:
         return float(self.rows_from([i], columns=[j])[0, 0])
 
-    def distance_local(self, p, q, k: int = 8) -> float:
+    def distance_local(self, p, q) -> float:
         """Short-range corrected distance.
 
         Takes the cheaper of a direct anisotropic chord and the best
-        node-routed path entered and exited through the k nearest nodes of
-        each endpoint. Resolves separations below the node spacing that
-        plain snapping rounds away. One pair of ``distance_local_batch``.
+        node-routed path entered and exited through the ``_LOCAL_K``
+        nearest nodes of each endpoint. Resolves separations below the
+        node spacing that plain snapping rounds away. One pair of
+        ``distance_local_batch``.
         """
-        return float(self.distance_local_batch(p, q, k=k)[0])
+        return float(self.distance_local_batch(p, q)[0])
 
-    def distance_local_batch(self, A, B, k: int = 6) -> np.ndarray:
+    def distance_local_batch(self, A, B) -> np.ndarray:
         """Vectorized short-range corrected distances for aligned batches."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         m = A.shape[0]
         direct = self.chord_cost(A, B)
-        kq = min(k, self.nodes.shape[0])
+        kq = min(_LOCAL_K, self.nodes.shape[0])
         _, ia = self.tree.query(A, k=kq)
         _, ib = self.tree.query(B, k=kq)
         ia = ia.reshape(m, kq)

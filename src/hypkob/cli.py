@@ -108,7 +108,7 @@ def read_pair_rows(path: str, dim: int) -> list:
 def _cmd_check(args, cfg: RunConfig, ws: Workspace):
     seed = cfg.seeds["sampler"]
     bpts = ws.domain.sample_boundary(128, seed=seed)
-    structure_rep = check_structure(ws.structure, bpts, tol=1e-8)
+    structure_rep = check_structure(ws.structure, bpts)
     conv = check_strict_convexity(ws.domain, ws.structure, n_samples=64,
                                   seed=seed)
     contact = {"ok": True, "n_points": int(min(64, bpts.shape[0])), "error": ""}
@@ -139,8 +139,9 @@ def _cmd_check(args, cfg: RunConfig, ws: Workspace):
 
 
 def _upper(fam, pl) -> float:
-    """The ``upper`` column of ``dist``: the g-length of a witness path."""
-    return path_length(pl, fam.functional("g"), rel_tol=1e-4, max_depth=8)
+    """The ``upper`` column of ``dist``: the exact g-length of a witness
+    path."""
+    return path_length(pl, fam.functional("g"))
 
 
 def _witness_paths(fam, X, Y) -> tuple:

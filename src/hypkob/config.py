@@ -32,9 +32,6 @@ _GRAPH_DEFAULTS = {
     "seed": 0,
 }
 
-# the graph parameters that take numbers
-_GRAPH_NUMBERS = ("n_nodes", "k_neighbors", "anisotropy", "seed")
-
 _SEED_DEFAULTS = {
     "sampler": 0,
     "pairs": 0,
@@ -103,7 +100,8 @@ def load_config(path: str) -> RunConfig:
     unknown = set(graph) - set(_GRAPH_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown graph parameters: {sorted(unknown)}")
-    for key in _GRAPH_NUMBERS:
+    # every graph parameter takes a number
+    for key in _GRAPH_DEFAULTS:
         if not _is_number(graph[key]):
             raise ConfigError(f"graph parameter {key!r} must be a number")
     if "tolerances" in raw:

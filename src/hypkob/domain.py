@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -745,26 +745,31 @@ def principal_curvatures(domain: Domain, P: np.ndarray) -> np.ndarray:
     return kappa
 
 
-def reach_details(domain: Domain, n_samples: int = 256, safety: float = 0.5,
-                  ceiling: Optional[float] = None, seed: int = 0) -> ReachEstimate:
+# boundary samples of the reach estimate, and the share of the reach it
+# takes as the collar width
+_REACH_SAMPLES = 256
+_REACH_SAFETY = 0.5
+
+
+def reach_details(domain: Domain, seed: int = 0) -> ReachEstimate:
     """Collar width from sampled principal curvatures, with diagnostics.
 
-    The reach proxy is the smallest curvature radius over the samples; the
-    collar width is ``safety`` times that, capped at the ceiling (one
-    quarter of the estimated domain diameter by default).
+    The reach proxy is the smallest curvature radius over
+    ``_REACH_SAMPLES`` boundary samples; the collar width is
+    ``_REACH_SAFETY`` times that, capped at one quarter of the estimated
+    domain diameter.
     """
-    pts = domain.sample_boundary(n_samples, seed=seed)
+    pts = domain.sample_boundary(_REACH_SAMPLES, seed=seed)
     kappa = principal_curvatures(domain, pts)
     kmax = float(np.max(kappa))
-    if ceiling is None:
-        ceiling = 0.25 * domain.diameter_estimate()
+    ceiling = 0.25 * domain.diameter_estimate()
     if kmax <= 1e-12:
         reach = math.inf
-        eps = float(ceiling)
+        eps = ceiling
     else:
         reach = 1.0 / kmax
-        eps = min(safety * reach, float(ceiling))
+        eps = min(_REACH_SAFETY * reach, ceiling)
     if not (eps > 0 and np.isfinite(eps)):
         raise CurvatureEstimateFailed("collar width estimate came out non-positive")
     return ReachEstimate(reach=reach, epsilon=float(eps), kappa_max=kmax,
-                         n_samples=int(n_samples))
+                         n_samples=_REACH_SAMPLES)

@@ -353,12 +353,11 @@ def classify_orbit(family: MetricFamily,
     mfeet = mfeet.reshape(len(orbits), 3, -1)
     feet = mfeet[:, 2]
     graph = family.graph
-    cauchy = graph.distance_local_batch(np.concatenate(mfeet[:, :2]),
-                                        np.repeat(feet, 2, axis=0),
-                                        k=8).reshape(-1, 2)
+    cauchy = graph.distance_local_batch(
+        np.concatenate(mfeet[:, :2]), np.repeat(feet, 2, axis=0)).reshape(-1, 2)
     settling = cauchy[:, 1] <= cauchy[:, 0] + _SPREAD_TOL
     iu, ju = np.triu_indices(feet.shape[0], k=1)
-    spread = float(np.max(graph.distance_local_batch(feet[iu], feet[ju], k=8),
+    spread = float(np.max(graph.distance_local_batch(feet[iu], feet[ju]),
                           initial=0.0))
     evidence["projection_spread"] = spread
     evidence["cauchy_pairs"] = [(float(a), float(b)) for a, b in cauchy]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, HypkobError, NotStabilized, PrefixTooShort
 from .domain import Domain
-from .metrics import MetricFamily, MetricFunctional, Polyline, PreparedPoints
+from .metrics import MetricFamily, MetricFunctional, PreparedPoints
 
 __all__ = [
     "HyperbolicityReport",
@@ -380,11 +380,9 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
 
 def _edge_nodes(functional: MetricFunctional, x, y, subdiv: int) -> np.ndarray:
     if functional.kind in ("g", "d"):
-        pl, _ = functional.family.composite_upper_path(x, y)
+        pts = functional.family.composite_upper_path(x, y)[0].points
     else:
-        pl = Polyline(np.stack([np.asarray(x, dtype=float),
-                                np.asarray(y, dtype=float)]))
-    pts = pl.points
+        pts = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     if pts.shape[0] < 2:
         return pts
     a = pts[:-1]

@@ -14,9 +14,11 @@ feet: concatenation of optimal profiles is again an admissible profile, so
 the triangle inequality holds to rounding, not to mesh resolution.
 
 Path lengths are measured for ``g`` and the interior Finsler estimate only,
-by dyadic refinement of a first-order rate quadrature with frames pinned
-per original segment; ``d``'s value on a path is certified by its witness
-construction (``composite_upper_paths``), not measured.
+from the feet and depths of a path's vertices. Under ``g`` a segment's rate
+integrates in closed form, so its length is exact; the estimate is a dyadic
+midpoint quadrature, exact on ray segments. ``d``'s value on a path is
+certified by its witness construction (``composite_upper_paths``), not
+measured.
 """
 
 from __future__ import annotations
@@ -77,21 +79,17 @@ def collar_profile_distance(w, ha, hb, eps):
 
 @dataclass
 class Polyline:
-    """A piecewise linear path with optional per-segment evaluation hints.
+    """A piecewise linear path, with its vertices' feet and depths if known.
 
-    ``frame_nodes`` pins the anisotropic frame used for the horizontal part
-    of each original segment; ``vertical`` marks segments that run along a
-    single normal ray, which ``path_length`` measures by their exact log
-    form instead of the quadrature. Exact duplicate consecutive points are
-    dropped on construction, so a fully degenerate input collapses to a
-    single-point path of length zero. ``prepared`` holds the vertices' feet
-    and depths where the construction knows them, so measuring the path
-    projects none of its vertices.
+    Exact duplicate consecutive points are dropped on construction, so a
+    fully degenerate input collapses to a single-point path of length zero.
+    ``prepared`` holds the vertices' feet and depths where the construction
+    knows them, so measuring the path projects none of its vertices. A
+    segment's geometry is read from its two feet alone: it runs along a
+    normal ray when they coincide (``Domain.same_foot``).
     """
 
     points: np.ndarray
-    frame_nodes: Optional[np.ndarray] = None
-    vertical: Optional[np.ndarray] = None
     prepared: Optional["PreparedPoints"] = None
 
     def __post_init__(self):
@@ -108,10 +106,6 @@ class Polyline:
             if self.prepared is not None:
                 self.prepared = self.prepared.take(np.append(np.flatnonzero(keep),
                                                              keep.size))
-            if self.frame_nodes is not None and self.frame_nodes.shape[0] == keep.size:
-                self.frame_nodes = self.frame_nodes[keep]
-            if self.vertical is not None and self.vertical.shape[0] == keep.size:
-                self.vertical = self.vertical[keep]
 
     @property
     def n_segments(self) -> int:
@@ -240,13 +234,19 @@ class MetricFamily:
             raise ConfigError(f"no closed-form kernel for kind {kind!r}")
         core = collar_profile_distance(W, A.heff, B.heff, self.eps)
         out = A.extra + B.extra + core
-        both_deep = (A.extra > 0) & (B.extra > 0)
-        if np.any(both_deep):
-            same_ray = both_deep & self.graph.domain.same_foot(A.feet, B.feet)
-            if np.any(same_ray):
-                direct = np.linalg.norm(A.points - B.points, axis=-1)
-                out = np.where(same_ray, direct, out)
+        straight = self._straight(A, B)
+        if np.any(straight):
+            direct = np.linalg.norm(A.points - B.points, axis=-1)
+            out = np.where(straight, direct, out)
         return out
+
+    def _straight(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
+        """The pairs ``d`` joins by the straight segment: both points past
+        the collar, on one normal ray (their feet coincide)."""
+        straight = (A.extra > 0) & (B.extra > 0)
+        if np.any(straight):
+            straight = straight & self.graph.domain.same_foot(A.feet, B.feet)
+        return straight
 
     def slope(self, kind: str, W, A: PreparedPoints,
               B: PreparedPoints) -> np.ndarray:
@@ -291,11 +291,13 @@ class MetricFamily:
 
         Both endpoints must sit at one height, within 1e-9·max(h, 1). The
         interior vertices are the geodesic nodes pushed inward to the
-        shared depth, and every segment pins the frame its edge weight
-        was built with, so the measured horizontal cost reproduces the
-        graph distance between the snapped feet. The shell vertices carry
-        their construction feet and depth, so measuring the path projects
-        none of them. Coinciding feet give the degenerate single-point path.
+        shared depth. A segment between two nodes is measured in the frame
+        its edge weight was built with (the node nearest the midpoint of
+        its feet), so its g-length is exactly ``2 w / h`` for edge weight
+        ``w``, and the path's reproduces the graph distance between the
+        snapped feet. The shell vertices carry their construction feet and
+        depth, so measuring the path projects none of them. Coinciding feet
+        give the degenerate single-point path.
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
@@ -313,14 +315,11 @@ class MetricFamily:
                            B.feet[0][None]])
         shell = bndry - t * self.graph.domain.outward_normal(bndry)
         pts = np.vstack([A.points[0], shell, B.points[0]])
-        frames = self.graph.snap(0.5 * (bndry[:-1] + bndry[1:]))
-        # the hop onto and off the shell moves no foot; any frame works
-        frames = np.concatenate([frames[:1], frames, frames[-1:]])
         known = self._prepare_known(
             pts, np.vstack([A.feet, bndry, B.feet]),
             np.concatenate([A.depth, np.full(len(shell), t), B.depth]),
             np.concatenate([A.node, A.node, path, B.node, B.node]))
-        return Polyline(pts, frame_nodes=frames, prepared=known)
+        return Polyline(pts, prepared=known)
 
     def composite_upper_path(self, x, y) -> tuple[Polyline, float]:
         """Up-over-down witness path together with its exact cost.
@@ -340,43 +339,37 @@ class MetricFamily:
         ray of the first foot to the peak shell (or descends it, from a
         deep endpoint), follows the graph geodesic between the snapped feet
         on that shell and descends the second ray; a deep pair over one
-        foot takes the straight segment, framed by that foot's node. Every
-        vertex carries its foot and depth: the endpoints' from ``A`` and
-        ``B``, the shell vertices' from the construction (a node or an
-        endpoint foot at the peak depth), so measuring a path projects
-        nothing.
+        foot (``_straight``) takes the straight segment. An endpoint that
+        already sits at the peak depth has no ray segment: the path hops
+        on that shell between its foot and the geodesic's end node (or the
+        other foot). Every vertex carries its foot and depth: the
+        endpoints' from ``A`` and ``B``, the shell vertices' from the
+        construction (a node or an endpoint foot at the peak depth), so
+        measuring a path projects nothing.
         """
         n, dom = len(A), self.graph.domain
         dval = self.d_pairs(A, B)
         W = self.separations(A, B)
         peak = _peak(W, A.heff, B.heff, self.eps)
         tpk = peak * peak
-        straight = (A.extra > 0) & (B.extra > 0)
-        if np.any(straight):
-            straight &= dom.same_foot(A.feet, B.feet)
+        straight = self._straight(A, B)
         climb = np.abs(A.depth - tpk) > 1e-14
         descend = np.abs(B.depth - tpk) > 1e-14
         # the vertices of all paths, in order, as indices into the stacked
-        # sources (A's rows, B's rows, the graph nodes); ``vert[v]`` marks
-        # the segment into vertex ``v`` as one along a normal ray
-        src, vert, starts = [], [], []
+        # sources (A's rows, B's rows, the graph nodes)
+        src, starts = [], []
         for r in range(n):
             starts.append(len(src))
             src.append(r)
-            vert.append(False)
             if not straight[r]:
                 if climb[r]:
                     src.append(r)
-                    vert.append(True)
                 if W[r] > 0:
                     path = self.graph.geodesic_nodes(A.node[r], B.node[r])
                     src.extend((2 * n + path).tolist())
-                    vert.extend([False] * path.size)
                 if descend[r]:
                     src.append(n + r)
-                    vert.append(False)
             src.append(n + r)
-            vert.append(not straight[r])
         starts.append(len(src))
         src = np.array(src)
         shell = np.ones(src.size, dtype=bool)
@@ -392,15 +385,8 @@ class MetricFamily:
         points[shell] = (feet[shell] - depth[shell, None]
                          * dom.outward_normal(feet[shell]))
         P = self._prepare_known(points, feet, depth, node)
-        frames = self.graph.snap(0.5 * (feet[:-1] + feet[1:]))
-        frames[np.array(starts[:-1])[straight]] = A.node[straight]
-        vert = np.array(vert)
-        paths = []
-        for r in range(n):
-            s, e = starts[r], starts[r + 1]
-            paths.append(Polyline(points[s:e], frame_nodes=frames[s:e - 1],
-                                  vertical=vert[s + 1:e],
-                                  prepared=P.take(np.arange(s, e))))
+        paths = [Polyline(points[s:e], prepared=P.take(np.arange(s, e)))
+                 for s, e in zip(starts[:-1], starts[1:])]
         return paths, dval
 
     def functional(self, kind: str) -> "MetricFunctional":
@@ -444,80 +430,61 @@ class MetricFunctional:
 # path length
 # ---------------------------------------------------------------------------
 
-def _refined_points(pl: Polyline, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chord-split points at dyadic depth with original-segment ownership."""
-    pts = pl.points
-    nseg = pts.shape[0] - 1
-    per = 2**depth
-    frac = np.arange(per) / per
-    a = pts[:-1]
-    b = pts[1:]
-    fine = a[:, None, :] + frac[None, :, None] * (b - a)[:, None, :]
-    fine = fine.reshape(nseg * per, -1)
-    fine = np.vstack([fine, pts[-1:]])
-    owner = np.repeat(np.arange(nseg), per)
-    return fine, owner
+# the estimate's quadrature settles when two dyadic depths agree to this
+# relative tolerance, and raises past this depth
+_EST_REL_TOL = 1e-6
+_EST_MAX_DEPTH = 14
 
 
-def _rate_sum(family: MetricFamily, pl: Polyline, P: PreparedPoints,
-              pts: np.ndarray, owner: np.ndarray, frame_nodes: np.ndarray,
-              kind: str) -> float:
-    """First-order sum: per sub-chord rate at interpolated midpoints.
+def _mean_inverse_height(h: np.ndarray) -> np.ndarray:
+    """Mean of ``1/h`` over each segment, ``h`` linear between vertices.
 
-    The functional is intrinsic to the polyline data. Each original
-    segment carries the anisotropic chord cost of its own endpoint feet
-    in its pinned frame, spread evenly over its sub-chords; heights
-    interpolate linearly along the segment, so refinement sharpens only
-    the height weighting and never re-splits a boundary chord into
-    cheaper arcs. Ray-aligned segments use the exact log form instead.
-    ``P`` holds the polyline's prepared vertices.
+    That is ``log1p(dh/h0)/dh``, and ``1/h0`` where ``dh`` is 0. ``log1p``
+    keeps it accurate for a rounding-sized ``dh``, where ``log(h1/h0)/dh``
+    divides rounding noise by ``dh``.
     """
-    h = P.height
-    nseg = pl.n_segments
-    per = owner.size // nseg
-    vert = (np.zeros(nseg, dtype=bool) if pl.vertical is None
-            else pl.vertical.astype(bool))
-    total = 0.0
-    if np.any(vert):
-        # the ray length under g; the estimate's, A_N |log(t1/t0)|, is
-        # 2 A_N times it
-        logs = np.abs(np.log(h[1:] / h[:-1]))
-        if kind == "kobayashi_estimate":
-            logs = 2.0 * kobayashi.A_N * logs
-        total += float(logs[vert].sum())
-    keep = ~vert
-    if not np.any(keep):
-        return total
-    if kind == "g":
-        w_seg = family.graph.chord_cost(P.feet[:-1], P.feet[1:], frame_nodes)
-        dh = h[1:] - h[:-1]
-        frac = (np.arange(owner.size) % per + 0.5) / per
-        h_mid = h[:-1][owner] + frac * dh[owner]
-        rates = (2.0 * w_seg[owner] + np.abs(dh[owner])) / (per * h_mid)
-        total += float(rates[keep[owner]].sum())
-    else:
-        sub = keep[owner]
-        a = pts[:-1][sub]
-        b = pts[1:][sub]
-        midpts = 0.5 * (a + b)
-        total += float(kobayashi.kobayashi_speed_batch(
-            family.projection, family.graph.structure, midpts, b - a).sum())
-    return total
+    h0, dh = h[:-1], np.diff(h)
+    flat = dh == 0
+    return (np.where(flat, 1.0, np.log1p(dh / h0))
+            / np.where(flat, h0, dh))
 
 
-def path_length(polyline: Polyline, functional: MetricFunctional,
-                rel_tol: float = 1e-6, max_depth: int = 10) -> float:
+def _rate_sum(family: MetricFamily, a: np.ndarray, b: np.ndarray,
+              depth: int) -> float:
+    """The estimate's first-order sum over the chords ``a[i] -> b[i]``.
+
+    Each chord is split into ``2**depth`` equal sub-chords, and each
+    sub-chord takes the estimate's speed at its midpoint along its own
+    displacement.
+    """
+    per = 2 ** depth
+    frac = (np.arange(per) + 0.5) / per
+    mid = a[:, None, :] + frac[None, :, None] * (b - a)[:, None, :]
+    step = np.repeat((b - a) / per, per, axis=0)
+    return float(kobayashi.kobayashi_speed_batch(
+        family.projection, family.graph.structure,
+        mid.reshape(-1, a.shape[1]), step).sum())
+
+
+def path_length(polyline: Polyline, functional: MetricFunctional) -> float:
     """Length of the polyline under ``g`` or the interior estimate.
 
     The rate kinds are the only ones measured; any other kind is refused
-    (``ConfigError``). A single-point polyline has length zero. Otherwise
-    a midpoint quadrature of the kind's infinitesimal form is refined
-    dyadically until it settles, with ray segments (``vertical``) taking
-    their exact log form. The vertices' feet and depths are read once,
-    before refining: from ``polyline.prepared`` where the construction
-    attached them (then no vertex is projected), otherwise from one
-    ``prepare`` call. Failure to settle within the depth budget raises
-    with the last two estimates attached.
+    (``ConfigError``). A single-point polyline has length zero. The
+    vertices' feet and depths come from ``polyline.prepared`` where the
+    construction attached them (then no vertex is projected), otherwise
+    from one ``prepare`` call, and each segment is read from its two
+    vertices: heights run linearly between them, and the segment runs
+    along a normal ray when their feet coincide (``Domain.same_foot``).
+
+    Under ``g`` a segment costs ``(2 w + |dh|)`` times the mean of ``1/h``
+    over it, where ``w`` is the chord cost of its feet in the frame of the
+    node nearest their midpoint (0 on a ray): between two nodes that is
+    the edge weight. This is the exact integral of g's rate, and on a ray
+    it is ``|log(h1/h0)|``. The estimate takes ``2 A_N`` times that on ray
+    segments, and on the others a midpoint quadrature refined dyadically
+    until it settles to ``_EST_REL_TOL``; failure to settle by depth
+    ``_EST_MAX_DEPTH`` raises with the last two estimates attached.
     """
     kind = functional.kind
     if kind not in _RATE_KINDS:
@@ -529,20 +496,24 @@ def path_length(polyline: Polyline, functional: MetricFunctional,
     P = polyline.prepared
     if P is None:
         P = family.prepare(polyline.points)
-    frame_nodes = polyline.frame_nodes
-    if frame_nodes is None:
-        mids = 0.5 * (polyline.points[:-1] + polyline.points[1:])
-        feet, _ = family.projection.project_batch(mids)
-        frame_nodes = family.graph.snap(feet)
+    ray = family.graph.domain.same_foot(P.feet[:-1], P.feet[1:])
+    inv_h = _mean_inverse_height(P.height)
+    rise = np.abs(np.diff(P.height))
+    if kind == "g":
+        w = np.where(ray, 0.0, family.graph.chord_cost(P.feet[:-1], P.feet[1:]))
+        return float(np.sum((2.0 * w + rise) * inv_h))
+    total = 2.0 * kobayashi.A_N * float(np.sum((rise * inv_h)[ray]))
+    if np.all(ray):
+        return total
+    a, b = polyline.points[:-1][~ray], polyline.points[1:][~ray]
     prev = None
-    for depth in range(max_depth + 1):
-        pts, owner = _refined_points(polyline, depth)
-        cur = _rate_sum(family, polyline, P, pts, owner, frame_nodes, kind)
-        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+    for depth in range(_EST_MAX_DEPTH + 1):
+        cur = total + _rate_sum(family, a, b, depth)
+        if prev is not None and abs(cur - prev) <= _EST_REL_TOL * abs(cur):
             return cur
         prev = cur
     raise RefinementStalled(f"rate quadrature did not settle at depth "
-                            f"{max_depth}", (prev, cur))
+                            f"{_EST_MAX_DEPTH}", (prev, cur))
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,13 @@ def standard_structure(dim: int) -> StructureField:
         J, x.shape[:-1] + (dim, dim)).copy(), name="standard")
 
 
-def check_structure(structure: StructureField, points, tol: float = 1e-10) -> dict:
-    """Verify ``J^2 = -Id`` at sample points; returns a small report dict."""
+# the largest entry of ``J^2 + Id`` that ``check_structure`` accepts
+_STRUCTURE_TOL = 1e-8
+
+
+def check_structure(structure: StructureField, points) -> dict:
+    """Verify ``J^2 = -Id`` at sample points, to ``_STRUCTURE_TOL`` in the
+    largest entry; returns a small report dict."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     J = structure.j(X)
     sq = np.einsum("...ij,...jk->...ik", J, J)
@@ -109,8 +114,8 @@ def check_structure(structure: StructureField, points, tol: float = 1e-10) -> di
     report = {
         "max_error": float(err.max()),
         "n_points": int(X.shape[0]),
-        "ok": bool(err.max() <= tol),
-        "tol": float(tol),
+        "ok": bool(err.max() <= _STRUCTURE_TOL),
+        "tol": _STRUCTURE_TOL,
     }
     return report
 

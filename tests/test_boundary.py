@@ -272,7 +272,7 @@ def test_local_distance_resolves_small_scales(graph):
     assert dloc <= direct + 1e-12
     batch = graph.distance_local_batch(base[None], near[None])
     assert batch.shape == (1,)
-    assert abs(batch[0] - graph.distance_local(base, near, k=6)) < 1e-9
+    assert abs(batch[0] - dloc) < 1e-9
 
 
 def test_save_load_round_trip(graph, tmp_path):

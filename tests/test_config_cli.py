@@ -332,13 +332,15 @@ def test_delta_replay_is_byte_identical(rig):
     assert np.asarray(rep["worst_points"]).shape == (4, 4)
 
 
-@pytest.mark.parametrize("cmd, extra", [
-    ("check", ()),
-    ("dist", ("--metric", "d", "--pairs", "PAIRS")),
-    ("lipschitz", ("--map", "ROTATION")),
-    ("delta", ("--metric", "euclid", "--n-quadruples", "1500")),
-], ids=["check", "dist-d", "lipschitz", "delta-euclid"])
-def test_report_replay_is_byte_identical(rig, cmd, extra):
+@pytest.mark.parametrize("cmd, extra, files", [
+    ("check", (), ()),
+    ("dist", ("--metric", "d", "--pairs", "PAIRS"), ("dist.csv",)),
+    ("lipschitz", ("--map", "ROTATION"), ()),
+    ("delta", ("--metric", "euclid", "--n-quadruples", "1500"), ()),
+    ("geodesic", ("--pairs", "PAIRS"), ("geodesic.csv",)),
+], ids=["check", "dist-d", "lipschitz", "delta-euclid", "geodesic"])
+def test_report_replay_is_byte_identical(rig, cmd, extra, files):
+    # report.json, and the CSV a command writes its values to
     inputs = {
         "PAIRS": write_pairs(rig["root"] / "pairs_replay.csv",
                              [RADIAL, SAME, "0.3,0.1,0.2,0,-0.4,0.5,0,0.1"]),
@@ -350,12 +352,14 @@ def test_report_replay_is_byte_identical(rig, cmd, extra):
     for tag in "ab":
         code, out = run(rig, cmd, f"out_replay_{cmd}_{tag}", *extra)
         assert code == 0
-        with open(os.path.join(out, "report.json"), "rb") as fh:
-            blobs.append(fh.read())
+        blobs.append([])
+        for name in ("report.json",) + files:
+            with open(os.path.join(out, name), "rb") as fh:
+                blobs[-1].append(fh.read())
     assert blobs[0] == blobs[1]
     if cmd == "delta":
         # the box sampler's pool: no other test or workload reaches it
-        rep = json.loads(blobs[0])
+        rep = json.loads(blobs[0][0])
         assert math.isfinite(rep["delta"]) and rep["delta"] >= 0
         assert rep["failures"] == 0
 

@@ -83,7 +83,7 @@ def _per_row(rig, rows):
     for x, y in rows:
         pl, _ = fam.composite_upper_path(x, y)
         out.append(pair_values(fam, x, y)
-                   + (path_length(pl, gfun, rel_tol=1e-4, max_depth=8),))
+                   + (path_length(pl, gfun),))
     return out
 
 
@@ -199,7 +199,7 @@ def test_same_ray_witness_path_projects_nothing(family, graph, monkeypatch):
         return real(X, seed_feet=seed_feet)
 
     monkeypatch.setattr(family.projection, "project_batch", counted)
-    length = path_length(pl, family.functional("g"), rel_tol=1e-4, max_depth=8)
+    length = path_length(pl, family.functional("g"))
     assert math.isfinite(length)
     assert calls == []
 
@@ -222,8 +222,7 @@ def _per_pair_geodesic(rig, rows, out):
                 continue
             try:
                 pl, dval = fam.composite_upper_path(*row)
-                glen = path_length(pl, fam.functional("g"), rel_tol=1e-4,
-                                   max_depth=8)
+                glen = path_length(pl, fam.functional("g"))
                 n = pl.points.shape[0]
                 seg = fam.g_pairs(pl.prepared.take(np.arange(n - 1)),
                                   pl.prepared.take(np.arange(1, n)))

@@ -187,9 +187,9 @@ def test_cloud_tree_queries_equal_brute_force(semi_axes):
 
 
 def test_reach_estimate_ball(ball):
-    est = reach_details(ball, n_samples=128, seed=2)
+    est = reach_details(ball, seed=2)
     assert abs(est.reach - 1.0) < 0.02
-    eps = reach_details(ball, n_samples=128, seed=2).epsilon
+    eps = reach_details(ball, seed=2).epsilon
     assert isinstance(eps, float)
     assert abs(eps - 0.5) < 0.02
 
