@@ -21,10 +21,11 @@ beside another graph is never read.
 Nodes are thinned from ``_OVERSAMPLE`` times as many quasirandom boundary
 candidates by the exact greedy farthest-point rule; a KD-tree over the
 candidates prunes each step's distance update to the candidates it can
-change, without changing the chosen nodes. The adjacency is symmetric by
-construction, so rows run one-direction Dijkstra on it and geodesics walk
-back over a cached row; a graph whose adjacency is not exactly symmetric,
-such as an edited cache, is refused.
+change, without changing the chosen nodes. Each undirected edge is
+weighed once and stored in both directions, so the adjacency is
+symmetric by construction: rows run one-direction Dijkstra on it and
+geodesics walk back over a cached row. A graph whose adjacency is not
+exactly symmetric, such as an edited cache, is refused.
 
 Snapping to nodes gives an exact pseudometric on the node set, and it is
 the separation every metric reads. The local mode
@@ -48,6 +49,7 @@ import mmap
 import os
 import signal
 import struct
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -198,6 +200,9 @@ class BoundaryGraph:
         self._cache: Optional[str] = None
         self._stored: set[int] = set()
         self.dijkstra_counts = dijkstra_counts()
+        # wall seconds of a fresh build's stages (see ``build``); None for
+        # a graph loaded from a cache
+        self.build_timings: Optional[dict] = None
         self._frames = transverse_frame(domain, structure, self.nodes)
 
     # -- construction --------------------------------------------------------
@@ -210,17 +215,23 @@ class BoundaryGraph:
 
         The nodes are the farthest-point thinning of ``_OVERSAMPLE`` times
         as many quasirandom boundary candidates, by the exact greedy rule
-        with each step's update pruned by a KD-tree. The k-NN adjacency is
-        made symmetric (``A.maximum(A.T)``), so distance rows use
-        one-direction Dijkstra.
+        with each step's update pruned by a KD-tree. ``_connect`` weighs
+        each undirected k-NN edge once and stores it in both directions,
+        so distance rows use one-direction Dijkstra. ``build_timings``
+        holds the wall seconds of the three stages: ``sample_s`` (the
+        candidates), ``thin_s`` (the thinning) and ``connect_s`` (the node
+        tree, the frames and the weighted edges).
         """
         if n_nodes < 8:
             raise ConfigError("boundary graphs need at least 8 nodes")
-        cand = domain.sample_boundary(max(_OVERSAMPLE * n_nodes, n_nodes + 8),
-                                      seed=seed, quasi=True)
-        nodes = _farthest_point_subset(cand, n_nodes, seed)
         if anisotropy < 1.0:
             raise ConfigError("anisotropy must be at least 1")
+        clock = [time.perf_counter()]
+        cand = domain.sample_boundary(max(_OVERSAMPLE * n_nodes, n_nodes + 8),
+                                      seed=seed, quasi=True)
+        clock.append(time.perf_counter())
+        nodes = _farthest_point_subset(cand, n_nodes, seed)
+        clock.append(time.perf_counter())
         params = {
             "n_nodes": int(n_nodes),
             "k_neighbors": int(k_neighbors),
@@ -230,9 +241,22 @@ class BoundaryGraph:
         }
         graph = cls(domain, structure, nodes, csr_matrix((n_nodes, n_nodes)), params)
         graph._connect(k_neighbors)
+        clock.append(time.perf_counter())
+        graph.build_timings = dict(zip(("sample_s", "thin_s", "connect_s"),
+                                       np.diff(clock).tolist()))
         return graph
 
     def _connect(self, k_neighbors: int):
+        """Join each node to its ``k_neighbors`` nearest, widening k until
+        the graph is connected.
+
+        Each undirected edge is weighed once, by ``chord_cost`` from its
+        lower to its higher node: a chord's cost does not depend on its
+        direction, bit for bit (the midpoint is symmetric and the reversed
+        chord is the exact negation). Both directions get that weight, so
+        the CSR matrix is the symmetrized k-NN graph ``A.maximum(A.T)``
+        would give, built directly.
+        """
         m = self.nodes.shape[0]
         k = k_neighbors
         for attempt in range(6):
@@ -240,9 +264,16 @@ class BoundaryGraph:
             _, nbr = self.tree.query(self.nodes, k=kq)
             ii = np.repeat(np.arange(m), kq - 1)
             jj = nbr[:, 1:].reshape(-1)
-            w = self.chord_cost(self.nodes[ii], self.nodes[jj])
-            A = csr_matrix((w, (ii, jj)), shape=(m, m))
-            A = A.maximum(A.T)
+            key = np.unique(np.minimum(ii, jj) * m + np.maximum(ii, jj))
+            lo, hi = key // m, key % m
+            w = self.chord_cost(self.nodes[lo], self.nodes[hi])
+            rows = np.concatenate([lo, hi])
+            cols = np.concatenate([hi, lo])
+            order = np.lexsort((cols, rows))
+            degree = np.bincount(rows, minlength=m)
+            indptr = np.concatenate([[0], np.cumsum(degree)])
+            A = csr_matrix((np.concatenate([w, w])[order], cols[order], indptr),
+                           shape=(m, m))
             ncomp, _ = connected_components(A, directed=False)
             if ncomp == 1:
                 self.adjacency = A

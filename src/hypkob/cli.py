@@ -376,19 +376,36 @@ def _cmd_orbit(args, cfg: RunConfig, ws: Workspace):
     return report, 0
 
 
+def _segment_separations(graph, i, j) -> np.ndarray:
+    """Separations of consecutive witness-path vertices on nodes ``i`` and
+    ``j``: 0 where the nodes are one, else the weight of the edge between
+    them, which is the Dijkstra entry of a shortest path's step. Any other
+    pair means the path was built wrong, and raises ``RuntimeError``."""
+    i, j = np.asarray(i), np.asarray(j)
+    W = np.asarray(graph.adjacency[i, j], dtype=float).reshape(-1)
+    bad = (W == 0) & (i != j)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise RuntimeError(f"witness path steps from node {int(i[k])} to "
+                           f"node {int(j[k])}, which is not adjacent to it")
+    return W
+
+
 def _geodesic_values(fam, X, Y) -> list:
     """(path, d, g-length, segment g values) for each pair of rows.
 
-    The paths come from ``_witness_paths``, and one ``g_pairs`` call over
-    the consecutive vertices of every path gives the segment values.
+    The paths come from ``_witness_paths``. Each segment's ``g`` takes its
+    separation from the adjacency (``_segment_separations``), so no
+    distance row is computed for it.
     """
     _, _, paths, dval, upper = _witness_paths(fam, X, Y)
     sizes = np.array([pl.points.shape[0] for pl in paths])
     V = PreparedPoints.concat([pl.prepared for pl in paths])
     # every vertex but a path's last starts one of its segments
     lo = np.delete(np.arange(len(V)), np.cumsum(sizes) - 1)
-    seg = np.split(fam.g_pairs(V.take(lo), V.take(lo + 1)),
-                   np.cumsum(sizes - 1)[:-1])
+    A, B = V.take(lo), V.take(lo + 1)
+    W = _segment_separations(fam.graph, A.node, B.node)
+    seg = np.split(fam._aligned("g", W, A, B), np.cumsum(sizes - 1)[:-1])
     return list(zip(paths, dval, upper, seg))
 
 
@@ -554,6 +571,8 @@ def main(argv=None) -> int:
     # part of the workspace's
     timings = {"workspace_s": time.perf_counter() - clock,
                "graph_s": ws.graph_s}
+    if ws.graph is not None and ws.graph.build_timings is not None:
+        timings["graph_build"] = dict(ws.graph.build_timings)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         clock = time.perf_counter()
@@ -578,6 +597,8 @@ def main(argv=None) -> int:
         _err(f"unexpected failure: {type(exc).__name__}")
         return 3
     dump_json(report, os.path.join(cfg.out_dir, "report.json"))
+    if ws.domain.cloud_s is not None:
+        timings["cloud_s"] = ws.domain.cloud_s
     counters = {"projection": dict(ws.projection.counts)}
     dijkstra = {}
     if ws.graph is not None:

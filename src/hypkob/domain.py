@@ -15,6 +15,7 @@ boundary))`` so the collar of width ``eps`` is ``{h(x)^2 <= eps}``.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,7 +124,13 @@ def superellipsoid_field(semi_axes, exponent: float) -> ScalarField:
 
 
 def polynomial_field(dim: int, terms) -> ScalarField:
-    """Polynomial field from ``[(coefficient, exponent-tuple), ...]``."""
+    """Polynomial field from ``[(coefficient, exponent-tuple), ...]``.
+
+    The value and the gradient make their input C-contiguous first: their
+    sums over terms run pairwise, in an order that follows the memory
+    layout, so column-major input (``Domain``'s boundary march) would
+    change their last bits from eight terms on.
+    """
     coeffs = np.array([float(c) for c, _ in terms])
     expo = np.array([list(e) for _, e in terms], dtype=int)
     if expo.shape[1] != dim:
@@ -131,10 +138,12 @@ def polynomial_field(dim: int, terms) -> ScalarField:
 
     def val(x):
         # x: (..., dim) -> sum_k c_k prod_i x_i^{e_ki}
+        x = np.ascontiguousarray(x)
         pw = np.power(x[..., None, :], expo)  # (..., K, dim)
         return np.sum(coeffs * np.prod(pw, axis=-1), axis=-1)
 
     def grad(x):
+        x = np.ascontiguousarray(x)
         out = np.zeros(x.shape, dtype=float)
         for i in range(dim):
             mask = expo[:, i] > 0
@@ -208,7 +217,8 @@ class Domain:
         used as a projection fallback and for diameter estimation. A graph
         cache stores that sample, and ``set_boundary_cloud`` puts it back;
         ``cloud_source`` says which happened (``"sampled"``, ``"cache"``,
-        or None while no cloud is held).
+        or None while no cloud is held); ``cloud_s`` holds the wall
+        seconds that sampling took, and stays None otherwise.
     """
 
     def __init__(self, f: ScalarField, box, seed: int = 0):
@@ -226,6 +236,7 @@ class Domain:
         self._cloud_tree = None
         self._diameter = None
         self.cloud_source = None
+        self.cloud_s = None
 
     # -- defining function ---------------------------------------------------
 
@@ -282,7 +293,10 @@ class Domain:
 
         With ``quasi=True`` the interior candidates come from a Halton
         sequence instead of pseudorandom draws, which gives more even
-        coverage for graph building. Deterministic for a fixed seed.
+        coverage for graph building. Deterministic for a fixed seed. Only
+        the candidates still needed are marched: each point's march is
+        independent of the others in its batch, so the points kept do not
+        change.
         """
         rng = np.random.default_rng(seed)
         halton = qmc.Halton(d=self.dim, seed=seed) if quasi else None
@@ -299,9 +313,8 @@ class Domain:
             if cand.shape[0] == 0:
                 continue
             g = self.grad(cand)
-            gn = np.linalg.norm(g, axis=-1)
-            cand = cand[gn > 1e-12]
-            g = g[gn > 1e-12]
+            keep = np.linalg.norm(g, axis=-1) > 1e-12
+            cand, g = cand[keep][:n - have], g[keep][:n - have]
             if cand.shape[0] == 0:
                 continue
             b = self._march_to_boundary(cand, g)
@@ -311,11 +324,18 @@ class Domain:
                 break
         if have < n:
             raise PointOutsideDomain("boundary sampling starved; check the box")
-        return np.concatenate(pts, axis=0)[:n]
+        return np.concatenate(pts, axis=0)
 
     def _march_to_boundary(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Bisection along the outward gradient ray until rho crosses zero."""
-        d = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        """Bisection along the outward gradient ray until rho crosses zero.
+
+        The steps run on column-major copies of the points and directions,
+        so each ``rho`` reduces over the coordinates in contiguous column
+        passes; the sums keep the row-major order, and the points come back
+        bit for bit, row-major.
+        """
+        x = np.asfortranarray(x)
+        d = np.asfortranarray(g / np.linalg.norm(g, axis=-1, keepdims=True))
         scale = float(np.linalg.norm(self.box[1] - self.box[0]))
         lo = np.zeros(x.shape[0])
         hi = np.full(x.shape[0], 1e-3 * scale)
@@ -331,7 +351,7 @@ class Domain:
             v = self.rho(x + mid[:, None] * d)
             hi = np.where(v >= 0.0, mid, hi)
             lo = np.where(v >= 0.0, lo, mid)
-        return self.retract(x + hi[:, None] * d, steps=3)
+        return np.ascontiguousarray(self.retract(x + hi[:, None] * d, steps=3))
 
     def retract(self, p: np.ndarray, steps: int = 2) -> np.ndarray:
         """First-order steps ``p - rho(p) grad(p) / |grad(p)|^2`` onto the zero set."""
@@ -346,8 +366,10 @@ class Domain:
     def boundary_cloud(self) -> np.ndarray:
         """The cloud, sampled on first use unless a cache has set it."""
         if self._cloud is None:
+            clock = time.perf_counter()
             self._cloud = self.sample_boundary(_CLOUD_SIZE, seed=self.seed,
                                                quasi=True)
+            self.cloud_s = time.perf_counter() - clock
             self.cloud_source = "sampled"
         return self._cloud
 

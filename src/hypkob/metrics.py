@@ -270,19 +270,21 @@ class MetricFamily:
         """
         return self.graph.rows_from(A.node, columns=B.node[:, None])[:, 0]
 
-    def _aligned(self, kind: str, A: PreparedPoints,
+    def _aligned(self, kind: str, W, A: PreparedPoints,
                  B: PreparedPoints) -> np.ndarray:
-        val = self.kernel(kind, self.separations(A, B), A, B)
+        """``kernel`` of aligned batches at the separations ``W``, with 0
+        for a point paired with itself."""
+        val = self.kernel(kind, W, A, B)
         same = np.all(np.abs(A.points - B.points) < 1e-15, axis=-1)
         return np.where(same, 0.0, val)
 
     def g_pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
         """Boundary-anchored log distance for aligned point batches."""
-        return self._aligned("g", A, B)
+        return self._aligned("g", self.separations(A, B), A, B)
 
     def d_pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
         """Collar geodesic distance for aligned point batches."""
-        return self._aligned("d", A, B)
+        return self._aligned("d", self.separations(A, B), A, B)
 
     # -- structured paths ------------------------------------------------------
 

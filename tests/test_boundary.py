@@ -78,6 +78,33 @@ def test_farthest_point_subset_equals_greedy_loop(ball, seed):
         assert np.array_equal(got, _greedy_reference(cand, 300, seed))
 
 
+def _directed_connect(graph, k):
+    """The k-NN adjacency from every directed chord, symmetrized by
+    ``A.maximum(A.T)``."""
+    m = graph.nodes.shape[0]
+    _, nbr = graph.tree.query(graph.nodes, k=k + 1)
+    ii = np.repeat(np.arange(m), k)
+    jj = nbr[:, 1:].reshape(-1)
+    w = graph.chord_cost(graph.nodes[ii], graph.nodes[jj])
+    A = csr_matrix((w, (ii, jj)), shape=(m, m))
+    return A.maximum(A.T)
+
+
+@pytest.mark.parametrize("n_nodes", [200, 1200])
+def test_connect_equals_the_symmetrized_directed_chords(ball, structure,
+                                                        n_nodes):
+    for dom in (ball, _ellipsoid_0707()):
+        g = BoundaryGraph.build(dom, structure, n_nodes=n_nodes,
+                                k_neighbors=10, anisotropy=8.0, seed=1)
+        assert g.params["k_neighbors"] == 10
+        ref = _directed_connect(g, 10)
+        A = g.adjacency
+        for field in ("data", "indices", "indptr"):
+            got, want = getattr(A, field), getattr(ref, field)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def _reflect(points, v):
     """Householder reflection by elementwise sums, so its rounding is portable."""
     v = np.asarray(v, dtype=float)

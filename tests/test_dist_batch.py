@@ -21,7 +21,7 @@ import pytest
 
 from hypkob import Domain, HypkobError, LayeredSolver, MetricFamily
 from hypkob._util import dump_json
-from hypkob.cli import _KOB_BLOCK, main
+from hypkob.cli import _KOB_BLOCK, _segment_separations, main
 from hypkob.config import build_workspace, load_config
 from hypkob.domain import HeightProjection
 from hypkob.metrics import path_length
@@ -284,3 +284,35 @@ def test_geodesic_batch_equals_per_pair_construction(rigs, monkeypatch,
     errors = {e["pair"]: e["error"] for e in rep["geodesics"] if "error" in e}
     assert errors == ({3: "PointOutsideDomain", 7: "parse"} if mixed else {})
     assert rep["n_errors"] == len(errors)
+
+
+@pytest.mark.parametrize("name", ["ball", "ellipsoid"])
+def test_geodesic_computes_the_rows_of_dist_d(rigs, name):
+    # segment separations come from the adjacency, so geodesic runs no
+    # Dijkstra row beyond those of the witness paths themselves
+    rig = rigs[name]
+    rows = _collar_rows(name, 10, seed=11)
+    if name == "ball":
+        rows += _deep_rows(4, seed=3)
+    pairs = _write_pairs(rig["root"] / f"rows_{name}.csv", rows)
+    computed = {}
+    for cmd, extra in (("dist", ("--metric", "d")), ("geodesic", ())):
+        out = str(rig["root"] / f"out_rows_{cmd}_{name}")
+        assert main([cmd, *extra, "--pairs", pairs, "--config",
+                     rig["config"], "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+            computed[cmd] = json.load(fh)["graph_rows"]["computed"]
+    assert computed["geodesic"] == computed["dist"] > 0
+
+
+def test_segment_separations_read_the_adjacency_and_refuse_a_jump(rigs):
+    graph = build_workspace(load_config(rigs["ball"]["config"])).graph
+    A = graph.adjacency
+    i = np.repeat(np.arange(5), 2)
+    j = np.concatenate([[k, A.indices[A.indptr[k]]] for k in range(5)])
+    W = _segment_separations(graph, i, j)
+    assert np.array_equal(W[::2], np.zeros(5))
+    assert np.array_equal(W[1::2], A.data[A.indptr[:5]])
+    far = int(np.argmax(graph.rows_from([0])[0]))
+    with pytest.raises(RuntimeError, match="not adjacent"):
+        _segment_separations(graph, np.array([0, 0]), np.array([0, far]))

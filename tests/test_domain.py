@@ -240,6 +240,62 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _march_reference(dom, x, g):
+    """The boundary march on row-major arrays, step for step."""
+    d = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    scale = float(np.linalg.norm(dom.box[1] - dom.box[0]))
+    lo = np.zeros(x.shape[0])
+    hi = np.full(x.shape[0], 1e-3 * scale)
+    for _ in range(80):
+        v = dom.rho(x + hi[:, None] * d)
+        cross = v >= 0.0
+        if np.all(cross):
+            break
+        lo = np.where(cross, lo, hi)
+        hi = np.where(cross, hi, 2.0 * hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        v = dom.rho(x + mid[:, None] * d)
+        hi = np.where(v >= 0.0, mid, hi)
+        lo = np.where(v >= 0.0, lo, mid)
+    p = x + hi[:, None] * d
+    for _ in range(3):
+        gp = dom.grad(p)
+        gn2 = np.maximum(np.sum(gp * gp, axis=-1), 1e-300)
+        p = p - (dom.rho(p) / gn2)[:, None] * gp
+    return p
+
+
+def _quartic_terms():
+    """An 11-term quartic: with eight or more terms the sums over terms
+    run pairwise, and their bits follow the memory layout of the input."""
+    terms = [(1.0, (4, 0, 0, 0)), (1.0, (0, 4, 0, 0)), (1.0, (0, 0, 4, 0)),
+             (1.0, (0, 0, 0, 4)), (0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)),
+             (0.3, (2, 2, 0, 0)), (0.3, (0, 0, 2, 2)), (0.2, (2, 0, 2, 0)),
+             (0.2, (0, 2, 0, 2)), (-1.0, (0, 0, 0, 0))]
+    return [{"coefficient": c, "exponents": list(e)} for c, e in terms]
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "ball"},
+    {"type": "ellipsoid", "semi_axes": [1.0, 1.0, 0.7, 0.7]},
+    {"type": "superellipsoid", "semi_axes": [1.0, 1.2, 0.7, 0.9],
+     "exponent": 4.0},
+    {"type": "polynomial", "terms": _quartic_terms()},
+], ids=lambda s: s["type"])
+def test_boundary_march_equals_the_row_major_loop(spec):
+    dom = Domain.from_spec({"dimension": 4, "defining_function": spec,
+                            "box": [[-1.3] * 4, [1.3] * 4]})
+    x = dom.sample_interior(2000, seed=4)
+    g = dom.grad(x)
+    got = dom._march_to_boundary(x, g)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _march_reference(dom, x, g))
+    # a point's march does not depend on the rest of its batch, so
+    # ``sample_boundary`` marches only the candidates it keeps
+    assert np.array_equal(dom._march_to_boundary(x[:700], g[:700]), got[:700])
+
+
 def test_singular_tangent_system_spares_its_neighbours(projection):
     # from the off-boundary seed p0 = (0.9, 0, 0, 0) of x = (0, 0.5, 0, 0),
     # x is orthogonal to p0, so lam = (p0 - x).p0 / |p0|^2 is exactly 1/2,

@@ -161,7 +161,14 @@ def test_second_command_computes_only_the_rows_not_stored(rig, monkeypatch):
                                  "saved": len(stored) + len(computed),
                                  "appended": len(computed)}
     assert man["boundary_cloud"] == "cache"
-    assert _manifest(out_fresh)["boundary_cloud"] == "sampled"
+    # stage timings of a fresh build and of a sampled cloud only
+    assert not {"graph_build", "cloud_s"} & set(man["timings"])
+    fresh = _manifest(out_fresh)
+    assert fresh["boundary_cloud"] == "sampled"
+    build = fresh["timings"]["graph_build"]
+    assert set(build) == {"sample_s", "thin_s", "connect_s"}
+    assert all(v > 0 for v in build.values())
+    assert fresh["timings"]["cloud_s"] > 0
     index = _store(shared)[1]["index"]
     assert set(index.tolist()) == stored | needed
     assert index.size == len(stored | needed)
