@@ -34,7 +34,7 @@ from .boundary import (
     BoundaryGraph, BoundaryMap, LipschitzReport, lipschitz_details,
 )
 from .metrics import (
-    MetricFamily, MetricFunctional, Polyline, PreparedPoints,
+    MetricFamily, Polyline, PreparedPoints,
     collar_profile_distance, path_length, estimate_C,
 )
 from .layered import LayeredSolver

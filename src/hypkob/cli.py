@@ -141,7 +141,7 @@ def _cmd_check(args, cfg: RunConfig, ws: Workspace):
 def _upper(fam, pl) -> float:
     """The ``upper`` column of ``dist``: the exact g-length of a witness
     path."""
-    return path_length(pl, fam.functional("g"))
+    return path_length(pl, fam, "g")
 
 
 def _witness_paths(fam, X, Y) -> tuple:
@@ -264,12 +264,12 @@ def _cmd_delta(args, cfg: RunConfig, ws: Workspace):
     kind = _KIND[args.metric]
     if kind == "kobayashi_estimate":
         raise ConfigError("four-point sampling supports metrics g, d, euclid")
-    fn = ws.family.functional(kind)
     if kind == "euclidean":
         sampler = BoxSampler(ws.domain, cfg.seeds["sampler"])
     else:
         sampler = BoundaryBiasedSampler(ws.family, cfg.seeds["sampler"])
-    rep = four_point_delta(fn, sampler, n_quadruples=args.n_quadruples,
+    rep = four_point_delta(ws.family, kind, sampler,
+                           n_quadruples=args.n_quadruples,
                            seed=cfg.seeds["quadruples"])
     report = {
         "command": "delta",
@@ -354,7 +354,7 @@ def _cmd_orbit(args, cfg: RunConfig, ws: Workspace):
         report.update({"verdict": "Escaped", "error": str(exc)})
         return report, 1
     verdict = classify_orbit(ws.family, orbits)
-    semi = check_semicontraction(F, ws.family.functional("d"), n_pairs=128,
+    semi = check_semicontraction(F, ws.family, "d", n_pairs=128,
                                  seed=cfg.seeds["pairs"])
     dim = ws.domain.dim
     out_path = os.path.join(cfg.out_dir, "orbits.csv")

@@ -2,15 +2,13 @@
 
 Orbits are advanced together by ``iterate_many``, with a per-step
 containment check, in blocks of steps projected by one call each. Each
-``OrbitRecord`` holds an orbit's points and heights and, when a metric
-and a basepoint ``omega`` are given, its distance trace to ``omega``
-(``g`` or ``d``), from one ``pairs`` call over every step of every orbit.
-Records carry no verdict: ``classify_orbit`` sorts a family of orbits
-into the two qualitative behaviours, staying a definite fraction of the
-shell depth away from the boundary or collapsing onto one boundary point
-common to all starts, and returns an ``OrbitVerdict``. A semicontraction
-audit compares pair distances before and after one application of the
-map against a discretization-aware slack.
+``OrbitRecord`` holds an orbit's points and heights. Records carry no
+verdict: ``classify_orbit`` sorts a family of orbits into the two
+qualitative behaviours, staying a definite fraction of the shell depth
+away from the boundary or collapsing onto one boundary point common to
+all starts, and returns an ``OrbitVerdict``. A semicontraction audit
+compares pair distances before and after one application of the map
+against a discretization-aware slack.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, HypkobError, MapEscapedDomain
 from .domain import Domain, HeightProjection
-from .metrics import MetricFamily, MetricFunctional
+from .metrics import MetricFamily
 
 __all__ = [
     "DomainMap",
@@ -112,12 +110,11 @@ _RHO_TOL = 1e-10
 
 @dataclass
 class OrbitRecord:
-    """One orbit with its traces; trace arrays share one length."""
+    """One orbit: its points and their heights, one row each."""
 
     start: np.ndarray
     points: np.ndarray
     heights: np.ndarray
-    base_trace: Optional[np.ndarray]
     stopped_early: bool
     n_steps: int
 
@@ -165,8 +162,7 @@ _BLOCK_STEPS = 32
 
 
 def iterate_many(F: DomainMap, projection: HeightProjection, starts,
-                 n_max: int = 200, functional: Optional[MetricFunctional] = None,
-                 omega=None) -> list[OrbitRecord]:
+                 n_max: int = 200) -> list[OrbitRecord]:
     """Advance several starts together, freezing orbits at the stop floor.
 
     The stop floor is a millionth of the collar width in squared height;
@@ -186,8 +182,6 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
     message, as in a loop of one step per call. The records are those of
     that loop, bit for bit.
     """
-    if functional is not None and omega is None:
-        raise ConfigError("a basepoint is needed for distance traces")
     X0 = np.atleast_2d(np.asarray(starts, dtype=float))
     m = X0.shape[0]
     floor = 1e-6 * projection.epsilon
@@ -225,18 +219,11 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
         active &= ~hit
     P = np.stack(traj, axis=1)  # (m, steps+1, dim)
     Hs = np.stack(heights, axis=1)  # (m, steps+1)
-    base = [None] * m
-    if functional is not None:
-        fam = functional.family
-        flat = fam.prepare(P.reshape(-1, P.shape[2]))
-        O = fam.prepare(np.asarray(omega, dtype=float)[None])
-        base = functional.pairs(flat, O.take(np.zeros(len(flat), dtype=int)))
-        base = base.reshape(m, -1)
     records = []
     for i in range(m):
         pts = P[i]
         records.append(OrbitRecord(
-            start=X0[i].copy(), points=pts, heights=Hs[i], base_trace=base[i],
+            start=X0[i].copy(), points=pts, heights=Hs[i],
             stopped_early=bool(stopped[i]), n_steps=pts.shape[0] - 1))
     return records
 
@@ -245,37 +232,37 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
 # semicontraction audit
 # ---------------------------------------------------------------------------
 
-def check_semicontraction(F: DomainMap, functional: MetricFunctional,
+def check_semicontraction(F: DomainMap, family: MetricFamily, kind: str,
                           n_pairs: int = 256, seed: int = 0) -> dict:
     """Compare pair distances across one application of the map.
 
-    The pass threshold is per pair: the boundary-separation sensitivity of
-    the value, before and after the map, times four median edge weights
-    (the worst node-snapping displacement on each side), plus rounding.
+    The distances are ``family``'s ``kind``, ``"g"`` or ``"d"``; any other
+    kind is refused (``ConfigError``). The pass threshold is per pair: the
+    boundary-separation sensitivity of the value, before and after the
+    map, times four median edge weights (the worst node-snapping
+    displacement on each side), plus rounding.
     A map step that leaves the domain is reported, not raised.
     """
-    if functional.kind not in ("g", "d"):
-        raise ConfigError("the audit runs on the collar metrics")
-    fam = functional.family
+    if kind not in ("g", "d"):
+        raise ConfigError(f"the audit runs on g or d, not {kind!r}")
     rng = np.random.default_rng(seed)
-    m = fam.graph.nodes.shape[0]
+    m = family.graph.nodes.shape[0]
     idx = rng.integers(0, m, size=(n_pairs, 2))
     u = rng.random((n_pairs, 2))
-    depths = fam.eps * np.maximum(u * u, 1e-4)
-    A = fam.prepare_on_rays(idx[:, 0], depths[:, 0])
-    B = fam.prepare_on_rays(idx[:, 1], depths[:, 1])
+    depths = family.eps * np.maximum(u * u, 1e-4)
+    A = family.prepare_on_rays(idx[:, 0], depths[:, 0])
+    B = family.prepare_on_rays(idx[:, 1], depths[:, 1])
     try:
-        FA = fam.prepare(_step(F, fam.graph.domain, A.points))
-        FB = fam.prepare(_step(F, fam.graph.domain, B.points))
+        FA = family.prepare(_step(F, family.graph.domain, A.points))
+        FB = family.prepare(_step(F, family.graph.domain, B.points))
     except MapEscapedDomain as err:
         return {"pass": False, "escaped": True, "error": str(err),
                 "n_pairs": int(n_pairs)}
-    before = functional.pairs(A, B)
-    after = functional.pairs(FA, FB)
-    w_med = fam.graph.edge_weight_stats()["median"]
-    kind = functional.kind
-    sens = (fam.slope(kind, fam.separations(A, B), A, B)
-            + fam.slope(kind, fam.separations(FA, FB), FA, FB))
+    before = family.pairs(kind, A, B)
+    after = family.pairs(kind, FA, FB)
+    w_med = family.graph.edge_weight_stats()["median"]
+    sens = (family.slope(kind, family.separations(A, B), A, B)
+            + family.slope(kind, family.separations(FA, FB), FA, FB))
     slack = 2.0 * w_med * sens + 1e-9
     defect = after - before
     ok = defect <= slack

@@ -52,7 +52,7 @@ class ImageOffBoundary(HypkobError):
     """A boundary self-map sent a point measurably off the target boundary."""
 
 
-# --- metric functionals ------------------------------------------------------
+# --- metrics and path lengths ------------------------------------------------
 
 class HeightsDiffer(HypkobError):
     """An operation requiring equal heights got unequal ones."""

@@ -2,10 +2,12 @@
 
 Four-point defects, Gromov products, convergence at infinity along
 normal-approach sequences, identification of the metric boundary with the
-geometric boundary, and thin-triangle audits. Everything here consumes a
-length functional and stays agnostic about how its pair values arise; the
-closed-form kinds get a vectorized matrix path so large quadruple counts
-stay cheap.
+geometric boundary, and thin-triangle audits. Everything here takes a
+``MetricFamily`` and the kind of distance to read from it (``g``, ``d``,
+or ``euclidean`` where a table suffices); each function refuses the kinds
+it cannot serve. Pair values come from ``MetricFamily.pairs``, and tables
+from ``distance_matrix``, which evaluates the closed-form kinds in
+vectorized row blocks so large quadruple counts stay cheap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, HypkobError, NotStabilized, PrefixTooShort
 from .domain import Domain
-from .metrics import MetricFamily, MetricFunctional, PreparedPoints
+from .metrics import MetricFamily, PreparedPoints
 
 __all__ = [
     "HyperbolicityReport",
@@ -95,13 +97,15 @@ def _coords(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
-    """Full pairwise table under the functional's kind.
+def distance_matrix(family: MetricFamily, kind: str, points) -> np.ndarray:
+    """Full pairwise table of ``points`` under ``kind``.
 
-    The collar metrics take prepared points as they are, or prepare
-    coordinates once, and evaluate through the boundary-graph row cache:
-    the missing rows run in one Dijkstra call, their entries are gathered
-    into the table, and the kernel then overwrites the table in blocks of
+    ``kind`` is ``"g"``, ``"d"`` or ``"euclidean"``; any other kind is
+    refused (``ConfigError``). The collar metrics take points that
+    ``family`` prepared as they are, or prepare coordinates once, and
+    evaluate through the boundary-graph row cache: the missing rows run
+    in one Dijkstra call, their entries are gathered into the table, and
+    ``family.kernel`` then overwrites the table in blocks of
     ``_BLOCK_ROWS`` rows, which are symmetrized in place; euclidean fills
     the same row blocks. Every entry is computed by the same elementwise
     operations as on the whole table at once, so the values are identical;
@@ -109,7 +113,6 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
     """
     pts = _coords(points)
     m = pts.shape[0]
-    kind = functional.kind
     blocks = [(s, min(s + _BLOCK_ROWS, m)) for s in range(0, m, _BLOCK_ROWS)]
     if kind == "euclidean":
         D = np.empty((m, m))
@@ -119,14 +122,13 @@ def distance_matrix(functional: MetricFunctional, points) -> np.ndarray:
         return D
     if kind not in ("g", "d"):
         raise ConfigError(
-            "matrix evaluation is limited to the closed-form kinds")
-    fam = functional.family
-    P = fam.as_prepared(points)
-    D = fam.graph.rows_from(P.node, columns=P.node)
+            f"distance tables are those of g, d or euclidean, not {kind!r}")
+    P = family.as_prepared(points)
+    D = family.graph.rows_from(P.node, columns=P.node)
     idx = np.arange(m)
     B = P.take(idx[None, :])
     for s, e in blocks:
-        D[s:e] = fam.kernel(kind, D[s:e], P.take(idx[s:e, None]), B)
+        D[s:e] = family.kernel(kind, D[s:e], P.take(idx[s:e, None]), B)
     np.fill_diagonal(D, 0.0)
     # max(D, D.T) a row block at a time: block s:e settles its pairs with
     # every later row, in both triangles
@@ -173,16 +175,17 @@ def four_point_from_matrix(D: np.ndarray, quads: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (np.maximum(hi, s3) - mid), 0.0)
 
 
-def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
-                     seed: int = 0) -> HyperbolicityReport:
-    """Sampled four-point constant of the functional.
+def four_point_delta(family: MetricFamily, kind: str, sampler,
+                     n_quadruples: int, seed: int = 0) -> HyperbolicityReport:
+    """Sampled four-point constant of ``family``'s distance ``kind``.
 
-    Points come from a shared pool so one pairwise table serves every
-    quadruple, and a prepared pool goes to it as it is. The quadruple
-    index draws are seeded separately from the pool draw, and both are
-    deterministic. Quadruples whose defect is not
-    finite are counted as failures, and the constant, its witness and its
-    quantile are taken over the rest.
+    ``kind`` is one that ``distance_matrix`` tabulates, which refuses the
+    others. Points come from a shared pool so one pairwise table serves
+    every quadruple, and a prepared pool goes to it as it is. The
+    quadruple index draws are seeded separately from the pool draw, and
+    both are deterministic. Quadruples whose defect is not finite are
+    counted as failures, and the constant, its witness and its quantile
+    are taken over the rest.
 
     Quadruples are drawn and evaluated in chunks of ``_QUAD_CHUNK``; the
     generator continues across chunks exactly as one draw of all of them,
@@ -196,7 +199,7 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
     n_pool = int(min(max(64, 4 * math.isqrt(n_quadruples)), 1600))
     pool = sampler.sample(n_pool, seed=seed)
     pts = _coords(pool)
-    D = distance_matrix(functional, pool)
+    D = distance_matrix(family, kind, pool)
     rng = np.random.default_rng(seed + 1)
     defects = np.empty(n_quadruples)
     worst, worst_quad = -1.0, None
@@ -220,7 +223,7 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
         n_quadruples=int(n_quadruples),
         worst_points=pts[worst_quad],
         worst_defect=worst,
-        kind=functional.kind,
+        kind=kind,
         seed=int(seed),
         defect_q99=float(np.quantile(defects, 0.99, overwrite_input=True)),
         failures=failures,
@@ -231,14 +234,14 @@ def four_point_delta(functional: MetricFunctional, sampler, n_quadruples: int,
 # Gromov products and the boundary at infinity
 # ---------------------------------------------------------------------------
 
-def gromov_product(functional: MetricFunctional, x, y, omega) -> float:
+def gromov_product(family: MetricFamily, kind: str, x, y, omega) -> float:
     """Half-sum product (x, y) anchored at the basepoint.
 
     The three points are prepared together, and one ``pairs`` call gives
     the three distances.
     """
-    P = functional.family.prepare(np.stack([x, y, omega]))
-    dxo, dyo, dxy = functional.pairs(P.take([0, 1, 0]), P.take([2, 2, 1]))
+    P = family.prepare(np.stack([x, y, omega]))
+    dxo, dyo, dxy = family.pairs(kind, P.take([0, 1, 0]), P.take([2, 2, 1]))
     return float(0.5 * (dxo + dyo - dxy))
 
 
@@ -251,7 +254,7 @@ class ConvergenceReport:
     products_min: list = field(default_factory=list)
 
 
-def converges_at_infinity(functional: MetricFunctional, sequence,
+def converges_at_infinity(family: MetricFamily, kind: str, sequence,
                           omega) -> ConvergenceReport:
     """Divergence audit of pairwise products along a sequence prefix.
 
@@ -263,11 +266,10 @@ def converges_at_infinity(functional: MetricFunctional, sequence,
     m = pts.shape[0]
     if m < 8:
         raise PrefixTooShort(f"need at least 8 points, got {m}")
-    fam = functional.family
-    P = fam.prepare(pts)
-    O = fam.prepare(np.asarray(omega, dtype=float)[None])
-    D = distance_matrix(functional, P)
-    to_omega = functional.pairs(P, O.take(np.zeros(m, dtype=int)))
+    P = family.prepare(pts)
+    O = family.prepare(np.asarray(omega, dtype=float)[None])
+    D = distance_matrix(family, kind, P)
+    to_omega = family.pairs(kind, P, O.take(np.zeros(m, dtype=int)))
     prod = 0.5 * (to_omega[:, None] + to_omega[None, :] - D)
     tail_mins = []
     for k in range(m - 1):
@@ -290,27 +292,26 @@ class BoundaryPointRecord:
     omega: np.ndarray
 
 
-def normal_record(functional: MetricFunctional, p, omega,
+def normal_record(family: MetricFamily, p, omega,
                   depth: int = 12) -> BoundaryPointRecord:
     """Normal-approach representative at dyadic heights for a boundary point."""
-    fam = functional.family
     p = np.asarray(p, dtype=float)
-    n = fam.graph.domain.outward_normal(p)
+    n = family.graph.domain.outward_normal(p)
     ks = np.arange(1, depth + 1)
-    ts = fam.eps * 0.5**ks
+    ts = family.eps * 0.5**ks
     seq = p[None, :] - ts[:, None] * n[None, :]
     return BoundaryPointRecord(point=p.copy(), sequence=seq,
                                omega=np.asarray(omega, dtype=float))
 
 
-def boundary_product(functional: MetricFunctional, a, b, omega,
+def boundary_product(family: MetricFamily, kind: str, a, b, omega,
                      depth: int = 24, stabil_tol: float = 1e-3) -> float:
     """Product of two boundary points along normal representatives.
 
     Heights are dyadic; the value must be Cauchy within the tolerance
     over the last three levels, otherwise the trend is raised.
     """
-    if functional.kind not in ("g", "d"):
+    if kind not in ("g", "d"):
         raise ConfigError("boundary products need one of the collar metrics")
     if depth < 4:
         raise ConfigError("boundary products need depth at least 4")
@@ -318,14 +319,13 @@ def boundary_product(functional: MetricFunctional, a, b, omega,
     b = np.asarray(b, dtype=float)
     if np.linalg.norm(a - b) == 0.0:
         raise ConfigError("boundary products need two distinct points")
-    fam = functional.family
-    ts = fam.eps * 0.5**np.arange(1, depth + 1)
-    A = fam.prepare(a - ts[:, None] * fam.graph.domain.outward_normal(a))
-    B = fam.prepare(b - ts[:, None] * fam.graph.domain.outward_normal(b))
-    O = fam.prepare(np.asarray(omega, dtype=float)[None]).take(
+    ts = family.eps * 0.5**np.arange(1, depth + 1)
+    A = family.prepare(a - ts[:, None] * family.graph.domain.outward_normal(a))
+    B = family.prepare(b - ts[:, None] * family.graph.domain.outward_normal(b))
+    O = family.prepare(np.asarray(omega, dtype=float)[None]).take(
         np.zeros(depth, dtype=int))
-    pairs = functional.pairs
-    p = 0.5 * (pairs(A, O) + pairs(B, O) - pairs(A, B))
+    p = 0.5 * (family.pairs(kind, A, O) + family.pairs(kind, B, O)
+               - family.pairs(kind, A, B))
     last = p[-3:]
     if np.max(last) - np.min(last) > stabil_tol:
         raise NotStabilized(
@@ -334,7 +334,7 @@ def boundary_product(functional: MetricFunctional, a, b, omega,
     return float(p[-1])
 
 
-def boundary_identification(functional: MetricFunctional, pairs, omega,
+def boundary_identification(family: MetricFamily, kind: str, pairs, omega,
                             depth: int = 24) -> dict:
     """Ratio table comparing exponentiated products with the boundary metric.
 
@@ -346,7 +346,7 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
     if pairs.ndim != 3 or pairs.shape[1] != 2:
         raise ConfigError("pairs must be an array of point pairs")
     # the snapped boundary distance of each pair
-    graph = functional.family.graph
+    graph = family.graph
     ends = graph.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
     W = graph.rows_from(ends[:, 0], columns=ends[:, 1:])[:, 0]
     ratios = []
@@ -355,7 +355,7 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
     for (a, b), w in zip(pairs, W.tolist()):
         if w <= 0:
             raise ConfigError("pair distance vanished; pick distinct nodes")
-        prod = boundary_product(functional, a, b, omega, depth=depth)
+        prod = boundary_product(family, kind, a, b, omega, depth=depth)
         ratios.append(math.exp(-prod) / w)
         seps.append(w)
         prods.append(prod)
@@ -378,9 +378,10 @@ def boundary_identification(functional: MetricFunctional, pairs, omega,
 # thin triangles
 # ---------------------------------------------------------------------------
 
-def _edge_nodes(functional: MetricFunctional, x, y, subdiv: int) -> np.ndarray:
-    if functional.kind in ("g", "d"):
-        pts = functional.family.composite_upper_path(x, y)[0].points
+def _edge_nodes(family: MetricFamily, kind: str, x, y,
+                subdiv: int) -> np.ndarray:
+    if kind in ("g", "d"):
+        pts = family.composite_upper_path(x, y)[0].points
     else:
         pts = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     if pts.shape[0] < 2:
@@ -392,7 +393,7 @@ def _edge_nodes(functional: MetricFunctional, x, y, subdiv: int) -> np.ndarray:
     return np.vstack([fine.reshape(-1, pts.shape[1]), pts[-1:]])
 
 
-def triangle_thinness(functional: MetricFunctional, x, y, z,
+def triangle_thinness(family: MetricFamily, kind: str, x, y, z,
                       subdiv: int = 8) -> float:
     """Largest distance from one side to the union of the other two.
 
@@ -400,11 +401,11 @@ def triangle_thinness(functional: MetricFunctional, x, y, z,
     the node-to-node proxy, so results carry a slack of order the node
     spacing of the discretizations.
     """
-    exy = _edge_nodes(functional, x, y, subdiv)
-    eyz = _edge_nodes(functional, y, z, subdiv)
-    ezx = _edge_nodes(functional, z, x, subdiv)
+    exy = _edge_nodes(family, kind, x, y, subdiv)
+    eyz = _edge_nodes(family, kind, y, z, subdiv)
+    ezx = _edge_nodes(family, kind, z, x, subdiv)
     pool = np.vstack([exy, eyz, ezx])
-    D = distance_matrix(functional, pool)
+    D = distance_matrix(family, kind, pool)
     n1, n2, n3 = exy.shape[0], eyz.shape[0], ezx.shape[0]
     s1 = slice(0, n1)
     s2 = slice(n1, n1 + n2)

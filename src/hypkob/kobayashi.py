@@ -9,10 +9,10 @@ collar roof both weights continue with inverse-depth decay so the norm
 stays continuous and the core carries a comparable fixed metric. The
 split runs on batches only (``_split_arrays``), and
 ``kobayashi_speed_batch`` is the norm's one entry point. Curve lengths are
-``metrics.path_length`` under the ``kobayashi_estimate`` functional;
-distances come from ``layered.LayeredSolver`` in its ``kobayashi`` mode,
-whose queries arrive prepared by its ``MetricFamily``. A fit routine compares
-the resulting distance with the boundary-anchored log metric and
+``metrics.path_length`` of kind ``kobayashi_estimate``; distances come
+from ``layered.LayeredSolver`` in its ``kobayashi`` mode, whose queries
+arrive prepared by its ``MetricFamily``. A fit routine compares the
+resulting distance with the boundary-anchored log metric and
 reports the smallest multiplicative-additive sandwich.
 
 The weights live here and nowhere else: the constants ``A_H`` and

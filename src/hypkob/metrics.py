@@ -45,13 +45,11 @@ __all__ = [
     "Polyline",
     "PreparedPoints",
     "MetricFamily",
-    "MetricFunctional",
     "path_length",
     "collar_profile_distance",
     "estimate_C",
 ]
 
-FUNCTIONAL_KINDS = ("g", "d", "kobayashi_estimate", "euclidean")
 # the kinds ``path_length`` measures
 _RATE_KINDS = ("g", "kobayashi_estimate")
 
@@ -286,6 +284,19 @@ class MetricFamily:
         """Collar geodesic distance for aligned point batches."""
         return self._aligned("d", self.separations(A, B), A, B)
 
+    def pairs(self, kind: str, A: PreparedPoints,
+              B: PreparedPoints) -> np.ndarray:
+        """``g_pairs`` or ``d_pairs`` by ``kind``; any other kind is refused.
+
+        The estimate's pair values come from ``LayeredSolver``, euclidean
+        ones from ``gromov.distance_matrix`` and ``cli._batch_values``.
+        """
+        if kind == "g":
+            return self.g_pairs(A, B)
+        if kind == "d":
+            return self.d_pairs(A, B)
+        raise ConfigError(f"pair values are those of g or d, not {kind!r}")
+
     # -- structured paths ------------------------------------------------------
 
     def horizontal_path(self, x, y) -> Polyline:
@@ -391,42 +402,6 @@ class MetricFamily:
                  for s, e in zip(starts[:-1], starts[1:])]
         return paths, dval
 
-    def functional(self, kind: str) -> "MetricFunctional":
-        return MetricFunctional(kind=kind, family=self)
-
-
-# where the values of the kinds without pair values come from
-_PAIR_SOURCES = {
-    "kobayashi_estimate": "its solver, LayeredSolver",
-    "euclidean": "gromov.distance_matrix and, for dist, cli._batch_values",
-}
-
-
-@dataclass
-class MetricFunctional:
-    """Length functional over polylines for one of the named kinds.
-
-    Also exposes the pairwise distance of ``g`` and ``d`` on prepared
-    batches; the other kinds refuse it and name where their pair values
-    come from.
-    """
-
-    kind: str
-    family: MetricFamily
-
-    def __post_init__(self):
-        if self.kind not in FUNCTIONAL_KINDS:
-            raise ConfigError(f"unknown length functional {self.kind!r}")
-
-    def pairs(self, A: PreparedPoints, B: PreparedPoints) -> np.ndarray:
-        """Vectorized pair values for aligned prepared batches."""
-        if self.kind in _PAIR_SOURCES:
-            raise ConfigError(f"pair values of {self.kind!r} come from "
-                              f"{_PAIR_SOURCES[self.kind]}")
-        if self.kind == "g":
-            return self.family.g_pairs(A, B)
-        return self.family.d_pairs(A, B)
-
 
 # ---------------------------------------------------------------------------
 # path length
@@ -468,16 +443,17 @@ def _rate_sum(family: MetricFamily, a: np.ndarray, b: np.ndarray,
         mid.reshape(-1, a.shape[1]), step).sum())
 
 
-def path_length(polyline: Polyline, functional: MetricFunctional) -> float:
-    """Length of the polyline under ``g`` or the interior estimate.
+def path_length(polyline: Polyline, family: MetricFamily, kind: str) -> float:
+    """Length of the polyline under ``family``'s ``g`` or interior estimate.
 
-    The rate kinds are the only ones measured; any other kind is refused
-    (``ConfigError``). A single-point polyline has length zero. The
-    vertices' feet and depths come from ``polyline.prepared`` where the
-    construction attached them (then no vertex is projected), otherwise
-    from one ``prepare`` call, and each segment is read from its two
-    vertices: heights run linearly between them, and the segment runs
-    along a normal ray when their feet coincide (``Domain.same_foot``).
+    ``kind`` is ``"g"`` or ``"kobayashi_estimate"``, the rate kinds; any
+    other kind is refused (``ConfigError``). A single-point polyline has
+    length zero. The vertices' feet and depths come from
+    ``polyline.prepared`` where the construction attached them (then no
+    vertex is projected), otherwise from one ``prepare`` call, and each
+    segment is read from its two vertices: heights run linearly between
+    them, and the segment runs along a normal ray when their feet
+    coincide (``Domain.same_foot``).
 
     Under ``g`` a segment costs ``(2 w + |dh|)`` times the mean of ``1/h``
     over it, where ``w`` is the chord cost of its feet in the frame of the
@@ -488,13 +464,11 @@ def path_length(polyline: Polyline, functional: MetricFunctional) -> float:
     until it settles to ``_EST_REL_TOL``; failure to settle by depth
     ``_EST_MAX_DEPTH`` raises with the last two estimates attached.
     """
-    kind = functional.kind
     if kind not in _RATE_KINDS:
         raise ConfigError(f"path lengths are measured under {_RATE_KINDS}, "
                           f"not {kind!r}")
     if polyline.n_segments == 0:
         return 0.0
-    family = functional.family
     P = polyline.prepared
     if P is None:
         P = family.prepare(polyline.points)

@@ -89,7 +89,6 @@ def _horizontal_errors(fam, seed):
     """Max relative mismatch of measured path length against 2 d_H / h."""
     rng = np.random.default_rng(seed)
     graph = fam.graph
-    gfun = fam.functional("g")
     normals = graph.node_normals()
     m = graph.nodes.shape[0]
     out = []
@@ -101,7 +100,7 @@ def _horizontal_errors(fam, seed):
         x = graph.nodes[i] - h * h * normals[i]
         y = graph.nodes[j] - h * h * normals[j]
         pl = fam.horizontal_path(x, y)
-        length = path_length(pl, gfun)
+        length = path_length(pl, fam, "g")
         _, w = graph.geodesic(graph.nodes[i], graph.nodes[j])
         target = 2.0 * w / h
         out.append(abs(length - target) / target)
@@ -118,7 +117,7 @@ def test_criterion_02_horizontal_path_length(acc):
 
 def test_criterion_03_four_point_bound_for_g(acc):
     t0 = time.perf_counter()
-    rep = four_point_delta(acc["fam8"].functional("g"),
+    rep = four_point_delta(acc["fam8"], "g",
                            BoundaryBiasedSampler(acc["fam8"], 12),
                            n_quadruples=100000, seed=13)
     elapsed = time.perf_counter() - t0
@@ -177,15 +176,14 @@ class _SquareSampler:
 
 def test_criterion_05_hyperbolic_vs_flat_contrast(acc):
     fam = acc["fam8"]
-    rep = four_point_delta(fam.functional("d"),
+    rep = four_point_delta(fam, "d",
                            BoundaryBiasedSampler(fam, 15),
                            n_quadruples=20000, seed=16)
     c_est = estimate_C(fam)
     hyp_bound = LOG4 + 3.0 * c_est
     hyp_ok = rep.delta <= hyp_bound
 
-    efn = fam.functional("euclidean")
-    flat = [four_point_delta(efn, _SquareSampler(s, 17),
+    flat = [four_point_delta(fam, "euclidean", _SquareSampler(s, 17),
                              n_quadruples=20000, seed=18).delta
             for s in (1.0, 2.0, 4.0)]
     r2 = flat[1] / flat[0]
@@ -230,14 +228,13 @@ def _band_pairs(graph, rng):
 
 
 def _band_ratios(fam, pairs):
-    gfn = fam.functional("g")
     omega = np.zeros(4)
     ratios = []
     for a, b in pairs:
         # the endpoints lie on the boundary, where prepare refuses them
         na, nb = (int(v) for v in fam.graph.snap(np.stack([a, b])))
         w = float(fam.graph.rows_from([na])[0][nb])
-        prod = boundary_product(gfn, a, b, omega, depth=30)
+        prod = boundary_product(fam, "g", a, b, omega, depth=30)
         ratios.append(math.exp(-prod) / w)
     return np.asarray(ratios)
 

@@ -87,7 +87,7 @@ def test_k_ball_closed_form():
 
 def test_g_minus_k_ball_stays_in_band(family):
     pool = BoundaryBiasedSampler(family, 5).sample(46)
-    G = distance_matrix(family.functional("g"), pool)
+    G = distance_matrix(family, "g", pool)
     X = pool.points
     K = k_ball(X[:, None, :], X[None, :, :])
     iu = np.triu_indices(len(pool), 1)

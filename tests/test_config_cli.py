@@ -337,9 +337,12 @@ def test_delta_replay_is_byte_identical(rig):
     ("dist", ("--metric", "d", "--pairs", "PAIRS"), ("dist.csv",)),
     ("lipschitz", ("--map", "ROTATION"), ()),
     ("delta", ("--metric", "euclid", "--n-quadruples", "1500"), ()),
+    ("delta", ("--metric", "d", "--n-quadruples", "1500"), ()),
     ("geodesic", ("--pairs", "PAIRS"), ("geodesic.csv",)),
-], ids=["check", "dist-d", "lipschitz", "delta-euclid", "geodesic"])
-def test_report_replay_is_byte_identical(rig, cmd, extra, files):
+    ("orbit", ("--map", "ROTATION"), ("orbits.csv",)),
+], ids=["check", "dist-d", "lipschitz", "delta-euclid", "delta-d", "geodesic",
+        "orbit"])
+def test_report_replay_is_byte_identical(rig, cmd, extra, files, request):
     # report.json, and the CSV a command writes its values to
     inputs = {
         "PAIRS": write_pairs(rig["root"] / "pairs_replay.csv",
@@ -350,14 +353,15 @@ def test_report_replay_is_byte_identical(rig, cmd, extra, files):
     extra = [inputs.get(a, a) for a in extra]
     blobs = []
     for tag in "ab":
-        code, out = run(rig, cmd, f"out_replay_{cmd}_{tag}", *extra)
+        code, out = run(rig, cmd,
+                        f"out_replay_{request.node.callspec.id}_{tag}", *extra)
         assert code == 0
         blobs.append([])
         for name in ("report.json",) + files:
             with open(os.path.join(out, name), "rb") as fh:
                 blobs[-1].append(fh.read())
     assert blobs[0] == blobs[1]
-    if cmd == "delta":
+    if "euclid" in extra:
         # the box sampler's pool: no other test or workload reaches it
         rep = json.loads(blobs[0][0])
         assert math.isfinite(rep["delta"]) and rep["delta"] >= 0

@@ -78,12 +78,10 @@ def _per_row(rig, rows):
     """(lower, value, upper) of each row from one-pair calls, in order."""
     ws = build_workspace(load_config(rig["config"]), graph_cache=rig["cache"])
     fam = ws.family
-    gfun = fam.functional("g")
     out = []
     for x, y in rows:
         pl, _ = fam.composite_upper_path(x, y)
-        out.append(pair_values(fam, x, y)
-                   + (path_length(pl, gfun),))
+        out.append(pair_values(fam, x, y) + (path_length(pl, fam, "g"),))
     return out
 
 
@@ -199,7 +197,7 @@ def test_same_ray_witness_path_projects_nothing(family, graph, monkeypatch):
         return real(X, seed_feet=seed_feet)
 
     monkeypatch.setattr(family.projection, "project_batch", counted)
-    length = path_length(pl, family.functional("g"))
+    length = path_length(pl, family, "g")
     assert math.isfinite(length)
     assert calls == []
 
@@ -222,7 +220,7 @@ def _per_pair_geodesic(rig, rows, out):
                 continue
             try:
                 pl, dval = fam.composite_upper_path(*row)
-                glen = path_length(pl, fam.functional("g"))
+                glen = path_length(pl, fam, "g")
                 n = pl.points.shape[0]
                 seg = fam.g_pairs(pl.prepared.take(np.arange(n - 1)),
                                   pl.prepared.take(np.arange(1, n)))

@@ -40,24 +40,13 @@ def test_map_from_spec_round_trip():
         affine_contraction(np.zeros(4), 1.2)
 
 
-def test_identity_orbit_is_flat(projection, graph, family):
+def test_identity_orbit_is_flat(projection, graph):
     x0 = ray_point(graph.nodes[17], 0.2)
-    fn = family.functional("g")
-    rec = iterate_many(identity_map(), projection, x0[None], n_max=60,
-                       functional=fn, omega=np.zeros(4))[0]
+    rec = iterate_many(identity_map(), projection, x0[None], n_max=60)[0]
     assert rec.points.shape == (61, 4)
     assert rec.heights.shape == (61,)
-    assert rec.base_trace.shape == (61,)
     assert np.all(np.abs(rec.heights - rec.heights[0]) < 1e-12)
-    assert np.all(np.abs(rec.base_trace - rec.base_trace[0]) < 1e-12)
     assert not rec.stopped_early
-
-
-def test_trace_requires_basepoint(projection, graph, family):
-    with pytest.raises(ConfigError):
-        iterate_many(identity_map(), projection,
-                     ray_point(graph.nodes[0], 0.2)[None], n_max=60,
-                     functional=family.functional("g"))
 
 
 def test_contraction_to_center_deepens_orbits(projection, graph):
@@ -240,7 +229,7 @@ def test_classification_guards(projection, graph, family):
 
 def test_identity_audit_has_zero_defect(family):
     for kind in ("g", "d"):
-        rep = check_semicontraction(identity_map(), family.functional(kind),
+        rep = check_semicontraction(identity_map(), family, kind,
                                     n_pairs=128, seed=1)
         assert rep["pass"]
         assert rep["max_defect"] <= 1e-12
@@ -248,8 +237,8 @@ def test_identity_audit_has_zero_defect(family):
 
 
 def test_rotation_audit_within_snapping_slack(family):
-    rep = check_semicontraction(rotation_map([0.7, 0.3]),
-                                family.functional("d"), n_pairs=128, seed=2)
+    rep = check_semicontraction(rotation_map([0.7, 0.3]), family, "d",
+                                n_pairs=128, seed=2)
     assert rep["pass"]
     assert not rep["escaped"]
     assert 0.8 < rep["ratio_q50"] < 1.2
@@ -258,20 +247,20 @@ def test_rotation_audit_within_snapping_slack(family):
 def test_escaping_map_audit_reports_instead_of_raising(family):
     F = identity_map()
     F.fn = lambda X: 1.5 * np.atleast_2d(X)
-    rep = check_semicontraction(F, family.functional("d"), n_pairs=32, seed=0)
+    rep = check_semicontraction(F, family, "d", n_pairs=32, seed=0)
     assert rep["escaped"]
     assert not rep["pass"]
     assert "error" in rep
 
 
 def test_audit_determinism_and_kind_guard(family):
-    r1 = check_semicontraction(identity_map(), family.functional("d"),
+    r1 = check_semicontraction(identity_map(), family, "d",
                                n_pairs=64, seed=9)
-    r2 = check_semicontraction(identity_map(), family.functional("d"),
+    r2 = check_semicontraction(identity_map(), family, "d",
                                n_pairs=64, seed=9)
     assert r1 == r2
     with pytest.raises(ConfigError):
-        check_semicontraction(identity_map(), family.functional("euclidean"))
+        check_semicontraction(identity_map(), family, "euclidean")
 
 
 def test_orbit_heights_match_projection(projection, graph):

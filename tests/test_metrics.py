@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypkob import (ConfigError, HeightsDiffer, Polyline, RefinementStalled,
-                    collar_profile_distance, estimate_C, metrics, path_length)
+from hypkob import (BoundaryBiasedSampler, ConfigError, HeightsDiffer,
+                    Polyline, RefinementStalled, check_semicontraction,
+                    collar_profile_distance, distance_matrix, estimate_C,
+                    four_point_delta, identity_map, metrics, path_length)
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS, pair_values
@@ -180,10 +182,10 @@ def test_ray_segment_length_is_exact(family, graph):
     x, y = ray_point(f, 0.36), ray_point(f, 0.04)
     pl = Polyline(np.stack([x, y]))
     want = abs(math.log(0.6 / 0.2))
-    assert abs(path_length(pl, family.functional("g")) - want) < 1e-12
+    assert abs(path_length(pl, family, "g") - want) < 1e-12
     for kind in ("d", "euclidean"):
         with pytest.raises(ConfigError):
-            path_length(pl, family.functional(kind))
+            path_length(pl, family, kind)
 
 
 def test_horizontal_path_matches_boundary_distance(family, graph):
@@ -191,7 +193,7 @@ def test_horizontal_path_matches_boundary_distance(family, graph):
     t = 0.09
     x, y = ray_point(graph.nodes[i], t), ray_point(graph.nodes[j], t)
     pl = family.horizontal_path(x, y)
-    glen = path_length(pl, family.functional("g"))
+    glen = path_length(pl, family, "g")
     w = graph.distance_nodes(i, j)
     assert abs(glen - 2.0 * w / 0.3) / (2.0 * w / 0.3) < 0.02
 
@@ -210,7 +212,7 @@ def test_degenerate_horizontal_path_is_a_point(family, graph):
     x = ray_point(f, 0.16)
     pl = family.horizontal_path(x, x.copy())
     assert pl.n_segments == 0
-    assert path_length(pl, family.functional("g")) == 0.0
+    assert path_length(pl, family, "g") == 0.0
 
 
 def test_composite_path_certifies_d(family, graph):
@@ -222,7 +224,7 @@ def test_composite_path_certifies_d(family, graph):
         y = ray_point(graph.nodes[j], rng.uniform(0.02, 0.4))
         pl, cost = family.composite_upper_path(x, y)
         assert abs(cost - pair_values(family, x, y)[1]) < 1e-12
-        glen = path_length(pl, family.functional("g"))
+        glen = path_length(pl, family, "g")
         assert abs(glen - cost) / max(cost, 1e-9) < 0.05
         assert np.allclose(pl.points[0], x, atol=1e-12)
         assert np.allclose(pl.points[-1], y, atol=1e-12)
@@ -232,7 +234,7 @@ def test_geodesic_polyline_realizes_distance(family, graph):
     x = ray_point(graph.nodes[60], 0.05)
     y = ray_point(graph.nodes[400], 0.2)
     pl, _ = family.composite_upper_path(x, y)
-    glen = path_length(pl, family.functional("g"))
+    glen = path_length(pl, family, "g")
     dv = pair_values(family, x, y)[1]
     assert abs(glen - dv) / dv < 0.05
 
@@ -254,9 +256,8 @@ def test_refinement_stall_raises(family, graph, monkeypatch):
     x = ray_point(graph.nodes[2], 0.25)
     y = ray_point(graph.nodes[390], 0.01)
     pl = Polyline(np.stack([x, y]))
-    fn = family.functional("kobayashi_estimate")
     with pytest.raises(RefinementStalled) as exc_info:
-        path_length(pl, fn)
+        path_length(pl, family, "kobayashi_estimate")
     prev, last = exc_info.value.args[1]
     assert np.isfinite(prev) and np.isfinite(last)
 
@@ -292,15 +293,26 @@ def test_anisotropy_shift_is_controlled(ball, structure, projection, graph):
     assert np.all(d12 - d8 <= (12.0 / 8.0 - 1.0) * d8 + 1e-9)
 
 
-def test_functional_kind_validation(family):
-    with pytest.raises(ConfigError):
-        family.functional("nope")
-    with pytest.raises(ConfigError):
-        family.functional("external")
-    # only g and d have pair values here; the others name their source
+def test_kinds_are_refused_where_used(family):
+    # each consumer refuses an unknown kind, and the real kinds it cannot
+    # serve: pair values are those of g and d, tables and four-point
+    # constants are not the estimate's, and the audit runs on g and d
+    # (path_length's refusals of d and euclidean are checked with its ray
+    # segment, the audit's of euclidean with its determinism)
     P = family.prepare(np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]]))
-    for kind, source in (("kobayashi_estimate", "LayeredSolver"),
-                         ("euclidean", "gromov.distance_matrix")):
-        fn = family.functional(kind)
-        with pytest.raises(ConfigError, match=f"'{kind}'.*{source}"):
-            fn.pairs(P.take([0]), P.take([1]))
+    pl = Polyline(P.points, prepared=P)
+    sampler = BoundaryBiasedSampler(family, seed=0)
+    consumers = [
+        (lambda k: family.pairs(k, P.take([0]), P.take([1])),
+         ("kobayashi_estimate", "euclidean")),
+        (lambda k: path_length(pl, family, k), ()),
+        (lambda k: distance_matrix(family, k, P), ("kobayashi_estimate",)),
+        (lambda k: four_point_delta(family, k, sampler, n_quadruples=10),
+         ("kobayashi_estimate",)),
+        (lambda k: check_semicontraction(identity_map(), family, k, n_pairs=8),
+         ("kobayashi_estimate",)),
+    ]
+    for consume, kinds in consumers:
+        for kind in ("nope",) + kinds:
+            with pytest.raises(ConfigError, match=repr(kind)):
+                consume(kind)

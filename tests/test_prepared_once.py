@@ -43,7 +43,7 @@ def test_prepare_is_history_independent(projection, graph):
 def test_four_point_delta_projects_no_pool_point(family):
     for kind in ("g", "d"):
         before = family.projection.counts["points"]
-        rep = four_point_delta(family.functional(kind),
+        rep = four_point_delta(family, kind,
                                BoundaryBiasedSampler(family, seed=4),
                                n_quadruples=2000, seed=4)
         assert np.isfinite(rep.delta)

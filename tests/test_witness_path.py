@@ -59,7 +59,7 @@ def _hop_pairs(family, n, seed):
 
 
 def _g_length(family, pl):
-    return path_length(pl, family.functional("g"))
+    return path_length(pl, family, "g")
 
 
 @pytest.mark.parametrize("which", ["ball", "ellipsoid", "hop"])
