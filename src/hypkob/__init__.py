@@ -30,9 +30,7 @@ from .structures import (
     dalpha_matrix, levi_matrix, ConvexityReport,
     check_strict_convexity, transverse_frame, ContactData, contact_batch,
 )
-from .boundary import (
-    BoundaryGraph, BoundaryMap, LipschitzReport, lipschitz_details,
-)
+from .boundary import BoundaryGraph, LipschitzReport, lipschitz_details
 from .metrics import (
     MetricFamily, Polyline, PreparedPoints,
     collar_profile_distance, path_length, estimate_C,

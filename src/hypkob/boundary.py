@@ -68,7 +68,6 @@ from .structures import StructureField, transverse_frame
 
 __all__ = [
     "BoundaryGraph",
-    "BoundaryMap",
     "LipschitzReport",
     "lipschitz_details",
     "shortest_rows",
@@ -208,9 +207,9 @@ class BoundaryGraph:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def build(cls, domain: Domain, structure: StructureField, n_nodes: int = 600,
-              k_neighbors: int = 10, anisotropy: float = 8.0,
-              seed: int = 0) -> "BoundaryGraph":
+    def build(cls, domain: Domain, structure: StructureField, *,
+              n_nodes: int, k_neighbors: int, anisotropy: float,
+              seed: int) -> "BoundaryGraph":
         """Sample nodes, connect k nearest neighbors, weight the edges.
 
         The nodes are the farthest-point thinning of ``_OVERSAMPLE`` times
@@ -221,6 +220,10 @@ class BoundaryGraph:
         holds the wall seconds of the three stages: ``sample_s`` (the
         candidates), ``thin_s`` (the thinning) and ``connect_s`` (the node
         tree, the frames and the weighted edges).
+
+        Every parameter is required: a run configuration's ``graph`` block
+        (``config._GRAPH_DEFAULTS``) owns their defaults. A denser graph is
+        a larger ``n_nodes`` with the others unchanged.
         """
         if n_nodes < 8:
             raise ConfigError("boundary graphs need at least 8 nodes")
@@ -237,7 +240,6 @@ class BoundaryGraph:
             "k_neighbors": int(k_neighbors),
             "anisotropy": float(anisotropy),
             "seed": int(seed),
-            "refinement_level": 0,
         }
         graph = cls(domain, structure, nodes, csr_matrix((n_nodes, n_nodes)), params)
         graph._connect(k_neighbors)
@@ -284,19 +286,6 @@ class BoundaryGraph:
         raise GraphDisconnected(
             f"graph still has {ncomp} components after widening k to {k}"
         )
-
-    def refine(self) -> "BoundaryGraph":
-        """A denser graph with the same parameters and twice the nodes."""
-        p = dict(self.params)
-        out = BoundaryGraph.build(
-            self.domain, self.structure,
-            n_nodes=2 * int(p["n_nodes"]),
-            k_neighbors=int(p["k_neighbors"]),
-            anisotropy=p["anisotropy"],
-            seed=p["seed"],
-        )
-        out.params["refinement_level"] = int(p.get("refinement_level", 0)) + 1
-        return out
 
     # -- chord costs and frames ----------------------------------------------
 
@@ -724,28 +713,9 @@ def _farthest_point_subset(cand: np.ndarray, n: int, seed: int) -> np.ndarray:
 # boundary maps and Lipschitz ratios
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundaryMap:
-    """A map of the boundary to itself, with an on-boundary validity check."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "map"
-    tol: float = 1e-8
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
-
-    def validate(self, domain: Domain, points: np.ndarray) -> np.ndarray:
-        img = self(points)
-        r = np.abs(domain.rho(img))
-        g = np.linalg.norm(domain.grad(img), axis=-1)
-        offset = r / np.maximum(g, 1e-12)
-        scale = domain.diameter_estimate()
-        if np.any(offset > self.tol * scale):
-            raise ImageOffBoundary(
-                f"map image leaves the boundary by up to {float(offset.max()):.3e}"
-            )
-        return img
+# a map's image may leave the boundary by this fraction of the domain's
+# diameter estimate
+_IMAGE_TOL = 1e-8
 
 
 @dataclass
@@ -755,18 +725,29 @@ class LipschitzReport:
     floor: float
 
 
-def lipschitz_details(graph: BoundaryGraph, graph_target: BoundaryGraph,
-                      boundary_map: BoundaryMap, n_pairs: int = 4096,
-                      seed: int = 0) -> LipschitzReport:
+def lipschitz_details(graph: BoundaryGraph,
+                      F: Callable[[np.ndarray], np.ndarray], n_pairs: int,
+                      seed: int) -> LipschitzReport:
     """Largest observed expansion ratio of a boundary map in graph distance.
 
-    Source pairs are node pairs of ``graph``; their images are validated
-    against the target domain and snapped into ``graph_target``. Pairs
-    closer than two median edge weights are excluded; at that range the
-    snapped distances are dominated by discretization, not by the map.
+    ``F`` (a ``DomainMap``, or any map of point rows to point rows) maps
+    the nodes of ``graph``. Each image must lie within ``_IMAGE_TOL``
+    times the domain's diameter estimate of the boundary, measured as
+    ``|rho| / |grad rho|``, or ``ImageOffBoundary`` is raised; the images
+    are then snapped back into ``graph``. Source pairs are node pairs;
+    pairs closer than two median edge weights are excluded, since at that
+    range the snapped distances are dominated by discretization, not by
+    the map.
     """
-    img = boundary_map.validate(graph_target.domain, graph.nodes)
-    si = graph_target.snap(img)
+    domain = graph.domain
+    img = F(graph.nodes)
+    offset = (np.abs(domain.rho(img))
+              / np.maximum(np.linalg.norm(domain.grad(img), axis=-1), 1e-12))
+    if np.any(offset > _IMAGE_TOL * domain.diameter_estimate()):
+        raise ImageOffBoundary(
+            f"map image leaves the boundary by up to {float(offset.max()):.3e}"
+        )
+    si = graph.snap(img)
     m = graph.nodes.shape[0]
     floor = 2.0 * graph.edge_weight_stats()["median"]
     n_src = max(1, min(m, int(np.ceil(n_pairs / max(m - 1, 1)))))
@@ -776,7 +757,7 @@ def lipschitz_details(graph: BoundaryGraph, graph_target: BoundaryGraph,
         rng = np.random.default_rng(seed)
         src = np.sort(rng.choice(m, size=n_src, replace=False))
     Dsrc = graph.rows_from(src)
-    Dimg = graph_target.rows_from(si[src], columns=si)
+    Dimg = graph.rows_from(si[src], columns=si)
     mask = Dsrc >= floor
     mask[np.arange(src.size), src] = False
     ratios = np.where(mask, Dimg / np.where(Dsrc > 0, Dsrc, np.inf), 0.0)

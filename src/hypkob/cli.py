@@ -32,7 +32,7 @@ from .errors import (HypkobError, ConfigError, DegenerateContact,
 from ._util import dump_json
 from .config import RunConfig, Workspace, load_config, build_workspace
 from .structures import check_structure, check_strict_convexity, contact_batch
-from .boundary import BoundaryMap, lipschitz_details
+from .boundary import lipschitz_details
 from .metrics import PreparedPoints, path_length
 from .layered import LayeredSolver
 from .kobayashi import qi_check, quasi_isometry_fit
@@ -264,10 +264,11 @@ def _cmd_delta(args, cfg: RunConfig, ws: Workspace):
     kind = _KIND[args.metric]
     if kind == "kobayashi_estimate":
         raise ConfigError("four-point sampling supports metrics g, d, euclid")
+    # four_point_delta seeds the pool draw itself, from the quadruples seed
     if kind == "euclidean":
-        sampler = BoxSampler(ws.domain, cfg.seeds["sampler"])
+        sampler = BoxSampler(ws.domain)
     else:
-        sampler = BoundaryBiasedSampler(ws.family, cfg.seeds["sampler"])
+        sampler = BoundaryBiasedSampler(ws.family)
     rep = four_point_delta(ws.family, kind, sampler,
                            n_quadruples=args.n_quadruples,
                            seed=cfg.seeds["quadruples"])
@@ -458,10 +459,9 @@ def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
 def _cmd_lipschitz(args, cfg: RunConfig, ws: Workspace):
     spec = _load_map_spec(args, cfg)
     F = map_from_spec(spec)
-    bmap = BoundaryMap(F, name=F.name)
     report = {"command": "lipschitz", "map": spec}
     try:
-        rep = lipschitz_details(ws.graph, ws.graph, bmap, n_pairs=4096,
+        rep = lipschitz_details(ws.graph, F, n_pairs=4096,
                                 seed=cfg.seeds["pairs"])
     except ImageOffBoundary as exc:
         report.update({"ok": False, "error": str(exc)})
@@ -498,8 +498,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--graph-cache", default=None,
                     help="boundary graph cache file (.npz); its distance "
                     "rows go in a .rows file next to it")
-    sp.add_argument("--refine", type=int, default=0,
-                    help="graph refinement rounds after build or load")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -558,8 +556,7 @@ def main(argv=None) -> int:
     handler, needs_graph = _HANDLERS[args.command]
     clock = time.perf_counter()
     try:
-        ws = build_workspace(cfg, refine=args.refine,
-                             graph_cache=args.graph_cache,
+        ws = build_workspace(cfg, graph_cache=args.graph_cache,
                              with_graph=needs_graph)
     except ConfigError as exc:
         _err(exc)
@@ -612,7 +609,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "config_hash": cfg.hash(),
         "seeds": cfg.seeds,
-        "refine": int(args.refine),
         "graph": ws.graph.params if ws.graph is not None else None,
         "graph_rows": (dict(ws.graph.row_counts) if ws.graph is not None
                        else None),

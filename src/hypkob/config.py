@@ -138,33 +138,29 @@ class Workspace:
     family: Optional[MetricFamily]
     epsilon: float
     # the graph file of the cache that holds ``graph`` (``.npz`` appended);
-    # None without a cache, and for a refined graph, whose rows belong to
-    # no cache
+    # None without a cache
     graph_cache: Optional[str] = None
     # the estimate's solver, set by the command that builds one; its
     # ``counts`` go into the manifest
     layered: Optional[LayeredSolver] = None
-    # wall seconds spent loading or building (and first saving) the graph,
-    # refinement included
+    # wall seconds spent loading or building (and first saving) the graph
     graph_s: float = 0.0
 
 
-def build_workspace(cfg: RunConfig, refine: int = 0,
-                    graph_cache: Optional[str] = None,
+def build_workspace(cfg: RunConfig, graph_cache: Optional[str] = None,
                     with_graph: bool = True) -> Workspace:
     """Assemble domain, structure, projection, and boundary graph.
 
     A graph cache (see ``BoundaryGraph.save``) is loaded when its graph
     file is present, before the reach estimate, so the estimate and every
     projection use the boundary cloud it stores; after a fresh build the
-    graph is saved to it. Refinement happens after loading, so a cache
-    plus a refine count is a reproducible denser graph. The cache carries
-    a hash of the domain spec, the structure spec and the graph block, and
-    a cache whose hash differs or is missing is refused. It also holds the
-    graph's distance rows; the workspace names the cache only while
-    ``graph`` is the cached graph itself, so rows of a refined graph never
-    reach it. Pointwise commands that never touch boundary distances skip
-    the graph and its cache entirely.
+    graph is saved to it. The graph is the one the config's ``graph``
+    block describes; a denser graph is a larger ``graph.n_nodes``. The
+    cache carries a hash of the domain spec, the structure spec and the
+    graph block, and a cache whose hash differs or is missing is refused.
+    It also holds the graph's distance rows, and the rows a command
+    computes join it. Pointwise commands that never touch boundary
+    distances skip the graph and its cache entirely.
     """
     domain = Domain.from_spec(cfg.domain_spec)
     structure = StructureField.from_spec(cfg.structure_spec, domain.dim)
@@ -200,11 +196,8 @@ def build_workspace(cfg: RunConfig, refine: int = 0,
         if graph_cache:
             graph.params["setup"] = setup
             graph.save(graph_cache)
-    for _ in range(int(refine)):
-        graph = graph.refine()
     graph_s += time.perf_counter() - clock
     family = MetricFamily(projection, graph)
     return Workspace(domain=domain, structure=structure, projection=projection,
                      graph=graph, family=family, epsilon=eps,
-                     graph_cache=None if int(refine) else graph_cache,
-                     graph_s=graph_s)
+                     graph_cache=graph_cache, graph_s=graph_s)

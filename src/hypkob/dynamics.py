@@ -14,7 +14,7 @@ against a discretization-aware slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,15 +46,13 @@ class DomainMap:
     """A self-map of the domain interior, batched over row stacks."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "map"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
 
 
 def identity_map() -> DomainMap:
-    return DomainMap(fn=lambda X: X, name="identity")
+    return DomainMap(fn=lambda X: X)
 
 
 def affine_contraction(p, rate: float) -> DomainMap:
@@ -62,9 +60,8 @@ def affine_contraction(p, rate: float) -> DomainMap:
     p = np.asarray(p, dtype=float)
     if not (0.0 < rate < 1.0):
         raise ConfigError("the contraction rate must lie in (0, 1)")
-    return DomainMap(fn=lambda X: p[None, :] + rate * (np.atleast_2d(X) - p[None, :]),
-                     name="affine_contraction",
-                     params={"p": [float(v) for v in p], "rate": float(rate)})
+    return DomainMap(
+        fn=lambda X: p[None, :] + rate * (np.atleast_2d(X) - p[None, :]))
 
 
 def rotation_map(angles) -> DomainMap:
@@ -83,8 +80,7 @@ def rotation_map(angles) -> DomainMap:
         R[2 * k, 2 * k + 1] = -s
         R[2 * k + 1, 2 * k] = s
         R[2 * k + 1, 2 * k + 1] = c
-    return DomainMap(fn=lambda X: np.atleast_2d(X) @ R.T, name="rotation",
-                     params={"angles": [float(a) for a in angles]})
+    return DomainMap(fn=lambda X: np.atleast_2d(X) @ R.T)
 
 
 def map_from_spec(spec: dict) -> DomainMap:

@@ -57,7 +57,7 @@ class LayeredSolver:
     ``boundary.shortest_rows``.
     """
 
-    def __init__(self, family: MetricFamily, mode: str = "collar"):
+    def __init__(self, family: MetricFamily, mode: str):
         if mode not in ("collar", "kobayashi"):
             raise ConfigError(f"unknown layered mode {mode!r}")
         graph = family.graph

@@ -194,7 +194,6 @@ def test_check_ball_passes(rig):
     assert man["command"] == "check"
     assert man["config_hash"] == load_config(rig["config"]).hash()
     assert man["graph"] is None
-    assert man["refine"] == 0
     assert set(man["seeds"]) == {"sampler", "pairs", "quadruples", "orbits"}
     for key in ("hypkob", "numpy", "scipy", "python"):
         assert man["versions"][key]
@@ -330,6 +329,28 @@ def test_delta_replay_is_byte_identical(rig):
     assert rep["failures"] == 0
     assert rep["seed"] == 7
     assert np.asarray(rep["worst_points"]).shape == (4, 4)
+
+
+@pytest.mark.parametrize("metric", ["g", "euclid"])
+def test_delta_reads_the_quadruples_seed_not_the_sampler_seed(rig, metric):
+    # the pool comes from seeds.quadruples and the quadruples from
+    # seeds.quadruples + 1; with epsilon set, seeds.sampler reaches nothing
+    blobs = {}
+    for tag, seeds in (("base", {"sampler": 0, "quadruples": 0}),
+                       ("sampler", {"sampler": 5, "quadruples": 0}),
+                       ("quadruples", {"sampler": 0, "quadruples": 5})):
+        cfg = dict(read_json(rig["config"]), seeds=seeds)
+        name = f"seeds_{metric}_{tag}"
+        out = os.path.join(str(rig["root"]), f"out_{name}")
+        code = main(["delta", "--config",
+                     write_json(rig["root"] / f"{name}.json", cfg),
+                     "--out", out, "--graph-cache", rig["cache"],
+                     "--metric", metric, "--n-quadruples", "1500"])
+        assert code == 0
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            blobs[tag] = fh.read()
+    assert blobs["sampler"] == blobs["base"]
+    assert blobs["quadruples"] != blobs["base"]
 
 
 @pytest.mark.parametrize("cmd, extra, files", [

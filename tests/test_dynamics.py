@@ -25,13 +25,17 @@ def spread_starts(graph, t=0.2, n=6):
 # ---------------------------------------------------------------------------
 
 def test_map_from_spec_round_trip():
+    x = np.array([[0.3, -0.2, 0.1, 0.4]])
     m = map_from_spec({"type": "identity"})
-    assert m.name == "identity"
+    assert np.array_equal(m(x), x)
     m = map_from_spec({"type": "affine_contraction",
-                       "p": [0.0, 0.0, 0.0, 0.0], "rate": 0.5})
-    assert m.params["rate"] == 0.5
+                       "p": [0.2, 0.0, 0.0, 0.0], "rate": 0.5})
+    assert np.allclose(m(x), [[0.25, -0.1, 0.05, 0.2]], rtol=0, atol=1e-15)
     m = map_from_spec({"type": "rotation", "angles": [0.7, 0.3]})
-    assert m.params["angles"] == [0.7, 0.3]
+    c, s = np.cos([0.7, 0.3]), np.sin([0.7, 0.3])
+    want = [[c[0] * 0.3 + s[0] * 0.2, s[0] * 0.3 - c[0] * 0.2,
+             c[1] * 0.1 - s[1] * 0.4, s[1] * 0.1 + c[1] * 0.4]]
+    assert np.allclose(m(x), want, rtol=0, atol=1e-15)
     with pytest.raises(ConfigError):
         map_from_spec({"type": "unknown"})
     with pytest.raises(ConfigError):
@@ -126,7 +130,7 @@ def _radial(cap):
     def fn(X):
         r = np.linalg.norm(X, axis=1, keepdims=True)
         return X * (np.minimum(1.02 * r, cap) / r)
-    return DomainMap(fn=fn, name="radial")
+    return DomainMap(fn=fn)
 
 
 @pytest.mark.parametrize("cap, error", [

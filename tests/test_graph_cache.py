@@ -3,9 +3,9 @@
 A saved graph carries its cached distance rows and its domain's boundary
 cloud, a load puts both back bit for bit, and a command that shares a
 cache computes only the rows no earlier command stored and appends only
-those. The graph file is written only after a fresh build, never with a
-refined graph's rows; a row store is read only with the graph file it was
-written for; a failed save changes no byte; and rows or a cloud that the
+those. The graph file is written only after a fresh build, and a graph
+file written before its parameters lost ``refinement_level`` still loads;
+a row store is read only with the graph file it was written for; a failed save changes no byte; and rows or a cloud that the
 program could not have produced are refused with exit 2.
 """
 
@@ -174,20 +174,6 @@ def test_second_command_computes_only_the_rows_not_stored(rig, monkeypatch):
     assert index.size == len(stored | needed)
 
 
-def test_refined_run_leaves_the_cache_untouched(rig):
-    cache = str(rig["root"] / "graph.npz")
-    assert _dist(rig, cache)[0] == 0
-    blobs = [_read(f) for f in cache_files(cache)]
-    assert _store(cache)[1].size > 0
-    code, out = _cli(rig, cache, "out_refined", "dist", "--metric", "d",
-                     "--pairs", rig["pairs"], "--refine", "1")
-    assert code == 0
-    assert [_read(f) for f in cache_files(cache)] == blobs
-    rows = _manifest(out)["graph_rows"]
-    assert rows["loaded"] == 0 and rows["computed"] > 0
-    assert rows["saved"] == 0 and rows["appended"] == 0
-
-
 def _written():
     """Bytes this process has passed to write calls so far (Linux)."""
     with open("/proc/self/io", encoding="ascii") as fh:
@@ -255,7 +241,7 @@ def test_store_header_holds_a_digest_of_the_graph(ball, structure, tmp_path):
     # and adjacency tells the two stores apart
     for seed in (0, 1):
         graph = BoundaryGraph.build(ball, structure, n_nodes=120,
-                                    k_neighbors=8, seed=seed)
+                                    k_neighbors=8, anisotropy=8.0, seed=seed)
         graph.rows_from([0, 1])
         graph.save(str(tmp_path / f"g{seed}.npz"))
     shutil.copy(tmp_path / "g1.rows", tmp_path / "g0.rows")
@@ -369,12 +355,49 @@ def test_old_single_file_layout_is_refused(rig, capsys):
     assert _read(bad) == blob
 
 
+def test_a_graph_file_with_a_refinement_level_still_loads(rig, monkeypatch):
+    # graph files written while graph parameters held "refinement_level"
+    # (always 0) carry it in their meta: they load with their rows
+    cache = str(rig["root"] / "graph.npz")
+    assert _dist(rig, cache)[0] == 0
+    arrays = _members(cache)
+    meta = json.loads(str(arrays["meta"]))
+    assert "refinement_level" not in meta
+    arrays["meta"] = np.array(json.dumps(dict(meta, refinement_level=0),
+                                         sort_keys=True))
+    old = str(rig["root"] / "old.npz")
+    np.savez(old, **arrays)
+    shutil.copy(cache_files(cache)[1], cache_files(old)[1])
+    blobs = [_read(f) for f in cache_files(old)]
+    _, records = _store(old)
+    calls = _count_dijkstra(monkeypatch)
+    code, out = _dist(rig, old, "out_old")
+    assert code == 0
+    assert calls == []
+    man = _manifest(out)
+    assert man["graph"]["refinement_level"] == 0
+    assert man["graph_rows"]["loaded"] == records.size > 0
+    assert man["graph_rows"]["computed"] == 0
+    assert man["boundary_cloud"] == "cache"
+    assert "graph_build" not in man["timings"]
+    assert [_read(f) for f in cache_files(old)] == blobs
+    assert (_read(os.path.join(out, "report.json"))
+            == _read(str(rig["root"] / "out_dist" / "report.json")))
+    # the stored rows are a fresh build's, bit for bit
+    monkeypatch.undo()
+    ws = build_workspace(load_config(rig["config"]))
+    assert ws.graph.nodes.tobytes() == arrays["nodes"].tobytes()
+    fresh = ws.graph.rows_from(records["index"])
+    assert fresh.tobytes() == records["row"].tobytes()
+
+
 def test_failed_save_keeps_the_old_cache(ball, structure, tmp_path,
                                          monkeypatch):
     folder = tmp_path / "cache"
     folder.mkdir()
     path = str(folder / "graph.npz")
-    graph = BoundaryGraph.build(ball, structure, n_nodes=120, k_neighbors=8)
+    graph = BoundaryGraph.build(ball, structure, n_nodes=120, k_neighbors=8,
+                                anisotropy=8.0, seed=0)
     graph.rows_from([1, 2])
     graph.save(path)
     blobs = [_read(f) for f in cache_files(path)]
@@ -398,7 +421,8 @@ def test_failed_save_keeps_the_old_cache(ball, structure, tmp_path,
         fh.write(b"PK partial archive")
         raise OSError("disk full")
 
-    fresh = BoundaryGraph.build(ball, structure, n_nodes=120, k_neighbors=8)
+    fresh = BoundaryGraph.build(ball, structure, n_nodes=120, k_neighbors=8,
+                                anisotropy=8.0, seed=0)
     fresh.rows_from([7])
     monkeypatch.setattr(np, "savez", partial)
     with pytest.raises(OSError):

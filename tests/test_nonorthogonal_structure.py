@@ -58,7 +58,7 @@ def test_check_passes_on_skew_structure(skew, tmp_path):
 def test_graph_frame_complement_is_j_invariant(ball, skew):
     J, _, structure = skew
     graph = BoundaryGraph.build(ball, structure, n_nodes=64, k_neighbors=8,
-                                seed=0)
+                                anisotropy=8.0, seed=0)
     for i in range(graph.nodes.shape[0]):
         H = complex_tangent_basis(J, graph.node_normals()[i])
         W = np.concatenate([H, H @ J.T])       # H and J H
