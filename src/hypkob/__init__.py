@@ -32,7 +32,7 @@ from .structures import (
 )
 from .boundary import BoundaryGraph, LipschitzReport, lipschitz_details
 from .metrics import (
-    MetricFamily, Polyline, PreparedPoints,
+    MetricFamily, PreparedPoints,
     collar_profile_distance, path_length, estimate_C,
 )
 from .layered import LayeredSolver
@@ -40,7 +40,7 @@ from .kobayashi import (
     kobayashi_speed_batch, QIReport, quasi_isometry_fit, qi_check,
 )
 from .gromov import (
-    BoxSampler, BoundaryBiasedSampler, distance_matrix, HyperbolicityReport,
+    distance_matrix, HyperbolicityReport,
     four_point_from_matrix, four_point_delta, gromov_product,
     ConvergenceReport, converges_at_infinity, BoundaryPointRecord,
     normal_record, boundary_product, boundary_identification,

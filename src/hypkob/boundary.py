@@ -511,6 +511,9 @@ class BoundaryGraph:
         a torn record, a repeated row that is not bit-identical to its
         first copy, and rows that could not have come from Dijkstra on this
         graph (``_check_rows``) are refused as well (``ConfigError``).
+        The graph keeps only the stored parameters that ``build`` and the
+        workspace write (``_PARAM_KEYS``), so a key that older caches hold
+        does not reach a manifest.
         """
         graph_path, store_path = cache_files(path)
         with np.load(graph_path, allow_pickle=False) as z:
@@ -525,6 +528,7 @@ class BoundaryGraph:
             A = csr_matrix((z["data"], z["indices"], z["indptr"]),
                            shape=tuple(z["shape"]))
             cloud = z["cloud"]
+        params = {k: v for k, v in params.items() if k in _PARAM_KEYS}
         graph = cls(domain, structure, nodes, A, params)
         domain.set_boundary_cloud(cloud)
         graph._cache = graph_path
@@ -558,6 +562,10 @@ class BoundaryGraph:
             rec["row"][pos] = self._rows[i]
         return rec
 
+
+# the graph parameters: ``build``'s, and the setup hash of the workspace
+# that cached the graph
+_PARAM_KEYS = ("n_nodes", "k_neighbors", "anisotropy", "seed", "setup")
 
 # a row store starts with ``_HEADER``: this magic, the setup hash (ASCII,
 # padded with zeros), the node count and the graph's digest

@@ -36,7 +36,7 @@ from .boundary import lipschitz_details
 from .metrics import PreparedPoints, path_length
 from .layered import LayeredSolver
 from .kobayashi import qi_check, quasi_isometry_fit
-from .gromov import BoxSampler, BoundaryBiasedSampler, four_point_delta
+from .gromov import four_point_delta
 from .dynamics import (map_from_spec, iterate_many, classify_orbit,
                        check_semicontraction)
 
@@ -138,28 +138,23 @@ def _cmd_check(args, cfg: RunConfig, ws: Workspace):
     return report, (0 if ok else 1)
 
 
-def _upper(fam, pl) -> float:
-    """The ``upper`` column of ``dist``: the exact g-length of a witness
-    path."""
-    return path_length(pl, fam, "g")
-
-
 def _witness_paths(fam, X, Y) -> tuple:
     """Witness paths of row pairs, the one driver of ``dist --metric d``
     and ``geodesic``.
 
     One ``prepare`` call projects every endpoint, and one
     ``composite_upper_paths`` call builds every path with its ``d``; each
-    path's g-length (``_upper``) is measured on its own. Returns the
-    prepared endpoints ``A`` and ``B``, the paths, their ``d`` values and
-    their g-lengths. Both commands call it once over all parsed rows and,
-    when that raises, once per row, so a bad row marks only itself.
+    path's exact g-length (``dist``'s ``upper``) is measured on its own.
+    Returns the prepared endpoints ``A`` and ``B``, the paths, their ``d``
+    values and their g-lengths. Both commands call it once over all parsed
+    rows and, when that raises, once per row, so a bad row marks only
+    itself.
     """
     m = len(X)
     P = fam.prepare(np.concatenate([X, Y]))
     A, B = P.take(np.arange(m)), P.take(np.arange(m, 2 * m))
     paths, dval = fam.composite_upper_paths(A, B)
-    return A, B, paths, dval, [_upper(fam, pl) for pl in paths]
+    return A, B, paths, dval, [path_length(path, fam, "g") for path in paths]
 
 
 def _batch_values(fam, kind: str, X, Y, solver=None) -> list:
@@ -265,11 +260,9 @@ def _cmd_delta(args, cfg: RunConfig, ws: Workspace):
     if kind == "kobayashi_estimate":
         raise ConfigError("four-point sampling supports metrics g, d, euclid")
     # four_point_delta seeds the pool draw itself, from the quadruples seed
-    if kind == "euclidean":
-        sampler = BoxSampler(ws.domain)
-    else:
-        sampler = BoundaryBiasedSampler(ws.family)
-    rep = four_point_delta(ws.family, kind, sampler,
+    draw = (ws.domain.sample_interior if kind == "euclidean"
+            else ws.family.collar_sample)
+    rep = four_point_delta(ws.family, kind, draw,
                            n_quadruples=args.n_quadruples,
                            seed=cfg.seeds["quadruples"])
     report = {
@@ -288,11 +281,10 @@ def _cmd_delta(args, cfg: RunConfig, ws: Workspace):
 
 def _cmd_qi(args, cfg: RunConfig, ws: Workspace):
     fam = ws.family
-    # the sampler's points come prepared from their construction, so g
-    # and d project none of them
-    sampler = BoundaryBiasedSampler(fam, cfg.seeds["pairs"])
+    # collar samples come prepared from their construction, so g and d
+    # project none of them
     if args.metric == "kob":
-        pool = sampler.sample(46)
+        pool = fam.collar_sample(46, cfg.seeds["pairs"])
         ws.layered = LayeredSolver(fam, "kobayashi")
         rep = qi_check(ws.layered, pool)
         report = {
@@ -301,9 +293,9 @@ def _cmd_qi(args, cfg: RunConfig, ws: Workspace):
             "n_pool": len(pool),
         }
     elif args.metric == "d":
-        P = sampler.sample(1000)
+        P = fam.collar_sample(1000, cfg.seeds["pairs"])
         rng = np.random.default_rng(cfg.seeds["pairs"] + 1)
-        Q = sampler.sample(1000, seed=int(rng.integers(1 << 31)))
+        Q = fam.collar_sample(1000, int(rng.integers(1 << 31)))
         G = fam.g_pairs(P, Q)
         D = fam.d_pairs(P, Q)
         rep = quasi_isometry_fit(G, D)
@@ -400,8 +392,8 @@ def _geodesic_values(fam, X, Y) -> list:
     distance row is computed for it.
     """
     _, _, paths, dval, upper = _witness_paths(fam, X, Y)
-    sizes = np.array([pl.points.shape[0] for pl in paths])
-    V = PreparedPoints.concat([pl.prepared for pl in paths])
+    sizes = np.array([len(path) for path in paths])
+    V = PreparedPoints.concat(paths)
     # every vertex but a path's last starts one of its segments
     lo = np.delete(np.arange(len(V)), np.cumsum(sizes) - 1)
     A, B = V.take(lo), V.take(lo + 1)
@@ -428,23 +420,27 @@ def _cmd_geodesic(args, cfg: RunConfig, ws: Workspace):
                 entries.append({"pair": i, "error": "parse"})
                 continue
             try:
-                pl, dval, glen, seg = (batch[i] if i in batch else
-                                       _geodesic_values(fam, [x], [y])[0])
+                path, dval, glen, seg = (batch[i] if i in batch else
+                                         _geodesic_values(fam, [x], [y])[0])
             except HypkobError as exc:
                 n_err += 1
                 entries.append({"pair": i, "error": type(exc).__name__})
                 continue
-            params = pl.params()
-            for j in range(pl.points.shape[0]):
-                wr.writerow([i, j] + [_fmt(v) for v in pl.points[j]]
+            pts = path.points
+            # the path parameter: cumulative chord length from the start
+            params = np.concatenate(
+                [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0),
+                                                 axis=-1))])
+            for j in range(pts.shape[0]):
+                wr.writerow([i, j] + [_fmt(v) for v in pts[j]]
                             + [_fmt(params[j])])
             entries.append({
                 "pair": i,
-                "n_points": int(pl.points.shape[0]),
+                "n_points": int(pts.shape[0]),
                 "d_value": float(dval),
                 "g_length": float(glen),
                 "segment_g": [float(v) for v in seg],
-                "points": pl.points,
+                "points": pts,
             })
     report = {
         "command": "geodesic",

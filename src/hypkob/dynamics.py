@@ -158,7 +158,7 @@ _BLOCK_STEPS = 32
 
 
 def iterate_many(F: DomainMap, projection: HeightProjection, starts,
-                 n_max: int = 200) -> list[OrbitRecord]:
+                 n_max: int) -> list[OrbitRecord]:
     """Advance several starts together, freezing orbits at the stop floor.
 
     The stop floor is a millionth of the collar width in squared height;
@@ -229,7 +229,7 @@ def iterate_many(F: DomainMap, projection: HeightProjection, starts,
 # ---------------------------------------------------------------------------
 
 def check_semicontraction(F: DomainMap, family: MetricFamily, kind: str,
-                          n_pairs: int = 256, seed: int = 0) -> dict:
+                          n_pairs: int, seed: int) -> dict:
     """Compare pair distances across one application of the map.
 
     The distances are ``family``'s ``kind``, ``"g"`` or ``"d"``; any other

@@ -7,27 +7,26 @@ geometric boundary, and thin-triangle audits. Everything here takes a
 or ``euclidean`` where a table suffices); each function refuses the kinds
 it cannot serve. Pair values come from ``MetricFamily.pairs``, and tables
 from ``distance_matrix``, which evaluates the closed-form kinds in
-vectorized row blocks so large quadruple counts stay cheap.
+vectorized row blocks so large quadruple counts stay cheap. A point pool
+is a draw, a function ``(n, seed)`` that returns coordinates or
+``PreparedPoints``: ``Domain.sample_interior`` or
+``MetricFamily.collar_sample``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, HypkobError, NotStabilized, PrefixTooShort
-from .domain import Domain
 from .metrics import MetricFamily, PreparedPoints
 
 __all__ = [
     "HyperbolicityReport",
     "BoundaryPointRecord",
     "ConvergenceReport",
-    "BoxSampler",
-    "BoundaryBiasedSampler",
     "distance_matrix",
     "four_point_from_matrix",
     "four_point_delta",
@@ -38,45 +37,6 @@ __all__ = [
     "boundary_identification",
     "triangle_thinness",
 ]
-
-
-# ---------------------------------------------------------------------------
-# samplers
-# ---------------------------------------------------------------------------
-
-class BoxSampler:
-    """Uniform interior points by rejection from the bounding box."""
-
-    def __init__(self, domain: Domain, seed: int = 0):
-        self.domain = domain
-        self.seed = int(seed)
-
-    def sample(self, n: int, seed: Optional[int] = None) -> np.ndarray:
-        return self.domain.sample_interior(
-            n, seed=self.seed if seed is None else seed)
-
-
-class BoundaryBiasedSampler:
-    """Collar points on node rays with heights crowded toward the boundary.
-
-    Depths follow t = eps * u^2 with u uniform, so heights are uniform on
-    (0, sqrt(eps)]; hyperbolicity defects concentrate near the boundary
-    and this law keeps the sample where they live.
-    """
-
-    def __init__(self, family: MetricFamily, seed: int = 0):
-        self.family = family
-        self.seed = int(seed)
-
-    def sample(self, n: int, seed: Optional[int] = None) -> PreparedPoints:
-        """``n`` points, prepared from their construction: none is projected."""
-        rng = np.random.default_rng(self.seed if seed is None else seed)
-        m = self.family.graph.nodes.shape[0]
-        idx = rng.integers(0, m, size=n)
-        u = rng.random(n)
-        floor = 1e-6
-        depths = self.family.eps * np.maximum(u * u, floor)
-        return self.family.prepare_on_rays(idx, depths)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +135,19 @@ def four_point_from_matrix(D: np.ndarray, quads: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (np.maximum(hi, s3) - mid), 0.0)
 
 
-def four_point_delta(family: MetricFamily, kind: str, sampler,
-                     n_quadruples: int, seed: int = 0) -> HyperbolicityReport:
+def four_point_delta(family: MetricFamily, kind: str, draw,
+                     n_quadruples: int, seed: int) -> HyperbolicityReport:
     """Sampled four-point constant of ``family``'s distance ``kind``.
 
     ``kind`` is one that ``distance_matrix`` tabulates, which refuses the
-    others. Points come from a shared pool so one pairwise table serves
-    every quadruple, and a prepared pool goes to it as it is. The
-    quadruple index draws are seeded separately from the pool draw, and
-    both are deterministic. Quadruples whose defect is not finite are
-    counted as failures, and the constant, its witness and its quantile
-    are taken over the rest.
+    others. Points come from one pool, ``draw(n_pool, seed)``, so one
+    pairwise table serves every quadruple: coordinates (as
+    ``Domain.sample_interior`` draws them) or a prepared pool (as
+    ``MetricFamily.collar_sample`` builds it), which goes to the table as
+    it is. The quadruple index draws are seeded with ``seed + 1``, apart
+    from the pool, and both are deterministic. Quadruples whose defect is
+    not finite are counted as failures, and the constant, its witness and
+    its quantile are taken over the rest.
 
     Quadruples are drawn and evaluated in chunks of ``_QUAD_CHUNK``; the
     generator continues across chunks exactly as one draw of all of them,
@@ -197,7 +159,7 @@ def four_point_delta(family: MetricFamily, kind: str, sampler,
     if n_quadruples < 1:
         raise ConfigError("need at least one quadruple")
     n_pool = int(min(max(64, 4 * math.isqrt(n_quadruples)), 1600))
-    pool = sampler.sample(n_pool, seed=seed)
+    pool = draw(n_pool, seed)
     pts = _coords(pool)
     D = distance_matrix(family, kind, pool)
     rng = np.random.default_rng(seed + 1)

@@ -149,8 +149,9 @@ def qi_check(solver, points) -> QIReport:
     """Fit the sandwich over all pairs from a pool of interior points.
 
     ``solver`` is a ``layered.LayeredSolver``; ``g`` and its distances
-    share the solver's family, so the ladder and ``g`` read one graph. A pool that family prepared (a
-    sampler's) is used as it is; any other is prepared once.
+    share the solver's family, so the ladder and ``g`` read one graph. A
+    pool that family prepared (``MetricFamily.collar_sample``'s) is used
+    as it is; any other is prepared once.
     """
     family = solver.family
     P = family.as_prepared(points)

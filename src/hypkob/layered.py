@@ -8,12 +8,13 @@ Finsler estimate, since every grid path is an admissible continuum path.
 
 Queries arrive prepared: each point's foot, depth and snapped column come
 from ``MetricFamily.as_prepared``, so ``MetricFamily.prepare`` is the one
-place that projects and snaps a point, and a pool a sampler built is used
-as it is. Query points attach as virtual nodes: a vertical stub to the
-adjacent levels of their column, plus exact direct edges for query pairs
-sharing one column. The collar mode exists mainly as an independent check
-of the closed-form distance; the estimate mode is the production solver
-for the interior Finsler metric and its only entry point for distances.
+place that projects and snaps a point, and a pool that
+``MetricFamily.collar_sample`` built is used as it is. Query points attach
+as virtual nodes: a vertical stub to the adjacent levels of their column,
+plus exact direct edges for query pairs sharing one column. The collar
+mode exists mainly as an independent check of the closed-form distance;
+the estimate mode is the production solver for the interior Finsler
+metric and its only entry point for distances.
 """
 
 from __future__ import annotations

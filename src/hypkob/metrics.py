@@ -13,6 +13,11 @@ The closed collar form makes ``d`` an exact pseudometric over snapped
 feet: concatenation of optimal profiles is again an admissible profile, so
 the triangle inequality holds to rounding, not to mesh resolution.
 
+Points move through this module as coordinates or as ``PreparedPoints``,
+their feet, depths and foot nodes. A path is the ``PreparedPoints`` of its
+vertices in order, as ``horizontal_path`` and ``composite_upper_paths``
+build them, and a pool of collar points is ``MetricFamily.collar_sample``.
+
 Path lengths are measured for ``g`` and the interior Finsler estimate only,
 from the feet and depths of a path's vertices. Under ``g`` a segment's rate
 integrates in closed form, so its length is exact; the estimate is a dyadic
@@ -42,7 +47,6 @@ from .domain import HeightProjection
 from . import kobayashi
 
 __all__ = [
-    "Polyline",
     "PreparedPoints",
     "MetricFamily",
     "path_length",
@@ -73,46 +77,6 @@ def collar_profile_distance(w, ha, hb, eps):
     peak = _peak(w, ha, hb, eps)
     out = 2.0 * np.log(peak / np.sqrt(ha * hb))
     return out + np.where(w > 0, 2.0 * w / np.where(peak > 0, peak, 1.0), 0.0)
-
-
-@dataclass
-class Polyline:
-    """A piecewise linear path, with its vertices' feet and depths if known.
-
-    Exact duplicate consecutive points are dropped on construction, so a
-    fully degenerate input collapses to a single-point path of length zero.
-    ``prepared`` holds the vertices' feet and depths where the construction
-    knows them, so measuring the path projects none of its vertices. A
-    segment's geometry is read from its two feet alone: it runs along a
-    normal ray when they coincide (``Domain.same_foot``).
-    """
-
-    points: np.ndarray
-    prepared: Optional["PreparedPoints"] = None
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.points.shape[0] < 1:
-            raise ConfigError("a polyline needs at least one point")
-        if (self.prepared is not None
-                and len(self.prepared) != self.points.shape[0]):
-            raise ConfigError("prepared vertices must match the points")
-        gaps = np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
-        if np.any(gaps == 0.0):
-            keep = gaps > 0.0
-            self.points = np.vstack([self.points[:-1][keep], self.points[-1:]])
-            if self.prepared is not None:
-                self.prepared = self.prepared.take(np.append(np.flatnonzero(keep),
-                                                             keep.size))
-
-    @property
-    def n_segments(self) -> int:
-        return self.points.shape[0] - 1
-
-    def params(self) -> np.ndarray:
-        """Cumulative Euclidean parameter, starting at zero."""
-        chords = np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
-        return np.concatenate([[0.0], np.cumsum(chords)])
 
 
 @dataclass
@@ -148,6 +112,16 @@ class PreparedPoints:
 _ROW_FIELDS = ("points", "feet", "depth", "height", "node", "heff", "extra")
 
 
+def _without_repeats(path: PreparedPoints) -> PreparedPoints:
+    """The vertices of ``path`` without any that the next one repeats
+    exactly, so no segment of a path is a point; a path of one repeated
+    point keeps one vertex. A kept vertex keeps its own feet and depth."""
+    gaps = np.linalg.norm(np.diff(path.points, axis=0), axis=-1)
+    if not np.any(gaps == 0.0):
+        return path
+    return path.take(np.append(np.flatnonzero(gaps > 0.0), gaps.size))
+
+
 class MetricFamily:
     """Evaluator for the boundary-anchored metrics over one domain setup."""
 
@@ -163,8 +137,8 @@ class MetricFamily:
     def prepare(self, X) -> PreparedPoints:
         """Project a batch and snap its feet; the result depends on ``X`` alone.
 
-        Points built with known feet (samplers, witness paths) are passed
-        along as the ``PreparedPoints`` of their construction instead.
+        Points built with known feet (``collar_sample``, witness paths) are
+        passed along as the ``PreparedPoints`` of their construction instead.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         feet, depth = self.projection.project_batch(X)
@@ -210,6 +184,21 @@ class MetricFamily:
         n = self.graph.domain.outward_normal(feet)
         pts = feet - depths[:, None] * n
         return self._prepare_known(pts, feet, depths.copy(), node_idx.copy())
+
+    def collar_sample(self, n: int, seed: int) -> PreparedPoints:
+        """``n`` collar points on node rays, heights crowded toward the
+        boundary; prepared from their construction, so none is projected.
+
+        Nodes are drawn uniformly, then ``u`` uniform on [0, 1), and the
+        depth is ``eps * max(u^2, 1e-6)``: heights are uniform on
+        (0, sqrt(eps)] above a floor of a thousandth of it. Hyperbolicity
+        defects concentrate near the boundary, and this law keeps the
+        sample where they live.
+        """
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, self.graph.nodes.shape[0], size=n)
+        u = rng.random(n)
+        return self.prepare_on_rays(idx, self.eps * np.maximum(u * u, 1e-6))
 
     # -- the two metrics ------------------------------------------------------
 
@@ -299,8 +288,9 @@ class MetricFamily:
 
     # -- structured paths ------------------------------------------------------
 
-    def horizontal_path(self, x, y) -> Polyline:
-        """Constant-height path over the graph geodesic between the feet.
+    def horizontal_path(self, x, y) -> PreparedPoints:
+        """The vertices of the constant-height path over the graph geodesic
+        between the feet.
 
         Both endpoints must sit at one height, within 1e-9·max(h, 1). The
         interior vertices are the geodesic nodes pushed inward to the
@@ -309,8 +299,9 @@ class MetricFamily:
         its feet), so its g-length is exactly ``2 w / h`` for edge weight
         ``w``, and the path's reproduces the graph distance between the
         snapped feet. The shell vertices carry their construction feet and
-        depth, so measuring the path projects none of them. Coinciding feet
-        give the degenerate single-point path.
+        depth, so measuring the path projects none of them. A vertex that
+        the next one repeats is dropped, and coinciding feet give the
+        degenerate single-point path.
         """
         A = self.prepare(np.asarray(x, dtype=float)[None])
         B = self.prepare(np.asarray(y, dtype=float)[None])
@@ -320,7 +311,7 @@ class MetricFamily:
         if A.extra[0] > 0 or B.extra[0] > 0:
             raise ConfigError("horizontal paths are collar constructions")
         if self.graph.domain.same_foot(A.feet[0], B.feet[0]):
-            return Polyline(A.points[0][None])
+            return A
         h = float(A.height[0])
         t = h * h
         path = self.graph.geodesic_nodes(A.node[0], B.node[0])
@@ -328,13 +319,12 @@ class MetricFamily:
                            B.feet[0][None]])
         shell = bndry - t * self.graph.domain.outward_normal(bndry)
         pts = np.vstack([A.points[0], shell, B.points[0]])
-        known = self._prepare_known(
+        return _without_repeats(self._prepare_known(
             pts, np.vstack([A.feet, bndry, B.feet]),
             np.concatenate([A.depth, np.full(len(shell), t), B.depth]),
-            np.concatenate([A.node, A.node, path, B.node, B.node]))
-        return Polyline(pts, prepared=known)
+            np.concatenate([A.node, A.node, path, B.node, B.node])))
 
-    def composite_upper_path(self, x, y) -> tuple[Polyline, float]:
+    def composite_upper_path(self, x, y) -> tuple[PreparedPoints, float]:
         """Up-over-down witness path together with its exact cost.
 
         The one-pair case of ``composite_upper_paths``.
@@ -345,7 +335,8 @@ class MetricFamily:
 
     def composite_upper_paths(self, A: PreparedPoints, B: PreparedPoints
                               ) -> tuple[list, np.ndarray]:
-        """Witness paths of aligned batches, with their exact costs ``d``.
+        """Witness paths of aligned batches, as the ``PreparedPoints`` of
+        their vertices, with their exact costs ``d``.
 
         Each cost equals the composite distance for its pair, so the path
         certifies the value of ``d`` from above. A path climbs the normal
@@ -358,7 +349,9 @@ class MetricFamily:
         other foot). Every vertex carries its foot and depth: the
         endpoints' from ``A`` and ``B``, the shell vertices' from the
         construction (a node or an endpoint foot at the peak depth), so
-        measuring a path projects nothing.
+        measuring a path projects nothing. A vertex that the next one
+        repeats is dropped: the climb vertex over a foot that is itself a
+        node is the geodesic's first vertex.
         """
         n, dom = len(A), self.graph.domain
         dval = self.d_pairs(A, B)
@@ -398,7 +391,7 @@ class MetricFamily:
         points[shell] = (feet[shell] - depth[shell, None]
                          * dom.outward_normal(feet[shell]))
         P = self._prepare_known(points, feet, depth, node)
-        paths = [Polyline(points[s:e], prepared=P.take(np.arange(s, e)))
+        paths = [_without_repeats(P.take(np.arange(s, e)))
                  for s, e in zip(starts[:-1], starts[1:])]
         return paths, dval
 
@@ -443,17 +436,19 @@ def _rate_sum(family: MetricFamily, a: np.ndarray, b: np.ndarray,
         mid.reshape(-1, a.shape[1]), step).sum())
 
 
-def path_length(polyline: Polyline, family: MetricFamily, kind: str) -> float:
-    """Length of the polyline under ``family``'s ``g`` or interior estimate.
+def path_length(path, family: MetricFamily, kind: str) -> float:
+    """Length of the piecewise linear path through the vertices ``path``
+    under ``family``'s ``g`` or interior estimate.
 
     ``kind`` is ``"g"`` or ``"kobayashi_estimate"``, the rate kinds; any
-    other kind is refused (``ConfigError``). A single-point polyline has
-    length zero. The vertices' feet and depths come from
-    ``polyline.prepared`` where the construction attached them (then no
-    vertex is projected), otherwise from one ``prepare`` call, and each
-    segment is read from its two vertices: heights run linearly between
-    them, and the segment runs along a normal ray when their feet
-    coincide (``Domain.same_foot``).
+    other kind is refused (``ConfigError``). ``path`` is the
+    ``PreparedPoints`` of the vertices, as the path constructions return
+    them (then no vertex is projected), or their coordinates, which
+    ``family.as_prepared`` prepares in one call. A single-point path has
+    length zero. Each segment is read from its two vertices: heights run
+    linearly between them, and the segment runs along a normal ray when
+    their feet coincide (``Domain.same_foot``), so a repeated vertex adds
+    nothing.
 
     Under ``g`` a segment costs ``(2 w + |dh|)`` times the mean of ``1/h``
     over it, where ``w`` is the chord cost of its feet in the frame of the
@@ -467,11 +462,9 @@ def path_length(polyline: Polyline, family: MetricFamily, kind: str) -> float:
     if kind not in _RATE_KINDS:
         raise ConfigError(f"path lengths are measured under {_RATE_KINDS}, "
                           f"not {kind!r}")
-    if polyline.n_segments == 0:
+    P = family.as_prepared(path)
+    if len(P) < 2:
         return 0.0
-    P = polyline.prepared
-    if P is None:
-        P = family.prepare(polyline.points)
     ray = family.graph.domain.same_foot(P.feet[:-1], P.feet[1:])
     inv_h = _mean_inverse_height(P.height)
     rise = np.abs(np.diff(P.height))
@@ -481,7 +474,7 @@ def path_length(polyline: Polyline, family: MetricFamily, kind: str) -> float:
     total = 2.0 * kobayashi.A_N * float(np.sum((rise * inv_h)[ray]))
     if np.all(ray):
         return total
-    a, b = polyline.points[:-1][~ray], polyline.points[1:][~ray]
+    a, b = P.points[:-1][~ray], P.points[1:][~ray]
     prev = None
     for depth in range(_EST_MAX_DEPTH + 1):
         cur = total + _rate_sum(family, a, b, depth)
@@ -496,8 +489,7 @@ def path_length(polyline: Polyline, family: MetricFamily, kind: str) -> float:
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def estimate_C(family: MetricFamily, n_pairs: int = 2000,
-               seed: int = 0) -> float:
+def estimate_C(family: MetricFamily, n_pairs: int, seed: int) -> float:
     """Largest observed additive gap ``d - g`` over sampled collar pairs.
 
     Collar points are drawn on node rays and prepared without projection;

@@ -49,15 +49,13 @@ __all__ = [
 class StructureField:
     """A matrix field ``J(x)`` acting on tangent vectors, with ``J^2 = -Id``."""
 
-    def __init__(self, dim: int, matrix_fn: Callable[[np.ndarray], np.ndarray],
-                 name: str = "structure"):
+    def __init__(self, dim: int, matrix_fn: Callable[[np.ndarray], np.ndarray]):
         if dim < 2 or dim % 2 != 0:
             raise DimensionTooSmall(
                 f"almost complex structures need an even dimension, got {dim}"
             )
         self.dim = dim
         self.matrix_fn = matrix_fn
-        self.name = name
 
     def j(self, x) -> np.ndarray:
         """Matrices of shape (..., dim, dim) at the given points."""
@@ -82,7 +80,7 @@ class StructureField:
                 def fn(x):
                     return base + np.einsum("ijk,...k->...ij", linear, x)
 
-                return cls(dim, fn, name="matrix_polynomial")
+                return cls(dim, fn)
             raise ConfigError(f"unknown structure type {kind!r}")
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"malformed structure spec: {exc}") from exc
@@ -97,7 +95,7 @@ def standard_structure(dim: int) -> StructureField:
         J[2 * k, 2 * k + 1] = -1.0
         J[2 * k + 1, 2 * k] = 1.0
     return StructureField(dim, lambda x: np.broadcast_to(
-        J, x.shape[:-1] + (dim, dim)).copy(), name="standard")
+        J, x.shape[:-1] + (dim, dim)).copy())
 
 
 # the largest entry of ``J^2 + Id`` that ``check_structure`` accepts
@@ -181,8 +179,7 @@ _BOUNDARY_BAND = 0.05
 
 
 def check_strict_convexity(domain: Domain, structure: StructureField,
-                           n_samples: int = 64,
-                           seed: int = 0) -> ConvexityReport:
+                           n_samples: int, seed: int) -> ConvexityReport:
     """Positivity of the Levi form near the boundary.
 
     Samples boundary points and copies pushed ``_BOUNDARY_BAND`` times a

@@ -19,8 +19,7 @@ from hypkob.boundary import BoundaryGraph
 from hypkob.metrics import MetricFamily, path_length, estimate_C
 from hypkob.kobayashi import qi_check
 from hypkob.layered import LayeredSolver
-from hypkob.gromov import (BoundaryBiasedSampler, four_point_delta,
-                           boundary_product)
+from hypkob.gromov import four_point_delta, boundary_product
 from hypkob.dynamics import (affine_contraction, rotation_map, iterate_many,
                              classify_orbit)
 
@@ -101,8 +100,7 @@ def _horizontal_errors(fam, seed):
             continue
         x = graph.nodes[i] - h * h * normals[i]
         y = graph.nodes[j] - h * h * normals[j]
-        pl = fam.horizontal_path(x, y)
-        length = path_length(pl, fam, "g")
+        length = path_length(fam.horizontal_path(x, y), fam, "g")
         _, w = graph.geodesic(graph.nodes[i], graph.nodes[j])
         target = 2.0 * w / h
         out.append(abs(length - target) / target)
@@ -119,8 +117,7 @@ def test_criterion_02_horizontal_path_length(acc):
 
 def test_criterion_03_four_point_bound_for_g(acc):
     t0 = time.perf_counter()
-    rep = four_point_delta(acc["fam8"], "g",
-                           BoundaryBiasedSampler(acc["fam8"]),
+    rep = four_point_delta(acc["fam8"], "g", acc["fam8"].collar_sample,
                            n_quadruples=100000, seed=13)
     elapsed = time.perf_counter() - t0
     ok = (rep.delta <= LOG4 + FOUR_POINT_SLACK and rep.failures == 0
@@ -132,9 +129,8 @@ def test_criterion_03_four_point_bound_for_g(acc):
 def test_criterion_04_rough_isometry_bracket(acc):
     fam = acc["fam8"]
     graph = acc["graph8"]
-    samp = BoundaryBiasedSampler(fam, 14)
-    A = samp.sample(1000)
-    B = samp.sample(1000, seed=1414)
+    A = fam.collar_sample(1000, 14)
+    B = fam.collar_sample(1000, 1414)
     gap = fam.d_pairs(A, B) - fam.g_pairs(A, B)
     lower_ok = float(np.min(gap)) >= -BRACKET_EPS
     sup = float(np.max(gap))
@@ -164,26 +160,23 @@ def test_criterion_04_rough_isometry_bracket(acc):
                  f"sup={near_sup:.3f}<=2+slack on {len(pts_x)} pairs")
 
 
-class _SquareSampler:
-    """Uniform points on an axis-aligned square of a given side."""
-
-    def __init__(self, side: float):
-        self.side = float(side)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return self.side * np.random.default_rng(seed).random((int(n), 2))
+def _square(side: float):
+    """The draw ``(n, seed)`` of uniform points on an axis-aligned square
+    of side ``side``."""
+    def draw(n: int, seed: int) -> np.ndarray:
+        return side * np.random.default_rng(seed).random((int(n), 2))
+    return draw
 
 
 def test_criterion_05_hyperbolic_vs_flat_contrast(acc):
     fam = acc["fam8"]
-    rep = four_point_delta(fam, "d",
-                           BoundaryBiasedSampler(fam),
+    rep = four_point_delta(fam, "d", fam.collar_sample,
                            n_quadruples=20000, seed=16)
-    c_est = estimate_C(fam)
+    c_est = estimate_C(fam, n_pairs=2000, seed=0)
     hyp_bound = LOG4 + 3.0 * c_est
     hyp_ok = rep.delta <= hyp_bound
 
-    flat = [four_point_delta(fam, "euclidean", _SquareSampler(s),
+    flat = [four_point_delta(fam, "euclidean", _square(s),
                              n_quadruples=20000, seed=18).delta
             for s in (1.0, 2.0, 4.0)]
     r2 = flat[1] / flat[0]
@@ -257,7 +250,7 @@ def test_criterion_06_boundary_identification_band(acc):
 
 
 def test_criterion_07_kobayashi_qi_fit(acc):
-    pool = BoundaryBiasedSampler(acc["fam8"], 5).sample(46)
+    pool = acc["fam8"].collar_sample(46, 5)
     base = qi_check(LayeredSolver(acc["fam8"], "kobayashi"), pool)
     refined = qi_check(LayeredSolver(acc["fam8r"], "kobayashi"), pool)
     n_pairs = base.n_pairs
@@ -331,9 +324,8 @@ def test_criterion_10_anisotropy_stability(acc):
     bilip = (float(ratio.min()) >= 1.0 - 1e-9
              and float(ratio.max()) <= LAMBDA_RATIO + 1e-9)
 
-    samp = BoundaryBiasedSampler(acc["fam8"], 22)
-    X = samp.sample(1000).points
-    Y = samp.sample(1000, seed=2222).points
+    X = acc["fam8"].collar_sample(1000, 22).points
+    Y = acc["fam8"].collar_sample(1000, 2222).points
 
     def gap_sup(fa, fb):
         da = fa.d_pairs(fa.prepare(X), fa.prepare(Y))

@@ -10,7 +10,7 @@ estimate.
 import numpy as np
 
 from hypkob import kobayashi
-from hypkob.gromov import BoundaryBiasedSampler, distance_matrix
+from hypkob.gromov import distance_matrix
 
 # Band of g - k_B on the pool below (500-node graph, seed 5, 46 points,
 # 1,035 pairs). Measured before the boundary graph's thinning and Dijkstra
@@ -86,7 +86,7 @@ def test_k_ball_closed_form():
 
 
 def test_g_minus_k_ball_stays_in_band(family):
-    pool = BoundaryBiasedSampler(family, 5).sample(46)
+    pool = family.collar_sample(46, 5)
     G = distance_matrix(family, "g", pool)
     X = pool.points
     K = k_ball(X[:, None, :], X[None, :, :])

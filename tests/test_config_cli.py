@@ -361,8 +361,10 @@ def test_delta_reads_the_quadruples_seed_not_the_sampler_seed(rig, metric):
     ("delta", ("--metric", "d", "--n-quadruples", "1500"), ()),
     ("geodesic", ("--pairs", "PAIRS"), ("geodesic.csv",)),
     ("orbit", ("--map", "ROTATION"), ("orbits.csv",)),
+    ("orbit", ("--map", "CONTRACTION"), ("orbits.csv",)),
+    ("qi", ("--metric", "d"), ()),
 ], ids=["check", "dist-d", "lipschitz", "delta-euclid", "delta-d", "geodesic",
-        "orbit"])
+        "orbit", "orbit-contraction", "qi-d"])
 def test_report_replay_is_byte_identical(rig, cmd, extra, files, request):
     # report.json, and the CSV a command writes its values to
     inputs = {
@@ -370,6 +372,10 @@ def test_report_replay_is_byte_identical(rig, cmd, extra, files, request):
                              [RADIAL, SAME, "0.3,0.1,0.2,0,-0.4,0.5,0,0.1"]),
         "ROTATION": write_json(rig["root"] / "rot_replay.json",
                                {"type": "rotation", "angles": [0.9, 0.4]}),
+        # toward a boundary point, so the orbits converge there
+        "CONTRACTION": write_json(rig["root"] / "contract_replay.json",
+                                  {"type": "affine_contraction",
+                                   "p": [1, 0, 0, 0], "rate": 0.8}),
     }
     extra = [inputs.get(a, a) for a in extra]
     blobs = []
@@ -382,11 +388,16 @@ def test_report_replay_is_byte_identical(rig, cmd, extra, files, request):
             with open(os.path.join(out, name), "rb") as fh:
                 blobs[-1].append(fh.read())
     assert blobs[0] == blobs[1]
+    rep = json.loads(blobs[0][0])
     if "euclid" in extra:
-        # the box sampler's pool: no other test or workload reaches it
-        rep = json.loads(blobs[0][0])
+        # the pool of ``Domain.sample_interior``: no other test or workload
+        # reaches it
         assert math.isfinite(rep["delta"]) and rep["delta"] >= 0
         assert rep["failures"] == 0
+    if request.node.callspec.id == "orbit-contraction":
+        assert rep["verdict"] == "ConvergesTo"
+    if cmd == "qi":
+        assert rep["comparison"] == ["g", "d"] and rep["n_pairs"] == 1000
 
 
 def test_kob_replay_is_byte_identical_and_counts_the_ladder(rig):

@@ -80,8 +80,8 @@ def _per_row(rig, rows):
     fam = ws.family
     out = []
     for x, y in rows:
-        pl, _ = fam.composite_upper_path(x, y)
-        out.append(pair_values(fam, x, y) + (path_length(pl, fam, "g"),))
+        path, _ = fam.composite_upper_path(x, y)
+        out.append(pair_values(fam, x, y) + (path_length(path, fam, "g"),))
     return out
 
 
@@ -188,7 +188,7 @@ def test_deep_dist_makes_one_fallback_call(rigs, monkeypatch):
 def test_same_ray_witness_path_projects_nothing(family, graph, monkeypatch):
     u = graph.nodes[23]
     x, y = 0.2 * u, 0.1 * u
-    pl, _ = family.composite_upper_path(x, y)
+    path, _ = family.composite_upper_path(x, y)
     calls = []
     real = family.projection.project_batch
 
@@ -197,7 +197,7 @@ def test_same_ray_witness_path_projects_nothing(family, graph, monkeypatch):
         return real(X, seed_feet=seed_feet)
 
     monkeypatch.setattr(family.projection, "project_batch", counted)
-    length = path_length(pl, family, "g")
+    length = path_length(path, family, "g")
     assert math.isfinite(length)
     assert calls == []
 
@@ -219,20 +219,22 @@ def _per_pair_geodesic(rig, rows, out):
                 entries.append({"pair": i, "error": "parse"})
                 continue
             try:
-                pl, dval = fam.composite_upper_path(*row)
-                glen = path_length(pl, fam, "g")
-                n = pl.points.shape[0]
-                seg = fam.g_pairs(pl.prepared.take(np.arange(n - 1)),
-                                  pl.prepared.take(np.arange(1, n)))
+                path, dval = fam.composite_upper_path(*row)
+                glen = path_length(path, fam, "g")
+                n = len(path)
+                seg = fam.g_pairs(path.take(np.arange(n - 1)),
+                                  path.take(np.arange(1, n)))
             except HypkobError as exc:
                 entries.append({"pair": i, "error": type(exc).__name__})
                 continue
-            for j, t in enumerate(pl.params()):
-                wr.writerow([i, j] + [repr(float(v)) for v in pl.points[j]]
+            pts = path.points
+            chords = np.linalg.norm(np.diff(pts, axis=0), axis=-1)
+            for j, t in enumerate(np.concatenate([[0.0], np.cumsum(chords)])):
+                wr.writerow([i, j] + [repr(float(v)) for v in pts[j]]
                             + [repr(float(t))])
             entries.append({"pair": i, "n_points": n, "d_value": dval,
                             "g_length": glen, "segment_g": seg,
-                            "points": pl.points})
+                            "points": pts})
     dump_json({"command": "geodesic", "n_pairs": len(rows),
                "n_errors": sum("error" in e for e in entries),
                "geodesics": entries, "csv": "geodesic.csv"},

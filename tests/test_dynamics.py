@@ -264,7 +264,8 @@ def test_audit_determinism_and_kind_guard(family):
                                n_pairs=64, seed=9)
     assert r1 == r2
     with pytest.raises(ConfigError):
-        check_semicontraction(identity_map(), family, "euclidean")
+        check_semicontraction(identity_map(), family, "euclidean",
+                              n_pairs=256, seed=0)
 
 
 def test_orbit_heights_match_projection(projection, graph):

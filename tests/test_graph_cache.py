@@ -4,8 +4,8 @@ A saved graph carries its cached distance rows and its domain's boundary
 cloud, a load puts both back bit for bit, and a command that shares a
 cache computes only the rows no earlier command stored and appends only
 those. The graph file is written only after a fresh build, and a graph
-file written before its parameters lost ``refinement_level`` still loads;
-a row store is read only with the graph file it was written for; a failed save changes no byte; and rows or a cloud that the
+file written before its parameters lost ``refinement_level`` still loads
+and reports the parameters a fresh build does; a row store is read only with the graph file it was written for; a failed save changes no byte; and rows or a cloud that the
 program could not have produced are refused with exit 2.
 """
 
@@ -357,7 +357,8 @@ def test_old_single_file_layout_is_refused(rig, capsys):
 
 def test_a_graph_file_with_a_refinement_level_still_loads(rig, monkeypatch):
     # graph files written while graph parameters held "refinement_level"
-    # (always 0) carry it in their meta: they load with their rows
+    # (always 0) carry it in their meta: they load with their rows, and the
+    # manifest names the graph as a fresh build of the config does
     cache = str(rig["root"] / "graph.npz")
     assert _dist(rig, cache)[0] == 0
     arrays = _members(cache)
@@ -375,7 +376,10 @@ def test_a_graph_file_with_a_refinement_level_still_loads(rig, monkeypatch):
     assert code == 0
     assert calls == []
     man = _manifest(out)
-    assert man["graph"]["refinement_level"] == 0
+    fresh_man = _manifest(str(rig["root"] / "out_dist"))
+    assert fresh_man["boundary_cloud"] != "cache"
+    assert man["graph"] == fresh_man["graph"]
+    assert "refinement_level" not in man["graph"]
     assert man["graph_rows"]["loaded"] == records.size > 0
     assert man["graph_rows"]["computed"] == 0
     assert man["boundary_cloud"] == "cache"

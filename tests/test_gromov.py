@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypkob import (BoundaryBiasedSampler, BoundaryGraph, BoxSampler,
-                    HeightProjection, HypkobError, MetricFamily,
-                    NotStabilized, PrefixTooShort,
+from hypkob import (BoundaryGraph, HeightProjection, HypkobError,
+                    MetricFamily, NotStabilized, PrefixTooShort,
                     boundary_identification, boundary_product,
                     converges_at_infinity, distance_matrix, four_point_delta,
                     four_point_from_matrix, gromov_product, normal_record,
@@ -74,9 +73,10 @@ def test_four_point_equals_sorted_form_on_non_finite_tables():
 
 
 def test_four_point_delta_is_deterministic(family):
-    sampler = BoundaryBiasedSampler(family)
-    r1 = four_point_delta(family, "g", sampler, n_quadruples=4000, seed=3)
-    r2 = four_point_delta(family, "g", sampler, n_quadruples=4000, seed=3)
+    r1 = four_point_delta(family, "g", family.collar_sample,
+                          n_quadruples=4000, seed=3)
+    r2 = four_point_delta(family, "g", family.collar_sample,
+                          n_quadruples=4000, seed=3)
     assert r1.delta == r2.delta
     assert r1.worst_defect == r2.worst_defect
     assert r1.delta >= r1.defect_q99 >= 0.0
@@ -85,16 +85,14 @@ def test_four_point_delta_is_deterministic(family):
 
 
 def test_four_point_delta_euclidean_square(ball):
-    class FixedSampler:
-        def sample(self, n, seed=None):
-            corners = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
-                                [0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
-            reps = int(np.ceil(n / 4))
-            return np.tile(corners, (reps, 1))[:n]
+    def square(n, seed):
+        corners = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                            [0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+        return np.tile(corners, (int(np.ceil(n / 4)), 1))[:n]
 
     # euclidean tables read no family
-    rep = four_point_delta(None, "euclidean", FixedSampler(),
-                           n_quadruples=2000, seed=0)
+    rep = four_point_delta(None, "euclidean", square, n_quadruples=2000,
+                           seed=0)
     # the flat square's worst quadruple is the full vertex set, where the
     # defect is (diagonal sum - side sum) / 2
     expect = 0.5 * (2 * 0.5 * math.sqrt(2.0) - 2 * 0.5)
@@ -105,14 +103,7 @@ def test_four_point_delta_counts_non_finite_defects(family):
     pool = np.random.default_rng(4).normal(size=(12, 4)) * 0.3
     pool[5] = np.nan
 
-    class FixedSampler:
-        def __init__(self, pts):
-            self.pts = pts
-
-        def sample(self, n, seed=None):
-            return self.pts
-
-    rep = four_point_delta(family, "euclidean", FixedSampler(pool),
+    rep = four_point_delta(family, "euclidean", lambda n, seed: pool,
                            n_quadruples=2000, seed=0)
     quads = np.random.default_rng(1).integers(0, 12, size=(2000, 4))
     clean = ~np.any(quads == 5, axis=1)
@@ -124,7 +115,7 @@ def test_four_point_delta_counts_non_finite_defects(family):
     assert rep.delta >= rep.defect_q99 >= 0.0
     with pytest.raises(HypkobError):
         four_point_delta(family, "euclidean",
-                         FixedSampler(np.full((12, 4), np.nan)),
+                         lambda n, seed: np.full((12, 4), np.nan),
                          n_quadruples=100, seed=0)
 
 
@@ -145,9 +136,9 @@ def test_chunked_four_point_delta_equals_one_shot(family):
     # enough quadruples for the full 1,600-point pool
     n = 3 * gromov._QUAD_CHUNK + 12345
     for kind in ("g", "d"):
-        sampler = BoundaryBiasedSampler(family)
-        rep = four_point_delta(family, kind, sampler, n_quadruples=n, seed=7)
-        pool = sampler.sample(1600, seed=7)
+        rep = four_point_delta(family, kind, family.collar_sample,
+                               n_quadruples=n, seed=7)
+        pool = family.collar_sample(1600, 7)
         delta, quad, q99, failures = _one_shot_report(
             distance_matrix(family, kind, pool), 1600, n, 7)
         assert rep.delta == rep.worst_defect == delta
@@ -158,11 +149,7 @@ def test_chunked_four_point_delta_equals_one_shot(family):
     pool = np.random.default_rng(4).normal(size=(12, 4)) * 0.3
     pool[5] = np.nan
 
-    class FixedSampler:
-        def sample(self, n, seed=None):
-            return pool
-
-    rep = four_point_delta(family, "euclidean", FixedSampler(),
+    rep = four_point_delta(family, "euclidean", lambda n, seed: pool,
                            n_quadruples=n, seed=0)
     delta, quad, q99, failures = _one_shot_report(
         distance_matrix(family, "euclidean", pool), 12, n, 0)
@@ -206,10 +193,10 @@ def test_four_point_delta_memory_is_one_table(ball, structure):
     g = BoundaryGraph.build(ball, structure, n_nodes=300, k_neighbors=10,
                             anisotropy=8.0, seed=0)
     fam = MetricFamily(HeightProjection(ball, EPS), g)
-    sampler = BoundaryBiasedSampler(fam)
     tracemalloc.start()
     try:
-        four_point_delta(fam, "g", sampler, n_quadruples=200_000, seed=3)
+        four_point_delta(fam, "g", fam.collar_sample, n_quadruples=200_000,
+                         seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

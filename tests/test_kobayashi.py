@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hypkob import (ConfigError, LayeredSolver, Polyline,
-                    kobayashi_speed_batch, path_length, quasi_isometry_fit,
-                    qi_check)
+from hypkob import (ConfigError, LayeredSolver, kobayashi_speed_batch,
+                    path_length, quasi_isometry_fit, qi_check)
 from hypkob import kobayashi
 
 from conftest import EPS
@@ -135,8 +134,7 @@ def test_scaling_exponents_along_heights(projection, structure):
 def test_radial_length_matches_log_oracle(family):
     x = np.array([1.0 - 0.4, 0, 0, 0])
     y = np.array([1.0 - 0.04, 0, 0, 0])
-    pl = Polyline(np.stack([x, y]))
-    got = path_length(pl, family, "kobayashi_estimate")
+    got = path_length(np.stack([x, y]), family, "kobayashi_estimate")
     assert abs(got - math.log(10.0)) < 1e-4
 
 
@@ -144,8 +142,8 @@ def test_length_is_reversal_invariant(family, graph):
     a = ray_point(graph.nodes[14], 0.3)
     b = ray_point(graph.nodes[288], 0.05)
     kind = "kobayashi_estimate"
-    fwd = path_length(Polyline(np.stack([a, b])), family, kind)
-    bwd = path_length(Polyline(np.stack([b, a])), family, kind)
+    fwd = path_length(np.stack([a, b]), family, kind)
+    bwd = path_length(np.stack([b, a]), family, kind)
     assert abs(fwd - bwd) < 1e-10 * max(fwd, 1.0)
 
 
@@ -163,8 +161,7 @@ def test_solver_distance_bounded_by_path_lengths(solver, family, graph):
     # much, and never exceed the straight-chord quadrature
     a = ray_point(graph.nodes[60], 0.09)
     b = ray_point(graph.nodes[301], 0.09)
-    direct = path_length(Polyline(np.stack([a, b])), family,
-                         "kobayashi_estimate")
+    direct = path_length(np.stack([a, b]), family, "kobayashi_estimate")
     got = pair_distance(solver, a, b)
     assert 0.0 < got <= direct * (1.0 + 1e-9)
 
@@ -190,8 +187,7 @@ def test_weights_have_one_owner(monkeypatch, projection, structure, graph,
     ladder = LayeredSolver(family, mode="kobayashi")
     assert abs(pair_distance(ladder, a, b) - want) < 1e-9
     # one foot under both ends: a ray segment, measured exactly
-    got = path_length(Polyline(np.stack([a, b])), family,
-                      "kobayashi_estimate")
+    got = path_length(np.stack([a, b]), family, "kobayashi_estimate")
     assert abs(got - want) < 1e-9
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypkob import (BoundaryBiasedSampler, ConfigError, HeightsDiffer,
-                    Polyline, RefinementStalled, check_semicontraction,
-                    collar_profile_distance, distance_matrix, estimate_C,
-                    four_point_delta, identity_map, metrics, path_length)
+from hypkob import (ConfigError, HeightsDiffer, RefinementStalled,
+                    check_semicontraction, collar_profile_distance,
+                    distance_matrix, estimate_C, four_point_delta,
+                    identity_map, metrics, path_length)
 from hypkob.layered import LayeredSolver
 
 from conftest import EPS, pair_values
@@ -180,20 +180,19 @@ def test_ray_segment_length_is_exact(family, graph):
     # exact log form under g; lengths are measured under the rate kinds only
     f = graph.nodes[11]
     x, y = ray_point(f, 0.36), ray_point(f, 0.04)
-    pl = Polyline(np.stack([x, y]))
+    path = np.stack([x, y])
     want = abs(math.log(0.6 / 0.2))
-    assert abs(path_length(pl, family, "g") - want) < 1e-12
+    assert abs(path_length(path, family, "g") - want) < 1e-12
     for kind in ("d", "euclidean"):
         with pytest.raises(ConfigError):
-            path_length(pl, family, kind)
+            path_length(path, family, kind)
 
 
 def test_horizontal_path_matches_boundary_distance(family, graph):
     i, j = 20, 180
     t = 0.09
     x, y = ray_point(graph.nodes[i], t), ray_point(graph.nodes[j], t)
-    pl = family.horizontal_path(x, y)
-    glen = path_length(pl, family, "g")
+    glen = path_length(family.horizontal_path(x, y), family, "g")
     w = graph.distance_nodes(i, j)
     assert abs(glen - 2.0 * w / 0.3) / (2.0 * w / 0.3) < 0.02
 
@@ -210,9 +209,28 @@ def test_horizontal_path_requires_equal_heights(family, graph):
 def test_degenerate_horizontal_path_is_a_point(family, graph):
     f = graph.nodes[33]
     x = ray_point(f, 0.16)
-    pl = family.horizontal_path(x, x.copy())
-    assert pl.n_segments == 0
-    assert path_length(pl, family, "g") == 0.0
+    path = family.horizontal_path(x, x.copy())
+    assert len(path) == 1
+    assert path_length(path, family, "g") == 0.0
+
+
+def _steps(path):
+    return np.linalg.norm(np.diff(path.points, axis=0), axis=-1)
+
+
+def test_paths_repeat_no_vertex(family):
+    # collar-sampled endpoints have nodes for feet: a witness path's climb
+    # vertex is then its geodesic's first vertex, and a horizontal path's
+    # endpoints sit on its shell; each construction keeps one of them
+    A, B = family.collar_sample(20, 3), family.collar_sample(20, 4)
+    paths, _ = family.composite_upper_paths(A, B)
+    for k, path in enumerate(paths):
+        assert len(path) >= 3 and np.all(_steps(path) > 0)
+        assert np.array_equal(path.points[[0, -1]],
+                              np.stack([A.points[k], B.points[k]]))
+        y = family.prepare_on_rays(B.node[k:k + 1], A.depth[k]).points[0]
+        shell = family.horizontal_path(A.points[k], y)
+        assert len(shell) >= 2 and np.all(_steps(shell) > 0)
 
 
 def test_composite_path_certifies_d(family, graph):
@@ -222,19 +240,19 @@ def test_composite_path_certifies_d(family, graph):
         i, j = rng.integers(0, m, size=2)
         x = ray_point(graph.nodes[i], rng.uniform(0.02, 0.4))
         y = ray_point(graph.nodes[j], rng.uniform(0.02, 0.4))
-        pl, cost = family.composite_upper_path(x, y)
+        path, cost = family.composite_upper_path(x, y)
         assert abs(cost - pair_values(family, x, y)[1]) < 1e-12
-        glen = path_length(pl, family, "g")
+        glen = path_length(path, family, "g")
         assert abs(glen - cost) / max(cost, 1e-9) < 0.05
-        assert np.allclose(pl.points[0], x, atol=1e-12)
-        assert np.allclose(pl.points[-1], y, atol=1e-12)
+        assert np.allclose(path.points[0], x, atol=1e-12)
+        assert np.allclose(path.points[-1], y, atol=1e-12)
 
 
 def test_geodesic_polyline_realizes_distance(family, graph):
     x = ray_point(graph.nodes[60], 0.05)
     y = ray_point(graph.nodes[400], 0.2)
-    pl, _ = family.composite_upper_path(x, y)
-    glen = path_length(pl, family, "g")
+    path, _ = family.composite_upper_path(x, y)
+    glen = path_length(path, family, "g")
     dv = pair_values(family, x, y)[1]
     assert abs(glen - dv) / dv < 0.05
 
@@ -242,8 +260,8 @@ def test_geodesic_polyline_realizes_distance(family, graph):
 def test_deep_same_ray_composite_is_straight(family, graph):
     f = graph.nodes[9]
     x, y = ray_point(f, 0.7), ray_point(f, 0.9)
-    pl, cost = family.composite_upper_path(x, y)
-    assert pl.points.shape[0] == 2
+    path, cost = family.composite_upper_path(x, y)
+    assert len(path) == 2
     assert abs(cost - np.linalg.norm(x - y)) < 1e-9
 
 
@@ -255,11 +273,30 @@ def test_refinement_stall_raises(family, graph, monkeypatch):
     monkeypatch.setattr(metrics, "_EST_MAX_DEPTH", 1)
     x = ray_point(graph.nodes[2], 0.25)
     y = ray_point(graph.nodes[390], 0.01)
-    pl = Polyline(np.stack([x, y]))
     with pytest.raises(RefinementStalled) as exc_info:
-        path_length(pl, family, "kobayashi_estimate")
+        path_length(np.stack([x, y]), family, "kobayashi_estimate")
     prev, last = exc_info.value.args[1]
     assert np.isfinite(prev) and np.isfinite(last)
+
+
+def test_collar_sample_is_its_draw_law(family, graph, ball):
+    # nodes first, then u; depth eps * max(u^2, 1e-6), on the node's ray;
+    # seed 11 draws three u below 1e-3, where the floor holds the depth
+    n = 2000
+    rng = np.random.default_rng(11)
+    node = rng.integers(0, graph.nodes.shape[0], size=n)
+    u = rng.random(n)
+    assert np.count_nonzero(u * u < 1e-6) == 3
+    depth = EPS * np.maximum(u * u, 1e-6)
+    feet = graph.nodes[node]
+    P = family.collar_sample(n, 11)
+    assert P.owner is family
+    assert np.array_equal(P.node, node)
+    assert np.array_equal(P.depth, depth)
+    assert np.array_equal(P.feet, feet)
+    assert np.array_equal(P.points,
+                          feet - depth[:, None] * ball.outward_normal(feet))
+    assert np.array_equal(P.height, np.sqrt(depth))
 
 
 def test_estimate_C_finite_and_stable(family):
@@ -300,16 +337,16 @@ def test_kinds_are_refused_where_used(family):
     # (path_length's refusals of d and euclidean are checked with its ray
     # segment, the audit's of euclidean with its determinism)
     P = family.prepare(np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]]))
-    pl = Polyline(P.points, prepared=P)
-    sampler = BoundaryBiasedSampler(family, seed=0)
     consumers = [
         (lambda k: family.pairs(k, P.take([0]), P.take([1])),
          ("kobayashi_estimate", "euclidean")),
-        (lambda k: path_length(pl, family, k), ()),
+        (lambda k: path_length(P, family, k), ()),
         (lambda k: distance_matrix(family, k, P), ("kobayashi_estimate",)),
-        (lambda k: four_point_delta(family, k, sampler, n_quadruples=10),
+        (lambda k: four_point_delta(family, k, family.collar_sample,
+                                    n_quadruples=10, seed=0),
          ("kobayashi_estimate",)),
-        (lambda k: check_semicontraction(identity_map(), family, k, n_pairs=8),
+        (lambda k: check_semicontraction(identity_map(), family, k, n_pairs=8,
+                                         seed=0),
          ("kobayashi_estimate",)),
     ]
     for consume, kinds in consumers:

@@ -1,9 +1,9 @@
 """Each point is prepared once, and ``prepare`` keeps no state.
 
 ``MetricFamily.prepare`` is one ``project_batch`` and one ``snap``, so its
-result depends on its input alone. Points built with known feet (the
-boundary-biased sampler's) are passed along prepared, so ``delta`` and
-``qi --metric d`` project none of them, and neither does the estimate's
+result depends on its input alone. Points built with known feet
+(``MetricFamily.collar_sample``'s) are passed along prepared, so ``delta``
+and ``qi --metric d`` project none of them, and neither does the estimate's
 ``LayeredSolver``; a ``Bounded`` orbit verdict is read from the heights
 alone.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from hypkob import LayeredSolver, MetricFamily, affine_contraction, iterate_many
 from hypkob.cli import main
 from hypkob.dynamics import classify_orbit
-from hypkob.gromov import BoundaryBiasedSampler, four_point_delta
+from hypkob.gromov import four_point_delta
 
 from conftest import EPS
 
@@ -43,8 +43,7 @@ def test_prepare_is_history_independent(projection, graph):
 def test_four_point_delta_projects_no_pool_point(family):
     for kind in ("g", "d"):
         before = family.projection.counts["points"]
-        rep = four_point_delta(family, kind,
-                               BoundaryBiasedSampler(family, seed=4),
+        rep = four_point_delta(family, kind, family.collar_sample,
                                n_quadruples=2000, seed=4)
         assert np.isfinite(rep.delta)
         assert family.projection.counts["points"] == before
@@ -52,7 +51,7 @@ def test_four_point_delta_projects_no_pool_point(family):
 
 def test_prepared_pool_of_another_family_is_prepared_again(family, projection,
                                                            graph):
-    pool = BoundaryBiasedSampler(family, seed=2).sample(30)
+    pool = family.collar_sample(30, 2)
     assert family.as_prepared(pool) is pool
     other = MetricFamily(projection, graph)
     again = other.as_prepared(pool)
@@ -63,9 +62,8 @@ def test_prepared_pool_of_another_family_is_prepared_again(family, projection,
 def test_solver_projects_only_a_foreign_pool(family, projection, graph,
                                             monkeypatch):
     solver = LayeredSolver(family, "kobayashi")
-    own = BoundaryBiasedSampler(family, seed=2).sample(30)
-    foreign = BoundaryBiasedSampler(MetricFamily(projection, graph),
-                                    seed=2).sample(30)
+    own = family.collar_sample(30, 2)
+    foreign = MetricFamily(projection, graph).collar_sample(30, 2)
     calls = []
     real = projection.project_batch
 

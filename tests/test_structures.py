@@ -43,7 +43,7 @@ def test_standard_structure_squares_to_minus_id(structure):
 
 def test_check_structure_flags_non_structure(ball):
     bad = StructureField(4, lambda x: np.broadcast_to(
-        np.eye(4), x.shape[:-1] + (4, 4)).copy(), name="identity")
+        np.eye(4), x.shape[:-1] + (4, 4)).copy())
     rep = check_structure(bad, np.zeros((3, 4)))
     assert not rep["ok"]
 

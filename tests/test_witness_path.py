@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hypkob import BoundaryGraph, Domain, HeightProjection, MetricFamily
-from hypkob.metrics import Polyline, path_length
+from hypkob.metrics import path_length
 
 ELLIPSOID = {"dimension": 4,
              "defining_function": {"type": "ellipsoid",
@@ -58,8 +58,8 @@ def _hop_pairs(family, n, seed):
     return np.array(X), np.array(Y)
 
 
-def _g_length(family, pl):
-    return path_length(pl, family, "g")
+def _g_length(family, path):
+    return path_length(path, family, "g")
 
 
 @pytest.mark.parametrize("which", ["ball", "ellipsoid", "hop"])
@@ -79,35 +79,34 @@ def test_witness_path_bounds_d_and_projects_nothing(family, ellipsoid_family,
         return real(P, seed_feet=seed_feet)
 
     monkeypatch.setattr(fam.projection, "project_batch", counted)
-    lengths = [_g_length(fam, pl) for pl, _ in built]
+    lengths = [_g_length(fam, path) for path, _ in built]
     assert calls == []
     monkeypatch.undo()
-    for (pl, d), up in zip(built, lengths):
+    for (path, d), up in zip(built, lengths):
         assert d <= up + REL * max(1.0, d, up)
         if which == "hop":
-            assert pl.points.shape[0] == 3
+            assert len(path) == 3
         # each segment measured alone: a hop on the peak shell between two
         # feet costs its chord, wherever it sits in the path
-        alone = sum(_g_length(fam, Polyline(pl.points[k:k + 2],
-                                            prepared=pl.prepared.take([k, k + 1])))
-                    for k in range(pl.n_segments))
+        alone = sum(_g_length(fam, path.take([k, k + 1]))
+                    for k in range(len(path) - 1))
         assert abs(alone - up) <= 1e-12 * up
         # the carried feet and depths are those projection gives; the
         # feet agree to Newton's tolerance, not bit for bit, and a shell
         # segment's midpoint sits near a tie between its two end nodes,
         # so a projected foot may pick the other frame
-        P = fam.prepare(pl.points)
-        assert np.abs(P.feet - pl.prepared.feet).max() <= 1e-9
-        assert np.allclose(P.depth, pl.prepared.depth, rtol=1e-12, atol=0)
+        P = fam.prepare(path.points)
+        assert np.abs(P.feet - path.feet).max() <= 1e-9
+        assert np.allclose(P.depth, path.depth, rtol=1e-12, atol=0)
 
 
 def test_batched_witness_paths_equal_the_one_pair_calls(family):
     X, Y = _collar_pairs(family, 12, seed=3)
     paths, dval = family.composite_upper_paths(family.prepare(X),
                                                family.prepare(Y))
-    for x, y, pl, d in zip(X, Y, paths, dval):
+    for x, y, path, d in zip(X, Y, paths, dval):
         one, d1 = family.composite_upper_path(x, y)
         assert d == d1
-        assert np.array_equal(pl.points, one.points)
-        assert np.array_equal(pl.prepared.feet, one.prepared.feet)
-        assert np.array_equal(pl.prepared.depth, one.prepared.depth)
+        assert np.array_equal(path.points, one.points)
+        assert np.array_equal(path.feet, one.feet)
+        assert np.array_equal(path.depth, one.depth)
