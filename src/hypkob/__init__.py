@@ -4,9 +4,9 @@ The package builds a Gromov hyperbolic geometry on a bounded domain from
 boundary data alone: a distance to the boundary, a projection onto it, a
 sampled boundary metric, and the collar paths that tie them together.
 On top of that sit a closed-formula distance ``g``, its geodesic
-envelope ``d``, an interior Finsler estimate with its sandwich fit, the
-four-point and boundary-at-infinity apparatus, and orbit classification
-for domain self-maps.
+envelope ``d``, an interior Finsler estimate with its sandwich fit,
+four-point defects, the Gromov product of two boundary points, and orbit
+classification for domain self-maps.
 """
 
 # set before the submodules load, so any of them may import it
@@ -17,7 +17,7 @@ from .errors import (
     CurvatureEstimateFailed, DerivativeEvaluationFailed,
     DimensionTooSmall, DegenerateContact,
     GraphDisconnected, ImageOffBoundary, HeightsDiffer,
-    RefinementStalled, PrefixTooShort, NotStabilized,
+    RefinementStalled, NotStabilized,
     MapEscapedDomain,
 )
 from .domain import (
@@ -41,10 +41,7 @@ from .kobayashi import (
 )
 from .gromov import (
     distance_matrix, HyperbolicityReport,
-    four_point_from_matrix, four_point_delta, gromov_product,
-    ConvergenceReport, converges_at_infinity, BoundaryPointRecord,
-    normal_record, boundary_product, boundary_identification,
-    triangle_thinness,
+    four_point_from_matrix, four_point_delta, boundary_product,
 )
 from .dynamics import (
     DomainMap, identity_map, affine_contraction, rotation_map, map_from_spec,

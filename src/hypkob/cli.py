@@ -543,6 +543,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be a non-negative integer")
             cfg.seeds = {k: int(args.seed) for k in cfg.seeds}
         if args.out:
             cfg.out_dir = os.path.abspath(args.out)

@@ -10,6 +10,7 @@ their modules; a config that names a ``tolerances`` block is refused.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -58,9 +59,13 @@ class RunConfig:
 
 
 def _is_number(val) -> bool:
-    """A JSON number: ``true`` and ``false`` load as Python booleans, which
-    are integers, but are not numbers here."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite JSON number: ``true`` and ``false`` load as Python
+    booleans, which are integers, and ``NaN`` and ``Infinity`` as floats,
+    but none of them is a number here."""
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, int) or (isinstance(val, float)
+                                    and math.isfinite(val))
 
 
 def _resolve_spec(value, base_dir: str, label: str) -> dict:
@@ -100,21 +105,30 @@ def load_config(path: str) -> RunConfig:
     unknown = set(graph) - set(_GRAPH_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown graph parameters: {sorted(unknown)}")
-    # every graph parameter takes a number
+    # every graph parameter takes a finite number, all but anisotropy a
+    # whole one; a node needs a neighbour, and numpy takes no negative seed
     for key in _GRAPH_DEFAULTS:
         if not _is_number(graph[key]):
-            raise ConfigError(f"graph parameter {key!r} must be a number")
+            raise ConfigError(
+                f"graph parameter {key!r} must be a finite number")
+        if key != "anisotropy" and graph[key] != int(graph[key]):
+            raise ConfigError(f"graph parameter {key!r} must be an integer")
+    for key, least in (("k_neighbors", 1), ("seed", 0)):
+        if graph[key] < least:
+            raise ConfigError(
+                f"graph parameter {key!r} must be at least {least}")
     if "tolerances" in raw:
         raise ConfigError("the config takes no 'tolerances' block: newton_tol "
                           "is fixed at 1e-10")
     seeds = dict(_SEED_DEFAULTS)
     seeds.update(raw.get("seeds", {}))
     for key, val in seeds.items():
-        if not (isinstance(val, int) and not isinstance(val, bool)):
-            raise ConfigError(f"seed {key!r} must be an integer")
+        if not (isinstance(val, int) and not isinstance(val, bool)
+                and val >= 0):
+            raise ConfigError(f"seed {key!r} must be a non-negative integer")
     epsilon = raw.get("epsilon")
     if epsilon is not None and not (_is_number(epsilon) and epsilon > 0):
-        raise ConfigError("epsilon must be positive when given")
+        raise ConfigError("epsilon must be a positive number when given")
     out_dir = raw.get("out_dir", "hypkob_out")
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)

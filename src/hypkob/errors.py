@@ -68,10 +68,6 @@ class RefinementStalled(HypkobError):
 
 # --- asymptotic analysis -----------------------------------------------------
 
-class PrefixTooShort(HypkobError):
-    """A sequence prefix is too short for the requested analysis."""
-
-
 class NotStabilized(HypkobError):
     """A limit estimate failed its stabilization (Cauchy) criterion."""
 

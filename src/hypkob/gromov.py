@@ -1,41 +1,32 @@
 """Hyperbolicity diagnostics over the interior metrics.
 
-Four-point defects, Gromov products, convergence at infinity along
-normal-approach sequences, identification of the metric boundary with the
-geometric boundary, and thin-triangle audits. Everything here takes a
-``MetricFamily`` and the kind of distance to read from it (``g``, ``d``,
-or ``euclidean`` where a table suffices); each function refuses the kinds
-it cannot serve. Pair values come from ``MetricFamily.pairs``, and tables
-from ``distance_matrix``, which evaluates the closed-form kinds in
-vectorized row blocks so large quadruple counts stay cheap. A point pool
-is a draw, a function ``(n, seed)`` that returns coordinates or
-``PreparedPoints``: ``Domain.sample_interior`` or
-``MetricFamily.collar_sample``.
+Four-point defects, and the Gromov product of two boundary points read
+along their normal approach. Everything here takes a ``MetricFamily`` and
+the kind of distance to read from it (``g``, ``d``, or ``euclidean``
+where a table suffices); each function refuses the kinds it cannot
+serve. Pair values come from ``MetricFamily.pairs``, and tables from
+``distance_matrix``, which evaluates the closed-form kinds in vectorized
+row blocks so large quadruple counts stay cheap. A point pool is a draw,
+a function ``(n, seed)`` that returns coordinates or ``PreparedPoints``:
+``Domain.sample_interior`` or ``MetricFamily.collar_sample``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, HypkobError, NotStabilized, PrefixTooShort
+from .errors import ConfigError, HypkobError, NotStabilized
 from .metrics import MetricFamily, PreparedPoints
 
 __all__ = [
     "HyperbolicityReport",
-    "BoundaryPointRecord",
-    "ConvergenceReport",
     "distance_matrix",
     "four_point_from_matrix",
     "four_point_delta",
-    "gromov_product",
-    "converges_at_infinity",
-    "normal_record",
     "boundary_product",
-    "boundary_identification",
-    "triangle_thinness",
 ]
 
 
@@ -193,85 +184,23 @@ def four_point_delta(family: MetricFamily, kind: str, draw,
 
 
 # ---------------------------------------------------------------------------
-# Gromov products and the boundary at infinity
+# Gromov products of boundary points
 # ---------------------------------------------------------------------------
 
-def gromov_product(family: MetricFamily, kind: str, x, y, omega) -> float:
-    """Half-sum product (x, y) anchored at the basepoint.
-
-    The three points are prepared together, and one ``pairs`` call gives
-    the three distances.
-    """
-    P = family.prepare(np.stack([x, y, omega]))
-    dxo, dyo, dxy = family.pairs(kind, P.take([0, 1, 0]), P.take([2, 2, 1]))
-    return float(0.5 * (dxo + dyo - dxy))
-
-
-@dataclass
-class ConvergenceReport:
-    verdict: str
-    tail_min: float
-    growth: float
-    n_points: int
-    products_min: list = field(default_factory=list)
-
-
-def converges_at_infinity(family: MetricFamily, kind: str, sequence,
-                          omega) -> ConvergenceReport:
-    """Divergence audit of pairwise products along a sequence prefix.
-
-    For each index the minimum product over later pairs is recorded; the
-    verdict is diverging when that tail minimum climbs by more than ln 4
-    from the first level to the last, bounded otherwise.
-    """
-    pts = np.atleast_2d(np.asarray(sequence, dtype=float))
-    m = pts.shape[0]
-    if m < 8:
-        raise PrefixTooShort(f"need at least 8 points, got {m}")
-    P = family.prepare(pts)
-    O = family.prepare(np.asarray(omega, dtype=float)[None])
-    D = distance_matrix(family, kind, P)
-    to_omega = family.pairs(kind, P, O.take(np.zeros(m, dtype=int)))
-    prod = 0.5 * (to_omega[:, None] + to_omega[None, :] - D)
-    tail_mins = []
-    for k in range(m - 1):
-        block = prod[k:, k:]
-        iu, ju = np.triu_indices(block.shape[0], k=1)
-        tail_mins.append(float(block[iu, ju].min()))
-    growth = tail_mins[-1] - tail_mins[0]
-    verdict = "diverging" if growth > math.log(4.0) else "bounded"
-    return ConvergenceReport(verdict=verdict, tail_min=tail_mins[-1],
-                             growth=float(growth), n_points=int(m),
-                             products_min=tail_mins)
-
-
-@dataclass
-class BoundaryPointRecord:
-    """A geometric boundary point with its normal-approach representative."""
-
-    point: np.ndarray
-    sequence: np.ndarray
-    omega: np.ndarray
-
-
-def normal_record(family: MetricFamily, p, omega,
-                  depth: int = 12) -> BoundaryPointRecord:
-    """Normal-approach representative at dyadic heights for a boundary point."""
-    p = np.asarray(p, dtype=float)
-    n = family.graph.domain.outward_normal(p)
-    ks = np.arange(1, depth + 1)
-    ts = family.eps * 0.5**ks
-    seq = p[None, :] - ts[:, None] * n[None, :]
-    return BoundaryPointRecord(point=p.copy(), sequence=seq,
-                               omega=np.asarray(omega, dtype=float))
+# spread of the last three levels' products under which a boundary product
+# counts as settled
+_STABIL_TOL = 1e-3
 
 
 def boundary_product(family: MetricFamily, kind: str, a, b, omega,
-                     depth: int = 24, stabil_tol: float = 1e-3) -> float:
-    """Product of two boundary points along normal representatives.
+                     depth: int) -> float:
+    """Gromov product (a|b) of two boundary points, based at ``omega``.
 
-    Heights are dyadic; the value must be Cauchy within the tolerance
-    over the last three levels, otherwise the trend is raised.
+    Each point is approached along its inward normal at the dyadic
+    heights ``eps * 2**-k``, k = 1, ..., ``depth``, and the half-sum
+    product of the two approach points is taken at each level. The value
+    must be Cauchy within ``_STABIL_TOL`` over the last three levels,
+    otherwise ``NotStabilized`` carries the last six levels' products.
     """
     if kind not in ("g", "d"):
         raise ConfigError("boundary products need one of the collar metrics")
@@ -289,93 +218,8 @@ def boundary_product(family: MetricFamily, kind: str, a, b, omega,
     p = 0.5 * (family.pairs(kind, A, O) + family.pairs(kind, B, O)
                - family.pairs(kind, A, B))
     last = p[-3:]
-    if np.max(last) - np.min(last) > stabil_tol:
+    if np.max(last) - np.min(last) > _STABIL_TOL:
         raise NotStabilized(
             f"products still move by {float(np.max(last) - np.min(last)):.3e} "
             f"at depth {depth}", [float(v) for v in p[-6:]])
     return float(p[-1])
-
-
-def boundary_identification(family: MetricFamily, kind: str, pairs, omega,
-                            depth: int = 24) -> dict:
-    """Ratio table comparing exponentiated products with the boundary metric.
-
-    For each boundary pair the tabulated value is exp(-product) divided by
-    the graph distance of the pair; the observed band and its spread are
-    reported, and the check passes when the spread stays under four.
-    """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 3 or pairs.shape[1] != 2:
-        raise ConfigError("pairs must be an array of point pairs")
-    # the snapped boundary distance of each pair
-    graph = family.graph
-    ends = graph.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
-    W = graph.rows_from(ends[:, 0], columns=ends[:, 1:])[:, 0]
-    ratios = []
-    seps = []
-    prods = []
-    for (a, b), w in zip(pairs, W.tolist()):
-        if w <= 0:
-            raise ConfigError("pair distance vanished; pick distinct nodes")
-        prod = boundary_product(family, kind, a, b, omega, depth=depth)
-        ratios.append(math.exp(-prod) / w)
-        seps.append(w)
-        prods.append(prod)
-    ratios = np.asarray(ratios)
-    lo = float(ratios.min())
-    hi = float(ratios.max())
-    return {
-        "ratios": [float(r) for r in ratios],
-        "d_H": [float(s) for s in seps],
-        "products": [float(p) for p in prods],
-        "band_lo": lo,
-        "band_hi": hi,
-        "spread": hi / lo,
-        "ok": bool(hi <= 4.0 * lo),
-        "n_pairs": int(pairs.shape[0]),
-    }
-
-
-# ---------------------------------------------------------------------------
-# thin triangles
-# ---------------------------------------------------------------------------
-
-def _edge_nodes(family: MetricFamily, kind: str, x, y,
-                subdiv: int) -> np.ndarray:
-    if kind in ("g", "d"):
-        pts = family.composite_upper_path(x, y)[0].points
-    else:
-        pts = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    if pts.shape[0] < 2:
-        return pts
-    a = pts[:-1]
-    b = pts[1:]
-    frac = np.arange(subdiv) / subdiv
-    fine = (a[:, None, :] + frac[None, :, None] * (b - a)[:, None, :])
-    return np.vstack([fine.reshape(-1, pts.shape[1]), pts[-1:]])
-
-
-def triangle_thinness(family: MetricFamily, kind: str, x, y, z,
-                      subdiv: int = 8) -> float:
-    """Largest distance from one side to the union of the other two.
-
-    Sides are discretized geodesic polylines; the point-to-set distance is
-    the node-to-node proxy, so results carry a slack of order the node
-    spacing of the discretizations.
-    """
-    exy = _edge_nodes(family, kind, x, y, subdiv)
-    eyz = _edge_nodes(family, kind, y, z, subdiv)
-    ezx = _edge_nodes(family, kind, z, x, subdiv)
-    pool = np.vstack([exy, eyz, ezx])
-    D = distance_matrix(family, kind, pool)
-    n1, n2, n3 = exy.shape[0], eyz.shape[0], ezx.shape[0]
-    s1 = slice(0, n1)
-    s2 = slice(n1, n1 + n2)
-    s3 = slice(n1 + n2, n1 + n2 + n3)
-    worst = 0.0
-    for own, other_a, other_b in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
-        others = np.concatenate([np.arange(*other_a.indices(pool.shape[0])),
-                                 np.arange(*other_b.indices(pool.shape[0]))])
-        sub = D[own, :][:, others]
-        worst = max(worst, float(sub.min(axis=1).max()))
-    return worst

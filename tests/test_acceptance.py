@@ -49,6 +49,12 @@ def _line(num: int, ok: bool, detail: str) -> None:
     assert ok, msg
 
 
+def _took(ok: bool, elapsed: float) -> str:
+    """A wall time for a failing line only, so that passing printouts of
+    two runs compare byte for byte."""
+    return "" if ok else f" in {elapsed:.1f}s"
+
+
 @pytest.fixture(scope="module")
 def acc():
     dom = Domain.from_spec({"dimension": 4,
@@ -82,8 +88,8 @@ def test_criterion_01_vertical_distance_closed_form(acc):
     vals = fam.d_pairs(A, B)
     err = float(np.max(np.abs(vals - np.abs(np.log(h1 / h2)))))
     elapsed = time.perf_counter() - t0
-    _line(1, err <= VERTICAL_TOL and elapsed < 30.0,
-          f"vertical pairs max err {err:.2e} in {elapsed:.1f}s")
+    ok = err <= VERTICAL_TOL and elapsed < 30.0
+    _line(1, ok, f"vertical pairs max err {err:.2e}{_took(ok, elapsed)}")
 
 
 def _horizontal_errors(fam, seed):
@@ -123,7 +129,7 @@ def test_criterion_03_four_point_bound_for_g(acc):
     ok = (rep.delta <= LOG4 + FOUR_POINT_SLACK and rep.failures == 0
           and elapsed < 300.0)
     _line(3, ok, f"delta {rep.delta:.4f} <= ln4 {LOG4:.4f} on "
-                 f"{rep.n_quadruples} quadruples in {elapsed:.0f}s")
+                 f"{rep.n_quadruples} quadruples{_took(ok, elapsed)}")
 
 
 def test_criterion_04_rough_isometry_bracket(acc):
@@ -305,10 +311,10 @@ def test_criterion_09_orbit_dichotomy(acc):
     tail = float(np.min(v2.evidence["tail_min_heights"]))
     bounded_ok = v2.kind == "Bounded" and tail >= TAIL_FLOOR
     elapsed = time.perf_counter() - t0
-    _line(9, conv_ok and bounded_ok and elapsed < 300.0,
-          f"contraction -> {v.kind} spread "
-          f"{v.evidence['projection_spread']:.1e}; rotation -> {v2.kind} "
-          f"tail {tail:.3f} in {elapsed:.0f}s")
+    ok = conv_ok and bounded_ok and elapsed < 300.0
+    _line(9, ok, f"contraction -> {v.kind} spread "
+                 f"{v.evidence['projection_spread']:.1e}; rotation -> "
+                 f"{v2.kind} tail {tail:.3f}{_took(ok, elapsed)}")
 
 
 def test_criterion_10_anisotropy_stability(acc):

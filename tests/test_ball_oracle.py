@@ -4,13 +4,16 @@ On the unit ball of C^2 the Kobayashi distance and its infinitesimal
 metric have closed forms, so the bounded additive gap between `g` and `k`
 that Balogh-Bonk predict, and the ratio of the pointwise estimate to the
 Kobayashi metric, can be checked directly rather than against another
-estimate.
+estimate. On the sphere, Rudin's gauge is an exact boundary metric, the
+denominator against which Gromov products are read.
 """
 
 import numpy as np
 
 from hypkob import kobayashi
 from hypkob.gromov import distance_matrix
+
+from conftest import EPS
 
 # Band of g - k_B on the pool below (500-node graph, seed 5, 46 points,
 # 1,035 pairs). Measured before the boundary graph's thinning and Dijkstra
@@ -32,6 +35,35 @@ def k_ball(X, Y):
     return np.arctanh(np.sqrt(np.clip(1.0 - num / den, 0.0, None)))
 
 
+def rudin_gauge(X, Y):
+    """Rudin's gauge on the unit sphere of C^2, R = |1 - <xi, zeta>|^(1/2).
+
+    R is a metric on the sphere, comparable to its Carnot-Caratheodory
+    distance (Rudin, Function Theory in the Unit Ball of C^n, 5.1.2): it
+    grows linearly along the complex tangent, and as the square root of an
+    offset along the Reeb direction J xi.
+    """
+    z = X[..., 0::2] + 1j * X[..., 1::2]
+    w = Y[..., 0::2] + 1j * Y[..., 1::2]
+    return np.sqrt(np.abs(1.0 - np.sum(z * np.conj(w), axis=-1)))
+
+
+def reeb(U):
+    """J u, multiplication by i in z = (x1 + i x2, x3 + i x4)."""
+    a, b, c, d = U.T
+    return np.stack([-b, a, -d, c], axis=-1)
+
+
+def complex_tangent(U):
+    """(-conj z2, conj z1), orthogonal to u and J u, of u's length."""
+    a, b, c, d = U.T
+    return np.stack([-c, d, a, -b], axis=-1)
+
+
+def unit(V):
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+
 def kobayashi_metric_ball(X, V):
     """Infinitesimal Kobayashi metric of the unit ball in C^2.
 
@@ -51,11 +83,8 @@ def test_speed_to_ball_metric_ratio(projection, structure):
     # projection's depth is within about 4e-11 of t, which is 4e-6 relative
     # at t = 1e-5, so the ratios are taken at the projection's depth.
     rng = np.random.default_rng(11)
-    U = rng.normal(size=(6, 4))
-    U /= np.linalg.norm(U, axis=-1, keepdims=True)
-    a, b, c, d = U.T
-    ju = np.stack([-b, a, -d, c], axis=-1)
-    tangent = np.stack([-c, d, a, -b], axis=-1)
+    U = unit(rng.normal(size=(6, 4)))
+    ju, tangent = reeb(U), complex_tangent(U)
     for t in np.geomspace(1e-5, 0.1, 5):
         X = (1.0 - t) * U
         _, depth = projection.project_batch(X)
@@ -95,3 +124,58 @@ def test_g_minus_k_ball_stays_in_band(family):
     assert gap.size == 1035 and np.all(np.isfinite(gap))
     assert GAP_LOW <= gap.min() and gap.max() <= GAP_HIGH, (
         f"g - k_B in [{gap.min():.4f}, {gap.max():.4f}]")
+
+
+def test_rudin_gauge_triangle_inequality():
+    # largest R(a, c) - R(a, b) - R(b, c) at seed 7: -0.028 on random
+    # triples, -2.6e-5 on near-coincident ones (offsets of 1e-6 to 0.1
+    # along J a and in a random direction)
+    rng = np.random.default_rng(7)
+    n = 100_000
+    A, B, C = (unit(rng.normal(size=(n, 4))) for _ in range(3))
+    assert np.max(rudin_gauge(A, C) - rudin_gauge(A, B)
+                  - rudin_gauge(B, C)) < 0.0
+
+    def near(A):
+        s = 10.0 ** rng.uniform(-6, -1, size=(n, 1))
+        r = 10.0 ** rng.uniform(-6, -1, size=(n, 1))
+        sign = rng.choice([-1.0, 1.0], size=(n, 1))
+        return unit(A + sign * s * reeb(A)
+                    + r * unit(rng.normal(size=A.shape)))
+
+    A = unit(rng.normal(size=(n, 4)))
+    B, C = near(A), near(A)
+    assert np.max(rudin_gauge(A, C) - rudin_gauge(A, B)
+                  - rudin_gauge(B, C)) < 0.0
+
+
+def test_exact_boundary_products_over_rudin_gauge():
+    # As the depth t -> 0, the k_B product of (1 - t) xi and (1 - t) zeta
+    # based at the origin tends to ln(2 / |1 - <xi, zeta>|) / 2, so
+    # exp(-(xi|zeta)_0) / R tends to 1 / sqrt(2). At t = EPS 2^-20 the
+    # pairs below read 0.7070-0.7075: 100 random pairs, 100 antipodal
+    # ones, 100 Reeb offsets (R from 0.006) and 100 complex-tangent offsets
+    # (R from 0.03; their 1 - <x, y> takes 2t in phase, so the bias is
+    # t / R^2). At t = EPS 2^-24 the same pairs spread to 0.687-0.713, the
+    # random ones most: there (1 - |x|^2)(1 - |y|^2) / |1 - <x, y>|^2 is
+    # near 1e-15, and k_ball's closed form cancels in 1 - that ratio. That
+    # is rounding, not geometry.
+    rng = np.random.default_rng(7)
+    m = 100
+    xi = unit(rng.normal(size=(4 * m, 4)))
+    reeb_s = np.geomspace(4e-5, 1.0, m)[:, None]
+    tangent_s = np.geomspace(0.0425, 1.0, m)[:, None]
+    zeta = np.vstack([
+        unit(rng.normal(size=(m, 4))),
+        -xi[m:2 * m],
+        unit(xi[2 * m:3 * m] + reeb_s * reeb(xi[2 * m:3 * m])),
+        unit(xi[3 * m:] + tangent_s * complex_tangent(xi[3 * m:]))])
+    R = rudin_gauge(xi, zeta)
+    assert 0.006 < R.min() and np.isclose(R.max(), np.sqrt(2.0))
+    t = EPS * 2.0**-20
+    origin = np.zeros(4)
+    X, Y = (1.0 - t) * xi, (1.0 - t) * zeta
+    prod = 0.5 * (k_ball(X, origin) + k_ball(Y, origin) - k_ball(X, Y))
+    ratio = np.exp(-prod) / R
+    assert np.all(np.abs(ratio - 1.0 / np.sqrt(2.0)) < 1e-3), (
+        f"exp(-product) / R in [{ratio.min():.4f}, {ratio.max():.4f}]")

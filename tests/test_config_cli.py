@@ -113,6 +113,22 @@ def test_load_config_rejects_bad_entries(tmp_path):
         load_config(listy)
 
 
+# what each key refuses beyond true: NaN and Infinity load as floats, the
+# graph's counts take whole numbers, a node needs a neighbour, and numpy
+# takes no negative seed. Let through, "anisotropy": NaN writes inf
+# distances, "k_neighbors": 0 and -3 and a seed of -1 end in a traceback,
+# and "n_nodes": 200.7 builds 200 nodes
+_REFUSED = {
+    (None, "epsilon"): [math.inf, math.nan],
+    ("graph", "n_nodes"): [200.7, math.inf],
+    ("graph", "k_neighbors"): [0, -3, 2.5],
+    ("graph", "anisotropy"): [math.nan, math.inf],
+    ("graph", "seed"): [0.5, -1],
+    **{("seeds", key): [-1] for key in ("sampler", "pairs", "quadruples",
+                                         "orbits")},
+}
+
+
 @pytest.mark.parametrize("block, key", [
     ("seeds", "sampler"), ("seeds", "pairs"), ("seeds", "quadruples"),
     ("seeds", "orbits"), ("tolerances", "newton_tol"), (None, "epsilon"),
@@ -121,16 +137,17 @@ def test_load_config_rejects_bad_entries(tmp_path):
 def test_booleans_are_not_numbers(tmp_path, capsys, block, key):
     # JSON true loads as Python True, an int equal to 1
     raw = {"domain": {"dimension": 4, "defining_function": {"type": "ball"}}}
-    if block is None:
-        raw[key] = True
-    else:
-        raw[block] = {key: True}
-    path = write_json(tmp_path / "bool.json", raw)
-    capsys.readouterr()
-    assert main(["check", "--config", path, "--out",
-                 str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out")
+    for value in [True] + _REFUSED.get((block, key), []):
+        if block is None:
+            raw[key] = value
+        else:
+            raw[block] = {key: value}
+        path = write_json(tmp_path / "bad.json", raw)
+        capsys.readouterr()
+        assert main(["check", "--config", path, "--out",
+                     str(tmp_path / "out")]) == 2, value
+        assert key in capsys.readouterr().err, value
+        assert not os.path.exists(tmp_path / "out"), value
 
 
 def test_main_maps_config_errors_to_exit_2(tmp_path):
@@ -169,6 +186,11 @@ def test_main_maps_config_errors_to_exit_2(tmp_path):
     for i, raw in enumerate(bad):
         path = write_json(tmp_path / f"bad_type{i}.json", raw)
         assert main(["check", "--config", path]) == 2
+    # a negative seed override, which numpy refuses
+    path = write_json(tmp_path / "ball.json", {"domain": {
+        "dimension": 4, "defining_function": {"type": "ball"}}})
+    assert main(["check", "--config", path, "--seed", "-1", "--out",
+                 str(tmp_path / "out")]) == 2
 
 
 # ---------------------------------------------------------------------------

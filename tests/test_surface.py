@@ -13,8 +13,8 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypkob"
 
-EXPORTED_NAMES = 75
-KEYWORD_OPTIONS = 23
+EXPORTED_NAMES = 67
+KEYWORD_OPTIONS = 18
 
 
 def _tree(path):
